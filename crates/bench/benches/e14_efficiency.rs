@@ -11,7 +11,7 @@ use ml4db_bench::{banner, factor, quick_criterion};
 use ml4db_core::card::{collect_samples, MscnEstimator, NngpEstimator};
 use ml4db_core::index::keys::{generate_entries, KeyDistribution};
 use ml4db_core::prelude::*;
-use ml4db_core::storage::datasets::{joblite, DatasetConfig};
+use ml4db_core::storage::datasets::{joblite, joblite_db, DatasetConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -102,10 +102,7 @@ fn regenerate() {
 
 fn bench(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(141);
-    let db = Database::analyze(
-        joblite(&DatasetConfig { base_rows: 300, ..Default::default() }, &mut rng),
-        &mut rng,
-    );
+    let db = joblite_db(300, &[], &mut rng);
     let samples = collect_samples(&db, &workload(30));
     let mut g = c.benchmark_group("e14/train");
     g.bench_function("nngp_fit", |b| {

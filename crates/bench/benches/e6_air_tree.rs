@@ -31,7 +31,7 @@ fn setup() -> (AiRTree, Vec<ml4db_core::spatial::Rect>, Vec<ml4db_core::spatial:
 fn regenerate() {
     banner("E6", "ML-enhanced search: AI+R routing vs plain R-tree");
     let (air, high, low) = setup();
-    let mut table = |name: &str, queries: &[ml4db_core::spatial::Rect]| {
+    let table = |name: &str, queries: &[ml4db_core::spatial::Rect]| {
         let mut air_acc = 0u64;
         let mut rtree_acc = 0u64;
         let mut ai_routed = 0usize;

@@ -1,33 +1,29 @@
 //! Learned-index lookup benchmark: builds PGM, RMI, and RadixSpline over a
-//! uniform `u64` key set, drives the two-phase single / batch / sorted-batch
-//! entry points against a `slice::binary_search` baseline, and writes
-//! `BENCH_index.json`.
+//! uniform `u64` key set and drives the two-phase single / batch /
+//! sorted-batch entry points against a `slice::binary_search` baseline.
 //!
 //! All throughput figures are wall-clock on the running host — compare them
 //! only against the baseline numbers from the *same* run (the committed
 //! per-PR speedup trajectory), never raw across machines.
-//!
-//! Knobs (all optional, all env vars):
-//!
-//! * `ML4DB_INDEX_N`       — keys in the index (default 1 000 000)
-//! * `ML4DB_INDEX_PROBES`  — lookups per measurement (default 1 000 000)
-//! * `ML4DB_INDEX_BATCH`   — batch size for the batched entry points
-//!   (default 4096)
-//! * `ML4DB_INDEX_SEED`    — RNG seed (default 42)
 
 use std::collections::BTreeMap;
 use std::hint::black_box;
-use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use ml4db_index::{KeyValue, PgmIndex, RadixSpline, Rmi, TwoPhaseIndex};
+use ml4db_core::index::{KeyValue, PgmIndex, RadixSpline, Rmi, TwoPhaseIndex};
 use serde_json::Value;
 
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
+use crate::{time, Outcome};
+
+/// Keys in each index.
+const N: usize = 1_000_000;
+/// Lookups per measurement.
+const N_PROBES: usize = 1_000_000;
+/// Batch size of the batched entry points.
+const BATCH: usize = 4096;
+const SEED: u64 = 42;
 
 /// `n` distinct sorted keys uniform over the full `u64` range.
 fn uniform_keys(n: usize, rng: &mut StdRng) -> Vec<u64> {
@@ -37,12 +33,6 @@ fn uniform_keys(n: usize, rng: &mut StdRng) -> Vec<u64> {
     assert!(keys.len() >= n, "not enough distinct keys");
     keys.truncate(n);
     keys
-}
-
-fn time<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    let t = Instant::now();
-    let r = f();
-    (r, t.elapsed().as_secs_f64())
 }
 
 /// Sums payload hits — a checksum that forces the lookups to happen and
@@ -124,13 +114,9 @@ fn to_json(m: &Measured, n: usize) -> Value {
     Value::Object(o)
 }
 
-fn main() {
-    let n = env_u64("ML4DB_INDEX_N", 1_000_000) as usize;
-    let n_probes = env_u64("ML4DB_INDEX_PROBES", 1_000_000) as usize;
-    let batch = env_u64("ML4DB_INDEX_BATCH", 4096).max(1) as usize;
-    let seed = env_u64("ML4DB_INDEX_SEED", 42);
-
-    let mut rng = StdRng::seed_from_u64(seed);
+pub fn run() -> Outcome {
+    let (n, n_probes, batch) = (N, N_PROBES, BATCH);
+    let mut rng = StdRng::seed_from_u64(SEED);
     let keys = uniform_keys(n, &mut rng);
     let entries: Vec<KeyValue> = keys.iter().map(|&k| (k, k.wrapping_mul(31))).collect();
 
@@ -217,7 +203,7 @@ fn main() {
     o.insert("n_keys".into(), Value::Number(n as f64));
     o.insert("n_probes".into(), Value::Number(n_probes as f64));
     o.insert("batch_size".into(), Value::Number(batch as f64));
-    o.insert("seed".into(), Value::Number(seed as f64));
+    o.insert("seed".into(), Value::Number(SEED as f64));
     o.insert("distribution".into(), Value::String("uniform_u64".into()));
     o.insert("baseline_binary_search".into(), Value::Object(baseline));
     o.insert("indexes".into(), Value::Object(indexes));
@@ -225,16 +211,13 @@ fn main() {
         "best_batch_speedup_vs_baseline".into(),
         Value::Number((best_batch / base_batch_per_sec * 100.0).round() / 100.0),
     );
-    let json = Value::Object(o).to_string();
-
-    std::fs::write("BENCH_index.json", format!("{json}\n")).expect("write BENCH_index.json");
-    println!("{json}");
     eprintln!(
-        "index_bench: n={n}, probes={n_probes}, baseline batch {:.2}M/s | pgm {:.2}M/s, rmi {:.2}M/s, rs {:.2}M/s (best {:.2}x)",
+        "index: n={n}, probes={n_probes}, baseline batch {:.2}M/s | pgm {:.2}M/s, rmi {:.2}M/s, rs {:.2}M/s (best {:.2}x)",
         base_batch_per_sec / 1e6,
         pgm.batch_per_sec / 1e6,
         rmi.batch_per_sec / 1e6,
         rs.batch_per_sec / 1e6,
         best_batch / base_batch_per_sec,
     );
+    Outcome { json: Value::Object(o), pass: true }
 }

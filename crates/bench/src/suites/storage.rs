@@ -1,46 +1,34 @@
 //! Durable-tier benchmark: WAL append throughput, recovery latency,
-//! run-index build time, and on-disk bytes per key, written to
-//! `BENCH_storage.json`.
+//! run-index build time, and on-disk bytes per key.
 //!
 //! All figures are wall-clock on the running host — compare only within
 //! one run (the committed per-PR trajectory), never raw across machines.
 //! The workload itself is seeded and deterministic; only the timings
 //! vary.
-//!
-//! Knobs (all optional, all env vars):
-//!
-//! * `ML4DB_STORAGE_N`     — records appended/replayed (default 100 000)
-//! * `ML4DB_STORAGE_BATCH` — records per commit (default 64)
-//! * `ML4DB_STORAGE_SEED`  — RNG seed (default 42)
 
 use std::collections::BTreeMap;
 use std::hint::black_box;
-use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use ml4db_storage::durable::run::{Run, RunEntry, RunIndex};
-use ml4db_storage::durable::{
+use ml4db_core::storage::durable::run::{Run, RunEntry, RunIndex};
+use ml4db_core::storage::durable::{
     DurableStore, SimDisk, StoreConfig, Wal, WalConfig, WalRecord,
 };
 use serde_json::Value;
 
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
+use crate::{time, Outcome};
 
-fn time<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    let t = Instant::now();
-    let r = f();
-    (r, t.elapsed().as_secs_f64())
-}
+/// Records appended and replayed.
+const N: u64 = 100_000;
+/// Records per commit.
+const BATCH: u64 = 64;
+const SEED: u64 = 42;
 
-fn main() {
-    let n = env_u64("ML4DB_STORAGE_N", 100_000);
-    let batch = env_u64("ML4DB_STORAGE_BATCH", 64).max(1);
-    let seed = env_u64("ML4DB_STORAGE_SEED", 42);
-    let mut rng = StdRng::seed_from_u64(seed);
+pub fn run() -> Outcome {
+    let (n, batch) = (N, BATCH);
+    let mut rng = StdRng::seed_from_u64(SEED);
 
     // --- WAL append + commit throughput (SimDisk: measures the CPU
     // cost of framing/CRC/bookkeeping, not host fsync latency) --------
@@ -128,7 +116,7 @@ fn main() {
     o.insert("bench".into(), Value::String("storage_durable".into()));
     o.insert("n_records".into(), Value::Number(n as f64));
     o.insert("batch".into(), Value::Number(batch as f64));
-    o.insert("seed".into(), Value::Number(seed as f64));
+    o.insert("seed".into(), Value::Number(SEED as f64));
     o.insert(
         "wal_append_records_per_sec".into(),
         Value::Number((n as f64 / t_append).round()),
@@ -172,8 +160,5 @@ fn main() {
         "probe_speedup_vs_binary".into(),
         Value::Number((t_probe_binary / t_probe * 100.0).round() / 100.0),
     );
-    let json = Value::Object(o).to_string();
-    std::fs::write("BENCH_storage.json", format!("{json}\n"))
-        .expect("write BENCH_storage.json");
-    eprintln!("storage_bench: {json}");
+    Outcome { json: Value::Object(o), pass: true }
 }

@@ -77,16 +77,13 @@ pub fn target_to_card(t: f32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ml4db_storage::datasets::{joblite, DatasetConfig};
+    use ml4db_storage::datasets::joblite_db;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn db() -> Database {
         let mut rng = StdRng::seed_from_u64(1);
-        Database::analyze(
-            joblite(&DatasetConfig { base_rows: 100, ..Default::default() }, &mut rng),
-            &mut rng,
-        )
+        joblite_db(100, &[], &mut rng)
     }
 
     #[test]

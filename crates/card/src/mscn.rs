@@ -113,7 +113,7 @@ mod tests {
     use super::*;
     use ml4db_nn::metrics::{q_error, q_error_summary};
     use ml4db_plan::{ClassicEstimator, TrueCardinality};
-    use ml4db_storage::datasets::{joblite, DatasetConfig};
+    use ml4db_storage::datasets::{joblite, joblite_db, DatasetConfig};
     use ml4db_storage::CmpOp;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -168,10 +168,7 @@ mod tests {
     #[test]
     fn collect_samples_covers_connected_masks() {
         let mut rng = StdRng::seed_from_u64(6);
-        let db = Database::analyze(
-            joblite(&DatasetConfig { base_rows: 80, ..Default::default() }, &mut rng),
-            &mut rng,
-        );
+        let db = joblite_db(80, &[], &mut rng);
         let q = ml4db_plan::Query::new(&["title", "cast_info"]).join(0, "id", 1, "movie_id");
         let samples = collect_samples(&db, std::slice::from_ref(&q));
         // Masks: {title}, {cast_info}, {both}.

@@ -38,19 +38,22 @@ use std::hash::{Hash, Hasher};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use ml4db_card::{collect_samples, MscnEstimator};
+use ml4db_card::collect_samples;
 use ml4db_datagen::zoo::{ScenarioKind, ScenarioSpec};
 use ml4db_datagen::{key_stream, LoadGen, LoadSpec, TemplateMix};
 use ml4db_guard::{GuardedCardEstimator, GuardedSteering};
 use ml4db_index::{BPlusTree, KeyValue, OrderedIndex, PgmIndex};
 use ml4db_obs as obs;
-use ml4db_optimizer::harness::{dedup_by_fingerprint, evaluate, EvalReport};
+use ml4db_optimizer::harness::{
+    dedup_by_fingerprint, evaluate, qerr_stream, train_mscn, EvalReport,
+};
 use ml4db_optimizer::{discover_hint_sets, AutoSteer, Bao, Env};
-use ml4db_plan::executor::{execute, naive_execute, normalize_row};
-use ml4db_plan::{bao_arms, CardEstimator, HintSet, PlanNode, Query, TrueCardinality};
+use ml4db_plan::executor::{canonical_multiset, execute, naive_execute};
+use ml4db_plan::{bao_arms, HintSet, PlanNode, Query};
 use ml4db_serve::{run_closed_loop, AdmissionConfig, SimConfig};
-use ml4db_storage::datasets::{joblite, DatasetConfig};
-use ml4db_storage::{Database, Row};
+use ml4db_storage::Database;
+
+use crate::pipeline::demo_database;
 use serde_json::Value;
 
 // Salts mixed into a scenario's seed so each training/serving stream is
@@ -91,6 +94,14 @@ pub struct MatrixConfig {
 impl Default for MatrixConfig {
     fn default() -> Self {
         Self { base_rows: 200, train_n: 20, eval_n: 14, trap_keep: 8, serve_requests: 192, seed: 42 }
+    }
+}
+
+impl MatrixConfig {
+    /// The smoke scale shared by the unit tests, `tests/zoo_adversarial.rs`
+    /// and the `tests/golden/matrix.json` golden.
+    pub fn smoke() -> Self {
+        Self { base_rows: 120, train_n: 10, eval_n: 8, trap_keep: 5, serve_requests: 48, seed: 7 }
     }
 }
 
@@ -402,15 +413,6 @@ impl MatrixReport {
     }
 }
 
-/// Canonical sorted multiset of normalized output rows (the chaos
-/// harness's comparison form).
-fn multiset(db: &Database, query: &Query, rows: &[Row], layout: &[usize]) -> Vec<String> {
-    let mut v: Vec<String> =
-        rows.iter().map(|r| format!("{:?}", normalize_row(db, query, layout, r))).collect();
-    v.sort_unstable();
-    v
-}
-
 /// Executes up to 4 small (≤3-table) evaluation queries under `planner`
 /// and multiset-compares the served rows against the brute-force
 /// reference. Serial; a planner that abstains serves the expert plan.
@@ -431,28 +433,17 @@ fn oracle_agreement(
             continue;
         };
         let identity: Vec<usize> = (0..q.num_tables()).collect();
-        let truth =
-            multiset(db, q, &naive_execute(db, q).expect("reference executes"), &identity);
-        if multiset(db, q, &res.rows, &res.layout) == truth {
+        let truth = canonical_multiset(
+            db,
+            q,
+            &naive_execute(db, q).expect("reference executes"),
+            &identity,
+        );
+        if canonical_multiset(db, q, &res.rows, &res.layout) == truth {
             agreed += 1;
         }
     }
     (checked, agreed)
-}
-
-/// Mean |ln q-error| of `est` against the true-cardinality oracle on the
-/// full join of each query. Serial and deterministic.
-fn qerr<E: CardEstimator>(db: &Database, est: &E, queries: &[Query]) -> f64 {
-    let oracle = TrueCardinality::new();
-    let sum: f64 = queries
-        .iter()
-        .map(|q| {
-            let truth = oracle.estimate(db, q, q.full_mask()).max(1.0);
-            let guess = est.estimate(db, q, q.full_mask()).max(1.0);
-            (guess / truth).ln().abs()
-        })
-        .sum();
-    sum / queries.len().max(1) as f64
 }
 
 /// Scores one `(scenario, policy)` evaluation into a [`CellReport`] and
@@ -528,16 +519,10 @@ fn mscn_probe(
     eval: &[Query],
 ) -> ProbeReport {
     let mut rng = StdRng::seed_from_u64(spec.seed ^ SALT_MSCN);
-    let samples = collect_samples(base, train);
-    let mut mscn = MscnEstimator::new(16, &mut rng);
-    mscn.fit(base, &samples, 25, 0.005, &mut rng);
+    let mscn = train_mscn(base, &collect_samples(base, train), 25, &mut rng);
     let data_attack = matches!(spec.kind, ScenarioKind::CorrelationTrap);
-    let control_err = if data_attack {
-        qerr(base, &mscn, eval)
-    } else {
-        qerr(base, &mscn, train)
-    };
-    let eval_err = qerr(applied, &mscn, eval);
+    let control_err = qerr_stream(base, &mscn, if data_attack { eval } else { train }).0;
+    let eval_err = qerr_stream(applied, &mscn, eval).0;
     let ratio = eval_err / control_err.max(1e-6);
 
     let guarded = GuardedCardEstimator::new(mscn, 8.0);
@@ -645,12 +630,7 @@ pub fn run_matrix(cfg: &MatrixConfig) -> MatrixReport {
     for (i, spec) in specs.iter().enumerate() {
         let db_seed =
             cfg.seed ^ SALT_DB ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut rng = StdRng::seed_from_u64(db_seed);
-        let mut base = Database::analyze(
-            joblite(&DatasetConfig { base_rows: cfg.base_rows, ..Default::default() }, &mut rng),
-            &mut rng,
-        );
-        base.add_index("title", "year");
+        let base = demo_database(cfg.base_rows, db_seed);
 
         let train = dedup_by_fingerprint(spec.train_workload(&base, cfg.train_n));
         let applied = spec.apply(&base);
@@ -800,20 +780,9 @@ pub fn run_matrix(cfg: &MatrixConfig) -> MatrixReport {
 mod tests {
     use super::*;
 
-    fn tiny() -> MatrixConfig {
-        MatrixConfig {
-            base_rows: 120,
-            train_n: 10,
-            eval_n: 8,
-            trap_keep: 5,
-            serve_requests: 48,
-            seed: 7,
-        }
-    }
-
     #[test]
     fn matrix_covers_every_cell_with_a_budget() {
-        let report = run_matrix(&tiny());
+        let report = run_matrix(&MatrixConfig::smoke());
         assert_eq!(report.scenarios, 14);
         assert_eq!(report.policies, 4);
         assert_eq!(report.cells.len(), 14 * 4);
@@ -831,7 +800,7 @@ mod tests {
 
     #[test]
     fn canonical_json_is_deterministic() {
-        let cfg = tiny();
+        let cfg = MatrixConfig::smoke();
         let a = run_matrix(&cfg);
         let b = run_matrix(&cfg);
         assert_eq!(a.to_canonical_json().to_string(), b.to_canonical_json().to_string());

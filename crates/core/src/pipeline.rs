@@ -8,19 +8,13 @@ use rand::SeedableRng;
 use ml4db_datagen::{SchemaGraph, WorkloadConfig, WorkloadGenerator};
 use ml4db_optimizer::{Bao, Env};
 use ml4db_plan::{bao_arms, Query};
-use ml4db_storage::datasets::{joblite, DatasetConfig};
+use ml4db_storage::datasets::joblite_db;
 use ml4db_storage::Database;
 
 /// Builds the standard demo database (joblite with an index on
 /// `title.year`), deterministically from a seed.
 pub fn demo_database(base_rows: usize, seed: u64) -> Database {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut db = Database::analyze(
-        joblite(&DatasetConfig { base_rows, ..Default::default() }, &mut rng),
-        &mut rng,
-    );
-    db.add_index("title", "year");
-    db
+    joblite_db(base_rows, &[("title", "year")], &mut StdRng::seed_from_u64(seed))
 }
 
 /// Generates a standard demo workload over the demo database.

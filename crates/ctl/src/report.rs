@@ -17,7 +17,11 @@ use ml4db_datagen::{ScenarioKind, ScenarioSpec};
 use ml4db_guard::ctlchaos::CtlFault;
 
 use crate::controller::{NoopController, OracleController, RuleController};
-use crate::world::{run_world, CtlWorldConfig};
+use ml4db_optimizer::harness::{DRIFT_THRESHOLD, MSCN_HIDDEN};
+
+use crate::world::{
+    run_world, CtlWorldConfig, INDEX_PENALTY_US, RETRY_LIMIT, SHED_PENALTY, SHIFT_AT, TOLERANCE,
+};
 
 /// Gap below which noop and oracle are considered tied and gap closure
 /// is vacuous (the controller has nothing to recover).
@@ -104,14 +108,14 @@ impl CtlMatrixReport {
         cfg.insert("train_n".into(), num(self.config.train_n as f64));
         cfg.insert("eval_n".into(), num(self.config.eval_n as f64));
         cfg.insert("epochs".into(), num(self.config.epochs as f64));
-        cfg.insert("shift_at".into(), num(self.config.shift_at as f64));
-        cfg.insert("hidden".into(), num(self.config.hidden as f64));
+        cfg.insert("shift_at".into(), num(SHIFT_AT as f64));
+        cfg.insert("hidden".into(), num(MSCN_HIDDEN as f64));
         cfg.insert("train_epochs".into(), num(self.config.train_epochs as f64));
-        cfg.insert("tolerance".into(), num(self.config.tolerance));
-        cfg.insert("drift_threshold".into(), num(self.config.drift_threshold));
-        cfg.insert("retry_limit".into(), num(f64::from(self.config.retry_limit)));
-        cfg.insert("index_penalty_us".into(), num(self.config.index_penalty_us));
-        cfg.insert("shed_penalty".into(), num(self.config.shed_penalty));
+        cfg.insert("tolerance".into(), num(TOLERANCE));
+        cfg.insert("drift_threshold".into(), num(DRIFT_THRESHOLD));
+        cfg.insert("retry_limit".into(), num(f64::from(RETRY_LIMIT)));
+        cfg.insert("index_penalty_us".into(), num(INDEX_PENALTY_US));
+        cfg.insert("shed_penalty".into(), num(SHED_PENALTY));
         root.insert("config".into(), Value::Object(cfg));
         root.insert(
             "cells".into(),
@@ -168,12 +172,8 @@ pub fn run_ctl_matrix(seed: u64, cfg: &CtlWorldConfig) -> CtlMatrixReport {
         .map(|spec| {
             let noop = run_world(spec, &mut NoopController, CtlFault::None, cfg);
             let rule = run_world(spec, &mut RuleController::new(), CtlFault::None, cfg);
-            let oracle = run_world(
-                spec,
-                &mut OracleController::new(cfg.shift_at),
-                CtlFault::None,
-                cfg,
-            );
+            let oracle =
+                run_world(spec, &mut OracleController::new(SHIFT_AT), CtlFault::None, cfg);
             let gap = noop.total_us - oracle.total_us;
             CtlCell {
                 scenario: spec.name(),

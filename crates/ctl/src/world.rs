@@ -38,20 +38,20 @@
 //! configuration (rollback to last-good, flip to the full-hint arm,
 //! rebuild a genuinely stale index) or are validated no-ops.
 
-use std::sync::Mutex;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use ml4db_card::{collect_samples, CardSample, DriftDetector, MscnEstimator};
+use ml4db_card::{collect_samples, DriftDetector, MscnEstimator};
 use ml4db_datagen::ScenarioSpec;
 use ml4db_guard::ctlchaos::{lie_in_snapshot, storm_in_snapshot, ActuatorClock, CtlFault};
 use ml4db_lifecycle::{GateConfig, ModelRegistry};
 use ml4db_obs::{Event, HealthSnapshot, ModeGuard};
-use ml4db_optimizer::harness::dedup_by_fingerprint;
+use ml4db_optimizer::harness::{
+    dedup_by_fingerprint, gate_score, poison_samples, qerr_stream, train_mscn, DRIFT_THRESHOLD,
+};
 use ml4db_optimizer::Env;
-use ml4db_plan::{CardEstimator, ClassicEstimator, HintSet, Query, TrueCardinality};
-use ml4db_storage::datasets::{joblite, DatasetConfig};
+use ml4db_plan::{ClassicEstimator, HintSet, Query};
+use ml4db_storage::datasets::joblite_db;
 use ml4db_storage::durable::{FaultSpec, IoFault, SimDisk, StorageMedium, TailPolicy};
 use ml4db_storage::Database;
 
@@ -93,7 +93,20 @@ pub const ARMS: [HintSet; 4] = [
     HintSet { hash_join: true, nested_loop: true, merge_join: true, index_scan: false, seq_scan: true },
 ];
 
-/// Knobs for [`run_world`]. Every value folds into the deterministic
+/// Epoch at which the scenario regime lands.
+pub const SHIFT_AT: u64 = 2;
+/// Validation-gate tolerance. 0.0 makes do-no-harm structural: a
+/// candidate must be ≤ the incumbent on the very stream it will serve.
+pub const TOLERANCE: f64 = 0.0;
+/// Actuator retries before a decision degrades to no-op.
+pub const RETRY_LIMIT: u32 = 3;
+/// Per-query penalty (µs) while the secondary index is stale.
+pub const INDEX_PENALTY_US: f64 = 40.0;
+/// Latency multiple of the expert charged to a shed query (the client's
+/// retry-elsewhere cost).
+pub const SHED_PENALTY: f64 = 2.0;
+
+/// Scale of one [`run_world`]. Every value folds into the deterministic
 /// run; defaults are sized for test suites.
 #[derive(Clone, Copy, Debug)]
 pub struct CtlWorldConfig {
@@ -105,46 +118,21 @@ pub struct CtlWorldConfig {
     pub eval_n: usize,
     /// Control epochs in the run.
     pub epochs: u64,
-    /// Epoch at which the scenario regime lands.
-    pub shift_at: u64,
-    /// MSCN hidden width.
-    pub hidden: usize,
     /// Training epochs per (re)train.
     pub train_epochs: usize,
-    /// Training learning rate.
-    pub lr: f32,
-    /// Validation-gate tolerance. 0.0 makes do-no-harm structural: a
-    /// candidate must be ≤ the incumbent on the very stream it will
-    /// serve.
-    pub tolerance: f64,
-    /// Drift-detector KS threshold.
-    pub drift_threshold: f64,
-    /// Actuator retries before a decision degrades to no-op.
-    pub retry_limit: u32,
-    /// Per-query penalty (µs) while the secondary index is stale.
-    pub index_penalty_us: f64,
-    /// Latency multiple of the expert charged to a shed query (the
-    /// client's retry-elsewhere cost).
-    pub shed_penalty: f64,
 }
 
 impl Default for CtlWorldConfig {
     fn default() -> Self {
-        Self {
-            base_rows: 200,
-            train_n: 18,
-            eval_n: 12,
-            epochs: 6,
-            shift_at: 2,
-            hidden: 16,
-            train_epochs: 30,
-            lr: 0.005,
-            tolerance: 0.0,
-            drift_threshold: 0.3,
-            retry_limit: 3,
-            index_penalty_us: 40.0,
-            shed_penalty: 2.0,
-        }
+        Self { base_rows: 200, train_n: 18, eval_n: 12, epochs: 6, train_epochs: 30 }
+    }
+}
+
+impl CtlWorldConfig {
+    /// The smoke scale shared by the unit tests, the chaos suites and the
+    /// `tests/golden/ctl.json` golden.
+    pub fn smoke() -> Self {
+        Self { base_rows: 120, train_n: 10, eval_n: 8, epochs: 5, train_epochs: 20 }
     }
 }
 
@@ -183,27 +171,16 @@ pub struct WorldReport {
 }
 
 impl WorldReport {
-    /// 64-bit fingerprint over the score trajectory and the canonical
-    /// decision log — the cross-thread-count identity surface.
+    /// 64-bit fingerprint of every field — score trajectory and decision
+    /// log included — via the `Debug` rendering (floats print round-trip
+    /// exactly): the cross-thread-count identity surface.
     pub fn bits(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        (self.scenario, self.controller, self.fault, self.seed).hash(&mut h);
-        for e in &self.per_epoch_us {
-            e.to_bits().hash(&mut h);
-        }
-        self.log.canonical_string().hash(&mut h);
-        (self.crashed, self.recovered_decisions).hash(&mut h);
-        (self.final_generation, self.final_active, self.final_arm).hash(&mut h);
-        (self.final_stale, self.final_admission).hash(&mut h);
+        format!("{self:?}").hash(&mut h);
         h.finish()
     }
 }
-
-/// The obs collector is process-global; worlds serialize on this so
-/// concurrent test threads cannot interleave their event streams.
-/// Poisoning is recovered (a panicked world must not wedge the suite).
-static WORLD_LOCK: Mutex<()> = Mutex::new(());
 
 /// Derives the trainer's seed from the training data itself: the same
 /// `(seed, sample stream, poisoned?)` always yields bit-identical
@@ -227,51 +204,9 @@ fn train_seed(world_seed: u64, stream: &[Query], poisoned: bool) -> u64 {
     h
 }
 
-fn train_model(db: &Database, samples: &[CardSample], cfg: &CtlWorldConfig, seed: u64) -> MscnEstimator {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut m = MscnEstimator::new(cfg.hidden, &mut rng);
-    m.fit(db, samples, cfg.train_epochs, cfg.lr, &mut rng);
-    m
-}
-
-/// Serial per-query |ln q-error| stream of `est` (drift-detector food).
-fn qerrs(db: &Database, est: &MscnEstimator, stream: &[Query]) -> Vec<f64> {
-    let oracle = TrueCardinality::new();
-    stream
-        .iter()
-        .map(|q| {
-            let truth = oracle.estimate(db, q, q.full_mask()).max(1.0);
-            let guess = est.estimate(db, q, q.full_mask()).max(1.0);
-            (guess / truth).ln().abs()
-        })
-        .collect()
-}
-
-/// Total simulated latency of the plans `est` induces over `stream`
-/// under `hint` — the gate score. Order-preserving fan-out.
-fn stream_total<E: CardEstimator + Sync>(
-    env: &Env,
-    stream: &[Query],
-    hint: HintSet,
-    est: &E,
-    tag: u64,
-) -> f64 {
-    ml4db_par::par_map(stream, |q| {
-        ml4db_obs::with_query(q.fingerprint(), || {
-            match env.plan_with_estimator(q, hint, est, tag) {
-                Some(p) => env.run(q, &p),
-                None => f64::INFINITY,
-            }
-        })
-    })
-    .iter()
-    .sum()
-}
-
 /// One epoch of serving: plans with the serving estimator under the
 /// current arm, charges index-staleness penalties and admission sheds,
 /// and emits the event stream the next snapshot distills.
-#[allow(clippy::too_many_arguments)]
 fn serve_epoch(
     env: &Env,
     stream: &[Query],
@@ -279,7 +214,6 @@ fn serve_epoch(
     est: &MscnEstimator,
     stale: bool,
     admission: u32,
-    cfg: &CtlWorldConfig,
 ) -> f64 {
     let indexed: Vec<(usize, Query)> = stream.iter().cloned().enumerate().collect();
     ml4db_par::par_map(&indexed, |(i, q)| {
@@ -297,14 +231,14 @@ fn serve_epoch(
             let lat = if shed {
                 // Shed work is not executed here; the client pays the
                 // retry-elsewhere premium.
-                cfg.shed_penalty * expert
+                SHED_PENALTY * expert
             } else {
                 ml4db_obs::emit_with(|| Event::IndexProbe { index: INDEX, hit: !stale });
                 let served = match env.plan_with_estimator(q, hint, est, TAG_SERVING) {
                     Some(p) => env.run(q, &p),
                     None => expert,
                 };
-                served + if stale { cfg.index_penalty_us } else { 0.0 }
+                served + if stale { INDEX_PENALTY_US } else { 0.0 }
             };
             ml4db_obs::emit_with(|| Event::QueryReport {
                 latency_us: lat,
@@ -387,17 +321,14 @@ impl Actuators<'_, '_, '_> {
                 let poisoned = fault == CtlFault::PoisonedRetrain;
                 let mut samples = collect_samples(db, stream);
                 if poisoned {
-                    samples = samples
-                        .iter()
-                        .map(|s| CardSample { card: 1.0, ..s.clone() })
-                        .collect();
+                    samples = poison_samples(&samples);
                 }
-                let candidate =
-                    train_model(db, &samples, cfg, train_seed(world_seed, stream, poisoned));
+                let mut rng = StdRng::seed_from_u64(train_seed(world_seed, stream, poisoned));
+                let candidate = train_mscn(db, &samples, cfg.train_epochs, &mut rng);
                 let cid = self.registry.register_candidate(candidate, "retrain");
                 self.registry.begin_shadow(cid);
                 let hint = ARMS[*self.arm];
-                let mut cand_score = stream_total(
+                let mut cand_score = gate_score(
                     env,
                     stream,
                     hint,
@@ -405,9 +336,9 @@ impl Actuators<'_, '_, '_> {
                     TAG_CANDIDATE_BASE + u64::from(cid),
                 );
                 let inc_score =
-                    stream_total(env, stream, hint, self.registry.active(), TAG_SERVING);
+                    gate_score(env, stream, hint, self.registry.active(), TAG_SERVING);
                 let base_score =
-                    stream_total(env, stream, hint, &ClassicEstimator, TAG_BASELINE);
+                    gate_score(env, stream, hint, &ClassicEstimator, TAG_BASELINE);
                 if fault == CtlFault::GateRejectsAll {
                     // The gate actuator is broken: scores arrive as +inf.
                     cand_score = f64::INFINITY;
@@ -487,25 +418,22 @@ pub fn run_world(
     fault: CtlFault,
     cfg: &CtlWorldConfig,
 ) -> WorldReport {
-    let _world = WORLD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _world = ml4db_obs::serial();
     let _mode = ModeGuard::collect();
 
     // The two regimes: base database + training stream before the
     // change point, applied database + evaluation stream after.
     let mut rng = StdRng::seed_from_u64(spec.seed ^ SALT_WORLD);
-    let mut base = Database::analyze(
-        joblite(&DatasetConfig { base_rows: cfg.base_rows, ..Default::default() }, &mut rng),
-        &mut rng,
-    );
-    base.add_index("title", "year");
+    let base = joblite_db(cfg.base_rows, &[("title", "year")], &mut rng);
     let applied = spec.apply(&base);
     let pre = dedup_by_fingerprint(spec.train_workload(&base, cfg.train_n));
     let post = dedup_by_fingerprint(spec.eval_workload(&applied, cfg.eval_n));
 
-    let pre_samples = collect_samples(&base, &pre);
-    let incumbent = train_model(&base, &pre_samples, cfg, train_seed(spec.seed, &pre, false));
+    let mut train_rng = StdRng::seed_from_u64(train_seed(spec.seed, &pre, false));
+    let incumbent =
+        train_mscn(&base, &collect_samples(&base, &pre), cfg.train_epochs, &mut train_rng);
     let mut registry =
-        ModelRegistry::new(COMPONENT, GateConfig { tolerance: cfg.tolerance }, incumbent);
+        ModelRegistry::new(COMPONENT, GateConfig { tolerance: TOLERANCE }, incumbent);
 
     let env_pre = Env::new(&base);
     let env_post = Env::new(&applied);
@@ -515,8 +443,8 @@ pub fn run_world(
     // pre-shift epoch leaves in the recent window, so KS is identically
     // zero until the regime actually changes — no warmup false alarms.
     let window = pre.len().max(post.len()).max(4);
-    let mut drift = DriftDetector::new(window, cfg.drift_threshold);
-    let warm = qerrs(&base, registry.active(), &pre);
+    let mut drift = DriftDetector::new(window, DRIFT_THRESHOLD);
+    let warm = qerr_stream(&base, registry.active(), &pre).1;
     let n = warm.len().max(1) as i64;
     for i in 0..2 * window {
         let j = (i as i64 - window as i64).rem_euclid(n) as usize;
@@ -544,8 +472,8 @@ pub fn run_world(
     let _ = ml4db_obs::take_trace();
 
     for epoch in 0..cfg.epochs {
-        let shifted = epoch >= cfg.shift_at;
-        if epoch == cfg.shift_at {
+        let shifted = epoch >= SHIFT_AT;
+        if epoch == SHIFT_AT {
             // The regime change lands: the secondary index no longer
             // reflects the data until the controller rebuilds it.
             stale = true;
@@ -555,18 +483,10 @@ pub fn run_world(
         let stream: &[Query] = if shifted { &post } else { &pre };
 
         // --- serve the interval ---
-        per_epoch.push(serve_epoch(
-            env,
-            stream,
-            ARMS[arm],
-            registry.active(),
-            stale,
-            admission,
-            cfg,
-        ));
+        per_epoch.push(serve_epoch(env, stream, ARMS[arm], registry.active(), stale, admission));
 
         // --- drift verdicts on the serving model's live error stream ---
-        for e in qerrs(db, registry.active(), stream) {
+        for e in qerr_stream(db, registry.active(), stream).1 {
             let fired = drift.observe(e);
             ml4db_obs::emit_with(|| Event::DriftVerdict { component: COMPONENT, fired });
         }
@@ -641,7 +561,7 @@ pub fn run_world(
                         cfg,
                     );
                 }
-                if attempts > cfg.retry_limit {
+                if attempts > RETRY_LIMIT {
                     // The actuator never cleared: degrade to no-op for
                     // this decision rather than spin.
                     break "transient_exhausted";
@@ -831,17 +751,6 @@ mod tests {
     use crate::controller::{NoopController, OracleController, RuleController};
     use ml4db_datagen::{ScenarioKind, ShiftKind};
 
-    fn quick() -> CtlWorldConfig {
-        CtlWorldConfig {
-            base_rows: 120,
-            train_n: 10,
-            eval_n: 8,
-            epochs: 5,
-            train_epochs: 20,
-            ..Default::default()
-        }
-    }
-
     fn shift_spec() -> ScenarioSpec {
         // BulkDelete collapses the join selectivities the incumbent
         // trained on, so the gated retrain genuinely promotes here.
@@ -850,7 +759,7 @@ mod tests {
 
     #[test]
     fn noop_world_is_deterministic_and_actionless() {
-        let cfg = quick();
+        let cfg = CtlWorldConfig::smoke();
         let a = run_world(shift_spec(), &mut NoopController, CtlFault::None, &cfg);
         let b = run_world(shift_spec(), &mut NoopController, CtlFault::None, &cfg);
         assert_eq!(a.bits(), b.bits());
@@ -862,7 +771,7 @@ mod tests {
 
     #[test]
     fn rule_controller_recovers_and_does_no_harm() {
-        let cfg = quick();
+        let cfg = CtlWorldConfig::smoke();
         let noop = run_world(shift_spec(), &mut NoopController, CtlFault::None, &cfg);
         let rule =
             run_world(shift_spec(), &mut RuleController::new(), CtlFault::None, &cfg);
@@ -877,19 +786,19 @@ mod tests {
         assert!(!rule.final_stale);
         // Pre-shift epochs are identical: the controller only acts on
         // evidence, and there is none before the change.
-        for e in 0..cfg.shift_at as usize {
+        for e in 0..SHIFT_AT as usize {
             assert_eq!(rule.per_epoch_us[e], noop.per_epoch_us[e]);
         }
     }
 
     #[test]
     fn oracle_matches_or_beats_rule() {
-        let cfg = quick();
+        let cfg = CtlWorldConfig::smoke();
         let rule =
             run_world(shift_spec(), &mut RuleController::new(), CtlFault::None, &cfg);
         let oracle = run_world(
             shift_spec(),
-            &mut OracleController::new(cfg.shift_at),
+            &mut OracleController::new(SHIFT_AT),
             CtlFault::None,
             &cfg,
         );
@@ -898,7 +807,7 @@ mod tests {
 
     #[test]
     fn world_runs_are_thread_count_invariant() {
-        let cfg = quick();
+        let cfg = CtlWorldConfig::smoke();
         let default_threads =
             run_world(shift_spec(), &mut RuleController::new(), CtlFault::None, &cfg);
         let prev = ml4db_par::set_threads(1);

@@ -252,14 +252,11 @@ impl LoadGen {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ml4db_storage::datasets::{joblite, DatasetConfig};
+    use ml4db_storage::datasets::joblite_db;
 
     fn db() -> Database {
         let mut rng = StdRng::seed_from_u64(1);
-        Database::analyze(
-            joblite(&DatasetConfig { base_rows: 100, ..Default::default() }, &mut rng),
-            &mut rng,
-        )
+        joblite_db(100, &[], &mut rng)
     }
 
     fn mix(db: &Database) -> TemplateMix {

@@ -330,14 +330,11 @@ fn correlation_flip(db: &Database) -> ml4db_storage::Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ml4db_storage::datasets::{joblite, DatasetConfig};
+    use ml4db_storage::datasets::joblite_db;
 
     fn db() -> Database {
         let mut rng = StdRng::seed_from_u64(7);
-        let mut db = Database::analyze(
-            joblite(&DatasetConfig { base_rows: 300, ..Default::default() }, &mut rng),
-            &mut rng,
-        );
+        let mut db = joblite_db(300, &[], &mut rng);
         db.add_index("title", "year");
         db
     }

@@ -235,16 +235,13 @@ impl DriftSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ml4db_storage::datasets::{joblite, DatasetConfig};
+    use ml4db_storage::datasets::joblite_db;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn db() -> Database {
         let mut rng = StdRng::seed_from_u64(1);
-        Database::analyze(
-            joblite(&DatasetConfig { base_rows: 150, ..Default::default() }, &mut rng),
-            &mut rng,
-        )
+        joblite_db(150, &[], &mut rng)
     }
 
     #[test]

@@ -562,14 +562,11 @@ fn bomb_apply(db: &Database) -> ml4db_storage::Catalog {
 mod tests {
     use super::*;
     use crate::shift::key_stream;
-    use ml4db_storage::datasets::{joblite, DatasetConfig};
+    use ml4db_storage::datasets::joblite_db;
 
     fn db() -> Database {
         let mut rng = StdRng::seed_from_u64(7);
-        let mut db = Database::analyze(
-            joblite(&DatasetConfig { base_rows: 150, ..Default::default() }, &mut rng),
-            &mut rng,
-        );
+        let mut db = joblite_db(150, &[], &mut rng);
         db.add_index("title", "year");
         db
     }

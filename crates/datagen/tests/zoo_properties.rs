@@ -15,7 +15,7 @@ use std::sync::OnceLock;
 
 use ml4db_datagen::zoo::{ScenarioKind, ScenarioSpec};
 use ml4db_datagen::key_stream;
-use ml4db_storage::datasets::{joblite, DatasetConfig};
+use ml4db_storage::datasets::joblite_db;
 use ml4db_storage::Database;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -25,10 +25,7 @@ fn db() -> &'static Database {
     static DB: OnceLock<Database> = OnceLock::new();
     DB.get_or_init(|| {
         let mut rng = StdRng::seed_from_u64(7);
-        let mut db = Database::analyze(
-            joblite(&DatasetConfig { base_rows: 150, ..Default::default() }, &mut rng),
-            &mut rng,
-        );
+        let mut db = joblite_db(150, &[], &mut rng);
         db.add_index("title", "year");
         db
     })

@@ -24,13 +24,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use ml4db_index::{BPlusTree, KeyValue, OrderedIndex};
 use ml4db_optimizer::Env;
-use ml4db_plan::executor::{execute, naive_execute, normalize_row};
+use ml4db_plan::executor::{canonical_multiset, execute, naive_execute};
 use ml4db_plan::{
     all_hint_sets, CardEstimator, ClassicEstimator, HintSet, Planner, Query,
 };
 use ml4db_spatial::data::{generate_points, unit_domain, SpatialDistribution};
-use ml4db_storage::datasets::{joblite, DatasetConfig};
-use ml4db_storage::{Database, Row};
+use ml4db_storage::datasets::joblite_db;
+use ml4db_storage::Database;
 use ml4db_spatial::{Point, Rect, RTree, ZmIndex};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -130,17 +130,12 @@ impl ScenarioReport {
         !self.panicked && self.wrong_answers == 0 && self.regression_factor <= 1.5
     }
 
-    /// Deterministic fingerprint of every field, for byte-identity
+    /// Deterministic fingerprint of every field (the `Debug` rendering,
+    /// which prints floats round-trip exactly), for byte-identity
     /// assertions across thread counts.
     pub fn bits(&self) -> u64 {
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.fault.hash(&mut h);
-        self.guarded.hash(&mut h);
-        self.panicked.hash(&mut h);
-        self.wrong_answers.hash(&mut h);
-        self.regression_factor.to_bits().hash(&mut h);
-        self.tripped.hash(&mut h);
-        self.operations.hash(&mut h);
+        format!("{self:?}").hash(&mut h);
         h.finish()
     }
 }
@@ -248,16 +243,6 @@ impl SpatialModel for CorruptedZm {
 // Shared fixtures
 // ---------------------------------------------------------------------------
 
-fn build_db(base_rows: usize, seed: u64) -> Database {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut db = Database::analyze(
-        joblite(&DatasetConfig { base_rows, ..Default::default() }, &mut rng),
-        &mut rng,
-    );
-    db.add_index("title", "year");
-    db
-}
-
 fn build_workload(db: &Database, n: usize, seed: u64) -> Vec<Query> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9);
     ml4db_datagen::WorkloadGenerator::new(
@@ -265,16 +250,6 @@ fn build_workload(db: &Database, n: usize, seed: u64) -> Vec<Query> {
         ml4db_datagen::WorkloadConfig { min_tables: 2, max_tables: 3, ..Default::default() },
     )
     .generate_many(db, n, &mut rng)
-}
-
-/// Canonical sorted multiset of normalized output rows.
-fn multiset(db: &Database, query: &Query, rows: &[Row], layout: &[usize]) -> Vec<String> {
-    let mut v: Vec<String> = rows
-        .iter()
-        .map(|r| format!("{:?}", normalize_row(db, query, layout, r)))
-        .collect();
-    v.sort_unstable();
-    v
 }
 
 // ---------------------------------------------------------------------------
@@ -290,7 +265,7 @@ fn run_estimator_scenario(
     tripped: impl Fn() -> bool,
     seed: u64,
 ) -> ScenarioReport {
-    let db = build_db(250, seed);
+    let db = joblite_db(250, &[("title", "year")], &mut StdRng::seed_from_u64(seed));
     let queries = build_workload(&db, 12, seed);
     let planner = Planner::default();
     let mut total = 0.0f64;
@@ -309,9 +284,10 @@ fn run_estimator_scenario(
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 let plan = planner.best_plan(&db, q, est).expect("planner returns a plan");
                 let res = execute(&db, q, &plan).expect("plan executes");
-                let got = multiset(&db, q, &res.rows, &res.layout);
+                let got = canonical_multiset(&db, q, &res.rows, &res.layout);
                 let identity: Vec<usize> = (0..q.num_tables()).collect();
-                let truth = multiset(&db, q, &naive_execute(&db, q).expect("naive"), &identity);
+                let truth =
+                    canonical_multiset(&db, q, &naive_execute(&db, q).expect("naive"), &identity);
                 (res.latency_us, got != truth)
             }));
             match outcome {
@@ -342,7 +318,11 @@ fn estimator_scenario(fault: Fault, guarded: bool, seed: u64) -> ScenarioReport 
         Fault::NanEstimates => FaultyEstimator::Nan,
         Fault::InfEstimates => FaultyEstimator::Inf,
         Fault::ConstantZero => FaultyEstimator::Zero,
-        Fault::StaleAfterShift => FaultyEstimator::Stale(Box::new(build_db(25, seed))),
+        Fault::StaleAfterShift => FaultyEstimator::Stale(Box::new(joblite_db(
+            25,
+            &[("title", "year")],
+            &mut StdRng::seed_from_u64(seed),
+        ))),
         _ => unreachable!("not an estimator fault"),
     };
     if guarded {
@@ -354,7 +334,7 @@ fn estimator_scenario(fault: Fault, guarded: bool, seed: u64) -> ScenarioReport 
 }
 
 fn steering_scenario(fault: Fault, guarded: bool, seed: u64) -> ScenarioReport {
-    let db = build_db(250, seed);
+    let db = joblite_db(250, &[("title", "year")], &mut StdRng::seed_from_u64(seed));
     let env = Env::new(&db);
     let queries = build_workload(&db, 16, seed);
     // The two adversarial policies.

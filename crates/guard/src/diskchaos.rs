@@ -107,19 +107,11 @@ impl DiskScenarioReport {
         !self.panicked && self.violations == 0
     }
 
-    /// Deterministic fingerprint for byte-identity assertions across
-    /// thread counts.
+    /// Deterministic fingerprint of every field (the `Debug` rendering)
+    /// for byte-identity assertions across thread counts.
     pub fn bits(&self) -> u64 {
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.scenario.hash(&mut h);
-        self.protected.hash(&mut h);
-        self.crash_points.hash(&mut h);
-        self.recoveries.hash(&mut h);
-        self.violations.hash(&mut h);
-        self.first_violation.hash(&mut h);
-        self.index_probes.hash(&mut h);
-        self.breaker_tripped.hash(&mut h);
-        self.panicked.hash(&mut h);
+        format!("{self:?}").hash(&mut h);
         h.finish()
     }
 }
@@ -295,7 +287,7 @@ fn crash_matrix(
 
 /// The silent-short-read scenario: clean workload, then recovery on a
 /// medium that truncates reads without erroring.
-fn short_read_scenario(protected: bool, seed: u64, batches: &[Vec<KvOp>], oracle: &KvOracle) -> DiskScenarioReport {
+fn short_read_scenario(protected: bool, batches: &[Vec<KvOp>], oracle: &KvOracle) -> DiskScenarioReport {
     let cfg = store_cfg(true, true, protected);
     let mut report = DiskScenarioReport {
         scenario: DiskFault::SilentShortRead.name().to_string(),
@@ -342,7 +334,6 @@ fn short_read_scenario(protected: bool, seed: u64, batches: &[Vec<KvOp>], oracle
             }
         }
     }
-    let _ = seed;
     report
 }
 
@@ -351,7 +342,7 @@ fn short_read_scenario(protected: bool, seed: u64, batches: &[Vec<KvOp>], oracle
 /// the store keeps serving committed reads. Unprotected: the caller
 /// unwraps, modelling code written without the error path — the panic
 /// is the demonstrable failure.
-fn enospc_scenario(protected: bool, seed: u64, batches: &[Vec<KvOp>], oracle: &KvOracle) -> DiskScenarioReport {
+fn enospc_scenario(protected: bool, batches: &[Vec<KvOp>], oracle: &KvOracle) -> DiskScenarioReport {
     let cfg = store_cfg(true, true, true);
     let mut report = DiskScenarioReport {
         scenario: DiskFault::EnospcBreaker.name().to_string(),
@@ -414,7 +405,6 @@ fn enospc_scenario(protected: bool, seed: u64, batches: &[Vec<KvOp>], oracle: &K
         }
     }
     report.breaker_tripped = breaker.trips() > 0;
-    let _ = seed;
     report
 }
 
@@ -467,8 +457,8 @@ pub fn run_scenario(
             // frame headers, tags, keys, and values — and all 8 bits.
             |point| TailPolicy::BitFlip { offset: (point * 13) % 40, bit: (point % 8) as u8 },
         ),
-        DiskFault::SilentShortRead => short_read_scenario(protected, seed, &batches, &oracle),
-        DiskFault::EnospcBreaker => enospc_scenario(protected, seed, &batches, &oracle),
+        DiskFault::SilentShortRead => short_read_scenario(protected, &batches, &oracle),
+        DiskFault::EnospcBreaker => enospc_scenario(protected, &batches, &oracle),
     }
 }
 

@@ -182,7 +182,7 @@ impl<L: CardEstimator, C: CardEstimator> CardEstimator for GuardedCardEstimator<
 mod tests {
     use super::*;
     use crate::breaker::BreakerState;
-    use ml4db_storage::datasets::{joblite, DatasetConfig};
+    use ml4db_storage::datasets::joblite_db;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -210,10 +210,7 @@ mod tests {
 
     fn db() -> Database {
         let mut rng = StdRng::seed_from_u64(7);
-        Database::analyze(
-            joblite(&DatasetConfig { base_rows: 100, ..Default::default() }, &mut rng),
-            &mut rng,
-        )
+        joblite_db(100, &[], &mut rng)
     }
 
     fn q() -> Query {

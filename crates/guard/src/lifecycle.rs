@@ -33,12 +33,6 @@ impl LifecycleLink {
         Self { seen_trips: breaker.trips() }
     }
 
-    /// A link that treats every recorded trip as unseen (useful when the
-    /// registry and breaker were born together).
-    pub fn from_zero() -> Self {
-        Self { seen_trips: 0 }
-    }
-
     /// Consumes any new trips and rolls back once: returns the version
     /// id now serving if a rollback was performed, `None` when no new
     /// trip landed. The rollback reason is the breaker's

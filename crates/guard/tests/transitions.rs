@@ -3,18 +3,9 @@
 //! from-state, to-state, and reason all pinned — with fallback events and
 //! metric counters matching.
 
-use std::sync::Mutex;
-
 use ml4db_guard::{BreakerConfig, BreakerState, CircuitBreaker, TripReason};
 use ml4db_obs as obs;
 use ml4db_obs::Event;
-
-// The obs sink is process-global; tests here serialize on it.
-static OBS_LOCK: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn cfg() -> BreakerConfig {
     BreakerConfig { failure_budget: 2, open_calls: 3, probation_successes: 2 }
@@ -36,7 +27,7 @@ fn transitions(trace: &obs::Trace) -> Vec<(&'static str, &'static str, &'static 
 
 #[test]
 fn scripted_fault_walks_closed_open_halfopen_closed_exactly() {
-    let _s = serial();
+    let _s = obs::serial();
     let _g = obs::ModeGuard::collect();
     let b = CircuitBreaker::named("card_estimator", cfg());
 
@@ -87,7 +78,7 @@ fn scripted_fault_walks_closed_open_halfopen_closed_exactly() {
 
 #[test]
 fn probation_failure_reopens_with_its_own_reason() {
-    let _s = serial();
+    let _s = obs::serial();
     let _g = obs::ModeGuard::collect();
     let b = CircuitBreaker::named("steering", cfg());
 
@@ -113,7 +104,7 @@ fn probation_failure_reopens_with_its_own_reason() {
 
 #[test]
 fn rebaseline_and_reset_record_administrative_reasons() {
-    let _s = serial();
+    let _s = obs::serial();
     let _g = obs::ModeGuard::collect();
     let b = CircuitBreaker::named("learned_index", cfg());
 
@@ -133,7 +124,7 @@ fn rebaseline_and_reset_record_administrative_reasons() {
 
 #[test]
 fn transitions_attribute_to_the_query_in_flight() {
-    let _s = serial();
+    let _s = obs::serial();
     let _g = obs::ModeGuard::collect();
     let b = CircuitBreaker::named("card_estimator", cfg());
 

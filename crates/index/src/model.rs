@@ -8,8 +8,6 @@
 //! segment's key *span* fits in a `f64` mantissa — which it does for any
 //! segment a learned index would build.
 
-use crate::KeyValue;
-
 /// A linear model `pos ≈ slope * (key - key0) + intercept` over `f64`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LinearModel {
@@ -116,11 +114,6 @@ impl LinearModel {
             .max()
             .unwrap_or(0)
     }
-}
-
-/// Extracts the sorted key column from key-value entries.
-pub fn keys_of(entries: &[KeyValue]) -> Vec<u64> {
-    entries.iter().map(|e| e.0).collect()
 }
 
 #[cfg(test)]

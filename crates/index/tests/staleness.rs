@@ -13,17 +13,13 @@
 use ml4db_datagen::{key_stream, ShiftKind, ShiftScenario};
 use ml4db_index::{BPlusTree, OrderedIndex, PgmIndex, Rmi};
 use ml4db_lifecycle::{GateConfig, LifecycleState, ModelRegistry};
-use ml4db_storage::datasets::{joblite, DatasetConfig};
-use ml4db_storage::Database;
+use ml4db_storage::datasets::joblite_db;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn shifted_key_streams(seed: u64) -> (Vec<u64>, Vec<u64>) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let db = Database::analyze(
-        joblite(&DatasetConfig { base_rows: 400, ..Default::default() }, &mut rng),
-        &mut rng,
-    );
+    let db = joblite_db(400, &[], &mut rng);
     let scenario = ShiftScenario::new(ShiftKind::BulkInsert, seed);
     let shifted = scenario.apply(&db);
     (key_stream(&db, "title", "id"), key_stream(&shifted, "title", "id"))

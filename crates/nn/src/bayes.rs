@@ -100,12 +100,6 @@ impl BayesianLinearRegression {
         mean.iter().zip(noise).map(|(&m, n)| m + n).collect()
     }
 
-    /// Posterior-mean prediction for `x`.
-    pub fn predict_mean(&self, x: &[f32]) -> f64 {
-        let m = self.posterior_mean();
-        m.iter().zip(x).map(|(&w, &xi)| w * xi as f64).sum()
-    }
-
     /// Prediction under a specific (e.g. Thompson-sampled) weight vector.
     pub fn predict_with(weights: &[f64], x: &[f32]) -> f64 {
         weights.iter().zip(x).map(|(&w, &xi)| w * xi as f64).sum()

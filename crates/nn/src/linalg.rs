@@ -68,19 +68,6 @@ impl MatF64 {
             .collect()
     }
 
-    /// `self^T * v`.
-    pub fn t_matvec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.rows);
-        let mut out = vec![0.0; self.cols];
-        for r in 0..self.rows {
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
-            for (o, &a) in out.iter_mut().zip(row) {
-                *o += a * v[r];
-            }
-        }
-        out
-    }
-
     /// `self^T * self` (Gram matrix).
     pub fn gram(&self) -> MatF64 {
         let mut out = MatF64::zeros(self.cols, self.cols);

@@ -61,17 +61,6 @@ pub fn mae(pred: &[f64], truth: &[f64]) -> f64 {
     pred.iter().zip(truth).map(|(&p, &t)| (p - t).abs()).sum::<f64>() / pred.len() as f64
 }
 
-/// Root mean squared error.
-pub fn rmse(pred: &[f64], truth: &[f64]) -> f64 {
-    assert_eq!(pred.len(), truth.len());
-    if pred.is_empty() {
-        return 0.0;
-    }
-    (pred.iter().zip(truth).map(|(&p, &t)| (p - t) * (p - t)).sum::<f64>()
-        / pred.len() as f64)
-        .sqrt()
-}
-
 /// Spearman rank correlation — the "relative performance" metric of the
 /// representation study \[57\]: do two scorings order plans the same way?
 pub fn spearman(a: &[f64], b: &[f64]) -> f64 {

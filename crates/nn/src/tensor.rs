@@ -129,11 +129,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning its row-major data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Borrows row `r` as a slice.
     #[inline]
     pub fn row_slice(&self, r: usize) -> &[f32] {
@@ -146,11 +141,6 @@ impl Matrix {
     pub fn row_slice_mut(&mut self, r: usize) -> &mut [f32] {
         debug_assert!(r < self.rows);
         &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Returns a new matrix holding only row `r`.
-    pub fn extract_row(&self, r: usize) -> Matrix {
-        Matrix::row(self.row_slice(r).to_vec())
     }
 
     /// Matrix product `self * other`.
@@ -244,13 +234,6 @@ impl Matrix {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Elementwise map in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
         }
     }
 

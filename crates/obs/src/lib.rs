@@ -68,6 +68,7 @@ pub use trace::{strip_nondeterministic, Event, Trace, WallStat, NONDETERMINISTIC
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use trace::COLLECTOR;
@@ -158,6 +159,17 @@ impl Drop for ModeGuard {
     fn drop(&mut self) {
         set_mode(self.prev);
     }
+}
+
+/// Serializes users of the process-global collector: every test or
+/// harness that switches the mode or drains a trace holds this guard so
+/// concurrent test threads cannot interleave their event streams. Not
+/// reentrant — never call something that takes it (`run_world`) while
+/// holding it. Poisoning is recovered: a panicked holder must not wedge
+/// the rest of the suite.
+pub fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 thread_local! {
@@ -302,15 +314,6 @@ pub fn reset() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    // Mode is process-global; tests in this binary that touch it must
-    // not interleave (same pattern as ml4db-par's OVERRIDE_LOCK).
-    static MODE_LOCK: Mutex<()> = Mutex::new(());
-
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
     fn disabled_mode_collects_nothing() {

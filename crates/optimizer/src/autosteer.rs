@@ -149,17 +149,14 @@ impl Default for AutoSteer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ml4db_storage::datasets::{joblite, DatasetConfig};
+    use ml4db_storage::datasets::joblite_db;
     use ml4db_storage::{CmpOp, Database};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn db() -> Database {
         let mut rng = StdRng::seed_from_u64(51);
-        let mut db = Database::analyze(
-            joblite(&DatasetConfig { base_rows: 150, ..Default::default() }, &mut rng),
-            &mut rng,
-        );
+        let mut db = joblite_db(150, &[], &mut rng);
         db.add_index("title", "year");
         db
     }

@@ -155,17 +155,14 @@ impl Balsa {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ml4db_storage::datasets::{joblite, DatasetConfig};
+    use ml4db_storage::datasets::joblite_db;
     use ml4db_storage::Database;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn db() -> Database {
         let mut rng = StdRng::seed_from_u64(81);
-        Database::analyze(
-            joblite(&DatasetConfig { base_rows: 120, ..Default::default() }, &mut rng),
-            &mut rng,
-        )
+        joblite_db(120, &[], &mut rng)
     }
 
     fn workload(db: &Database, n: usize, seed: u64) -> Vec<Query> {

@@ -148,17 +148,14 @@ impl Bao {
 mod tests {
     use super::*;
     use ml4db_plan::bao_arms;
-    use ml4db_storage::datasets::{joblite, DatasetConfig};
+    use ml4db_storage::datasets::joblite_db;
     use ml4db_storage::Database;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn db() -> Database {
         let mut rng = StdRng::seed_from_u64(3);
-        let mut db = Database::analyze(
-            joblite(&DatasetConfig { base_rows: 150, ..Default::default() }, &mut rng),
-            &mut rng,
-        );
+        let mut db = joblite_db(150, &[], &mut rng);
         db.add_index("title", "year");
         db
     }

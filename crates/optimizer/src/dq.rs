@@ -129,17 +129,14 @@ impl Default for Dq {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ml4db_storage::datasets::{joblite, DatasetConfig};
+    use ml4db_storage::datasets::joblite_db;
     use ml4db_storage::Database;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn db() -> Database {
         let mut rng = StdRng::seed_from_u64(41);
-        Database::analyze(
-            joblite(&DatasetConfig { base_rows: 100, ..Default::default() }, &mut rng),
-            &mut rng,
-        )
+        joblite_db(100, &[], &mut rng)
     }
 
     #[test]

@@ -247,13 +247,6 @@ impl<'a> Env<'a> {
         self.plan_with_hint(query, HintSet::all())
     }
 
-    /// Expert plans for a whole workload, fanned out over the
-    /// `ml4db_par` pool. Results are in input order and identical to
-    /// mapping [`Env::expert_plan`] serially.
-    pub fn expert_plans(&self, queries: &[Query]) -> Vec<Option<PlanNode>> {
-        ml4db_par::par_map(queries, |q| self.expert_plan(q))
-    }
-
     /// The expert's latency on `query` (µs), computed once per (query,
     /// epoch) and memoized; `None` when the expert cannot plan it. This
     /// is what evaluation harnesses should charge as the baseline — it
@@ -320,16 +313,6 @@ impl<'a> Env<'a> {
         });
         ml4db_obs::histogram_observe("executor.latency_us", r.latency_us);
         r.latency_us
-    }
-
-    /// Executes a batch of (query, plan) pairs over the `ml4db_par`
-    /// pool; latencies come back in input order, identical to calling
-    /// [`Env::run`] serially.
-    ///
-    /// # Panics
-    /// Panics if any plan references unknown tables, like [`Env::run`].
-    pub fn run_batch(&self, work: &[(Query, PlanNode)]) -> Vec<f64> {
-        ml4db_par::par_map(work, |(q, p)| self.run(q, p))
     }
 
     /// Executes with a latency budget; `None` means timed out.
@@ -443,17 +426,14 @@ impl<'e, 'db> SessionView<'e, 'db> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ml4db_storage::datasets::{joblite, DatasetConfig};
+    use ml4db_storage::datasets::joblite_db;
     use ml4db_storage::CmpOp;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn db() -> Database {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut db = Database::analyze(
-            joblite(&DatasetConfig { base_rows: 120, ..Default::default() }, &mut rng),
-            &mut rng,
-        );
+        let mut db = joblite_db(120, &[], &mut rng);
         db.add_index("title", "year");
         db
     }

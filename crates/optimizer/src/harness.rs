@@ -17,7 +17,7 @@ use ml4db_datagen::ShiftScenario;
 use ml4db_lifecycle::{GateConfig, ModelRegistry};
 use ml4db_nn::metrics::{tail_summary, TailSummary};
 use ml4db_plan::{CardEstimator, ClassicEstimator, HintSet, Query, TrueCardinality};
-use ml4db_storage::datasets::{joblite, DatasetConfig};
+use ml4db_storage::datasets::joblite_db;
 use ml4db_storage::Database;
 
 use crate::env::Env;
@@ -193,8 +193,22 @@ pub fn split_seen_unseen(queries: &[Query], train_n: usize) -> (Vec<Query>, Vec<
     (train, unseen)
 }
 
-/// Knobs for [`run_shift_recovery`]. The defaults are sized for test
-/// suites: small data, short streams, quick training — every value is
+/// MSCN hidden width every evaluation harness trains with.
+pub const MSCN_HIDDEN: usize = 16;
+/// MSCN learning rate every evaluation harness trains with.
+pub const MSCN_LR: f32 = 0.005;
+/// [`run_shift_recovery`]'s gate tolerance (relative slack vs incumbent
+/// and baseline).
+pub const GATE_TOLERANCE: f64 = 0.25;
+/// [`run_shift_recovery`]'s drift-detector window floor; the harness
+/// rounds it up to a whole number of post-shift workload cycles so the KS
+/// windows compare full query mixes, not arbitrary slices of them.
+pub const DRIFT_WINDOW: usize = 8;
+/// Drift-detector KS threshold of the lifecycle and controller harnesses.
+pub const DRIFT_THRESHOLD: f64 = 0.3;
+
+/// Scale of one [`run_shift_recovery`] pass. The defaults are sized for
+/// test suites: small data, short streams, quick training — every value is
 /// folded into the deterministic run, so two processes with the same
 /// scenario and config produce bit-identical reports.
 #[derive(Clone, Copy, Debug)]
@@ -205,35 +219,13 @@ pub struct ShiftRecoveryConfig {
     pub eval_n: usize,
     /// Length of the gate's holdout stream.
     pub holdout_n: usize,
-    /// MSCN hidden width.
-    pub hidden: usize,
     /// Training epochs for incumbent, candidate, and sabotage models.
     pub epochs: usize,
-    /// Training learning rate.
-    pub lr: f32,
-    /// Gate tolerance (relative slack vs incumbent and baseline).
-    pub tolerance: f64,
-    /// Drift-detector window floor; the harness rounds it up to a whole
-    /// number of post-shift workload cycles so the KS windows compare
-    /// full query mixes, not arbitrary slices of them.
-    pub drift_window: usize,
-    /// Drift-detector KS threshold.
-    pub drift_threshold: f64,
 }
 
 impl Default for ShiftRecoveryConfig {
     fn default() -> Self {
-        Self {
-            base_rows: 300,
-            eval_n: 24,
-            holdout_n: 14,
-            hidden: 16,
-            epochs: 40,
-            lr: 0.005,
-            tolerance: 0.25,
-            drift_window: 8,
-            drift_threshold: 0.3,
-        }
+        Self { base_rows: 300, eval_n: 24, holdout_n: 14, epochs: 40 }
     }
 }
 
@@ -277,25 +269,12 @@ pub struct ShiftRecoveryReport {
 }
 
 impl ShiftRecoveryReport {
-    /// Order-insensitive 64-bit fingerprint of every field (floats by
-    /// bit pattern) — two runs are "the same" iff their bits agree.
+    /// 64-bit fingerprint of every field (the `Debug` rendering, which
+    /// prints floats round-trip exactly) — two runs are "the same" iff
+    /// their bits agree.
     pub fn bits(&self) -> u64 {
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.scenario.hash(&mut h);
-        for f in [
-            self.pre_err,
-            self.shift_err,
-            self.recovered_err,
-            self.candidate_score,
-            self.incumbent_score,
-            self.baseline_score,
-            self.sabotage_score,
-        ] {
-            f.to_bits().hash(&mut h);
-        }
-        (self.drift_fired, self.drift_rearmed, self.promoted, self.sabotage_rejected)
-            .hash(&mut h);
-        (self.generation, self.active_version).hash(&mut h);
+        format!("{self:?}").hash(&mut h);
         h.finish()
     }
 }
@@ -317,7 +296,7 @@ pub fn dedup_by_fingerprint(queries: Vec<Query>) -> Vec<Query> {
 /// Mean |ln q-error| of `est` against the true-cardinality oracle on the
 /// full join of each query, plus the per-query error stream (the drift
 /// detector's food). Serial and deterministic.
-fn qerr_stream<E: CardEstimator>(db: &Database, est: &E, queries: &[Query]) -> (f64, Vec<f64>) {
+pub fn qerr_stream<E: CardEstimator>(db: &Database, est: &E, queries: &[Query]) -> (f64, Vec<f64>) {
     let oracle = TrueCardinality::new();
     let errs: Vec<f64> = queries
         .iter()
@@ -332,18 +311,20 @@ fn qerr_stream<E: CardEstimator>(db: &Database, est: &E, queries: &[Query]) -> (
 }
 
 /// Gate score: total simulated latency (µs) of executing the plans the
-/// planner chooses when *this* estimator supplies cardinalities, over
-/// the holdout stream. Fanned out over the `ml4db_par` pool in input
-/// order — byte-identical at every thread count.
-fn gate_score<E: CardEstimator + Sync>(
+/// planner chooses under `hint` when *this* estimator supplies
+/// cardinalities, over the holdout stream. Fanned out over the
+/// `ml4db_par` pool in input order — byte-identical at every thread
+/// count.
+pub fn gate_score<E: CardEstimator + Sync>(
     env: &Env,
     holdout: &[Query],
+    hint: HintSet,
     est: &E,
     tag: u64,
 ) -> f64 {
     ml4db_par::par_map(holdout, |q| {
         ml4db_obs::with_query(q.fingerprint(), || {
-            match env.plan_with_estimator(q, HintSet::all(), est, tag) {
+            match env.plan_with_estimator(q, hint, est, tag) {
                 Some(p) => env.run(q, &p),
                 None => f64::INFINITY,
             }
@@ -351,6 +332,25 @@ fn gate_score<E: CardEstimator + Sync>(
     })
     .iter()
     .sum()
+}
+
+/// Trains a fresh MSCN ([`MSCN_HIDDEN`] wide, [`MSCN_LR`]) on `samples`;
+/// initialisation and fitting both draw from `rng`.
+pub fn train_mscn(
+    db: &Database,
+    samples: &[CardSample],
+    epochs: usize,
+    rng: &mut StdRng,
+) -> MscnEstimator {
+    let mut model = MscnEstimator::new(MSCN_HIDDEN, rng);
+    model.fit(db, samples, epochs, MSCN_LR, rng);
+    model
+}
+
+/// Training labels corrupted to cardinality 1 — the dangerous
+/// underestimate a validation gate must catch.
+pub fn poison_samples(samples: &[CardSample]) -> Vec<CardSample> {
+    samples.iter().map(|s| CardSample { card: 1.0, ..s.clone() }).collect()
 }
 
 /// The end-to-end lifecycle loop under one injected shift scenario:
@@ -380,20 +380,14 @@ pub fn run_shift_recovery(
     let mut rng = StdRng::seed_from_u64(scenario.seed ^ 0x5348_4946_545F_5245);
 
     // The world before the shift.
-    let mut db = Database::analyze(
-        joblite(&DatasetConfig { base_rows: cfg.base_rows, ..Default::default() }, &mut rng),
-        &mut rng,
-    );
-    db.add_index("title", "year");
+    let db = joblite_db(cfg.base_rows, &[("title", "year")], &mut rng);
     let pre = dedup_by_fingerprint(scenario.pre_workload(&db, cfg.eval_n));
 
     // Incumbent: trained on the pre-shift regime.
-    let samples = collect_samples(&db, &pre);
-    let mut incumbent = MscnEstimator::new(cfg.hidden, &mut rng);
-    incumbent.fit(&db, &samples, cfg.epochs, cfg.lr, &mut rng);
+    let incumbent = train_mscn(&db, &collect_samples(&db, &pre), cfg.epochs, &mut rng);
     let mut registry = ModelRegistry::new(
         "card_estimator",
-        GateConfig { tolerance: cfg.tolerance },
+        GateConfig { tolerance: GATE_TOLERANCE },
         incumbent,
     );
 
@@ -411,12 +405,12 @@ pub fn run_shift_recovery(
     // Drift detector, windowed on a whole number of workload cycles:
     // per-query errors are heterogeneous, so a window that covers only a
     // slice of the mix would KS-compare different query subsets and
-    // alarm on a perfectly healthy model. `cfg.drift_window` is the
+    // alarm on a perfectly healthy model. `DRIFT_WINDOW` is the
     // floor; it is rounded up so a stationary (cyclically repeating)
     // error stream is provably quiet while a regime change still fires.
     let cycle = post.len().max(1);
-    let window = cycle * cfg.drift_window.div_ceil(cycle).max(1);
-    let mut drift = DriftDetector::new(window, cfg.drift_threshold);
+    let window = cycle * DRIFT_WINDOW.div_ceil(cycle).max(1);
+    let mut drift = DriftDetector::new(window, DRIFT_THRESHOLD);
     for i in 0..2 * window {
         drift.observe(pre_errs[i % pre_errs.len().max(1)]);
     }
@@ -429,15 +423,20 @@ pub fn run_shift_recovery(
 
     // Retrain on the post-shift regime; shadow-replay the holdout.
     let post_samples = collect_samples(&shifted, &post);
-    let mut candidate = MscnEstimator::new(cfg.hidden, &mut rng);
-    candidate.fit(&shifted, &post_samples, cfg.epochs, cfg.lr, &mut rng);
+    let candidate = train_mscn(&shifted, &post_samples, cfg.epochs, &mut rng);
     let cid = registry.register_candidate(candidate, "retrain");
     registry.begin_shadow(cid);
 
-    let candidate_score =
-        gate_score(&env, &holdout, &registry.version(cid).expect("registered").model, TAG_CANDIDATE);
-    let incumbent_score = gate_score(&env, &holdout, registry.active(), TAG_SERVING);
-    let baseline_score = gate_score(&env, &holdout, &ClassicEstimator, TAG_BASELINE);
+    let all = HintSet::all();
+    let candidate_score = gate_score(
+        &env,
+        &holdout,
+        all,
+        &registry.version(cid).expect("registered").model,
+        TAG_CANDIDATE,
+    );
+    let incumbent_score = gate_score(&env, &holdout, all, registry.active(), TAG_SERVING);
+    let baseline_score = gate_score(&env, &holdout, all, &ClassicEstimator, TAG_BASELINE);
     let verdict = registry.try_promote(cid, candidate_score, incumbent_score, baseline_score);
     if verdict.promoted {
         env.set_model_epoch(registry.generation());
@@ -454,15 +453,18 @@ pub fn run_shift_recovery(
     }
 
     // Sabotage: labels corrupted to the dangerous underestimate.
-    let poisoned: Vec<CardSample> =
-        post_samples.iter().map(|s| CardSample { card: 1.0, ..s.clone() }).collect();
-    let mut saboteur = MscnEstimator::new(cfg.hidden, &mut rng);
-    saboteur.fit(&shifted, &poisoned, cfg.epochs, cfg.lr, &mut rng);
+    let saboteur =
+        train_mscn(&shifted, &poison_samples(&post_samples), cfg.epochs, &mut rng);
     let sid = registry.register_candidate(saboteur, "sabotage");
     registry.begin_shadow(sid);
-    let sabotage_score =
-        gate_score(&env, &holdout, &registry.version(sid).expect("registered").model, TAG_SABOTAGE);
-    let serving_score = gate_score(&env, &holdout, registry.active(), TAG_SERVING);
+    let sabotage_score = gate_score(
+        &env,
+        &holdout,
+        all,
+        &registry.version(sid).expect("registered").model,
+        TAG_SABOTAGE,
+    );
+    let serving_score = gate_score(&env, &holdout, all, registry.active(), TAG_SERVING);
     let sabotage_verdict = registry.try_promote(sid, sabotage_score, serving_score, baseline_score);
     if sabotage_verdict.promoted {
         // Should never happen; keep the cache epoch honest if it does.
@@ -490,17 +492,13 @@ pub fn run_shift_recovery(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ml4db_storage::datasets::{joblite, DatasetConfig};
     use ml4db_storage::Database;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn db() -> Database {
         let mut rng = StdRng::seed_from_u64(91);
-        Database::analyze(
-            joblite(&DatasetConfig { base_rows: 100, ..Default::default() }, &mut rng),
-            &mut rng,
-        )
+        joblite_db(100, &[], &mut rng)
     }
 
     #[test]
@@ -565,13 +563,7 @@ mod tests {
     #[test]
     fn shift_recovery_smoke() {
         // One scenario, small knobs: degrade -> retrain -> gate -> promote.
-        let cfg = ShiftRecoveryConfig {
-            base_rows: 200,
-            eval_n: 16,
-            holdout_n: 8,
-            epochs: 25,
-            ..Default::default()
-        };
+        let cfg = ShiftRecoveryConfig { base_rows: 200, eval_n: 16, holdout_n: 8, epochs: 25 };
         let sc = ml4db_datagen::ShiftScenario::new(ml4db_datagen::ShiftKind::BulkInsert, 11);
         let r = run_shift_recovery(sc, &cfg);
         assert!(r.shift_err > r.pre_err, "shift must degrade the incumbent");

@@ -191,17 +191,14 @@ pub fn weight_error(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ml4db_storage::datasets::{joblite, DatasetConfig};
+    use ml4db_storage::datasets::joblite_db;
     use ml4db_storage::TRUE_WEIGHTS;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn setup() -> (Database, Vec<Query>) {
         let mut rng = StdRng::seed_from_u64(71);
-        let mut db = Database::analyze(
-            joblite(&DatasetConfig { base_rows: 150, ..Default::default() }, &mut rng),
-            &mut rng,
-        );
+        let mut db = joblite_db(150, &[], &mut rng);
         db.add_index("title", "year");
         let queries = ml4db_datagen::WorkloadGenerator::new(
             ml4db_datagen::SchemaGraph::joblite(),

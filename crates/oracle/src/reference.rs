@@ -8,7 +8,7 @@
 //! which *every* join condition holds. Its only job is to be obviously
 //! right, so any divergence indicts the executor's cleverness.
 
-use ml4db_plan::executor::{execute, naive_execute, normalize_row};
+use ml4db_plan::executor::{canonical_multiset, execute, naive_execute};
 use ml4db_plan::plan::{PlanNode, PlanOp};
 use ml4db_plan::Query;
 use ml4db_storage::{Database, Row};
@@ -99,22 +99,6 @@ pub fn reference_execute(
             Ok((out, layout))
         }
     }
-}
-
-/// Normalizes rows into query-table order and a canonical sorted multiset
-/// representation, for comparison across plans with different layouts.
-pub fn canonical_multiset(
-    db: &Database,
-    query: &Query,
-    rows: &[Row],
-    layout: &[usize],
-) -> Vec<String> {
-    let mut v: Vec<String> = rows
-        .iter()
-        .map(|r| format!("{:?}", normalize_row(db, query, layout, r)))
-        .collect();
-    v.sort_unstable();
-    v
 }
 
 /// Executes `plan` through the real executor and the reference engine and

@@ -5,7 +5,7 @@
 //! can emit.
 
 use ml4db_plan::Query;
-use ml4db_storage::datasets::{joblite, tpchlite, DatasetConfig};
+use ml4db_storage::datasets::{self, tpchlite, DatasetConfig};
 use ml4db_storage::{CmpOp, Database, DataType};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -30,13 +30,11 @@ pub const TPCHLITE_EDGES: &[(&str, &str, &str, &str)] = &[
 /// A `joblite` database with secondary indexes declared on the columns the
 /// workload predicates touch, so index-scan plans are reachable.
 pub fn joblite_db(base_rows: usize, seed: u64) -> Database {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let cat = joblite(&DatasetConfig { base_rows, ..Default::default() }, &mut rng);
-    let mut db = Database::analyze(cat, &mut rng);
-    db.add_index("title", "year");
-    db.add_index("title", "votes");
-    db.add_index("person", "age");
-    db
+    datasets::joblite_db(
+        base_rows,
+        &[("title", "year"), ("title", "votes"), ("person", "age")],
+        &mut StdRng::seed_from_u64(seed),
+    )
 }
 
 /// A `tpchlite` database with secondary indexes.

@@ -351,6 +351,22 @@ pub fn normalize_row(db: &Database, query: &Query, layout: &[usize], row: &Row) 
     by_table.into_iter().flat_map(|(_, vals)| vals).collect()
 }
 
+/// Normalizes rows into query-table order and a canonical sorted multiset
+/// representation, for comparison across plans with different layouts.
+pub fn canonical_multiset(
+    db: &Database,
+    query: &Query,
+    rows: &[Row],
+    layout: &[usize],
+) -> Vec<String> {
+    let mut v: Vec<String> = rows
+        .iter()
+        .map(|r| format!("{:?}", normalize_row(db, query, layout, r)))
+        .collect();
+    v.sort_unstable();
+    v
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

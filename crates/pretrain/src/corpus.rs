@@ -73,17 +73,14 @@ pub fn build_corpus<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ml4db_storage::datasets::{joblite, DatasetConfig};
+    use ml4db_storage::datasets::joblite_db;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
     fn corpus_has_annotated_plans_and_labels() {
         let mut rng = StdRng::seed_from_u64(1);
-        let db = Database::analyze(
-            joblite(&DatasetConfig { base_rows: 80, ..Default::default() }, &mut rng),
-            &mut rng,
-        );
+        let db = joblite_db(80, &[], &mut rng);
         let corpus = build_corpus(&db, &SchemaGraph::joblite(), 5, 2, &mut rng);
         assert!(corpus.len() >= 8);
         for (_, _, p, lat) in &corpus.items {

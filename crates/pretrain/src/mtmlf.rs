@@ -180,7 +180,7 @@ mod tests {
     use super::*;
     use crate::corpus::build_corpus;
     use ml4db_datagen::SchemaGraph;
-    use ml4db_storage::datasets::{joblite, tpchlite, DatasetConfig};
+    use ml4db_storage::datasets::{joblite_db, tpchlite, DatasetConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -218,10 +218,7 @@ mod tests {
     #[test]
     fn multi_task_multi_db_training_works() {
         let mut rng = StdRng::seed_from_u64(11);
-        let db_a = Database::analyze(
-            joblite(&DatasetConfig { base_rows: 80, ..Default::default() }, &mut rng),
-            &mut rng,
-        );
+        let db_a = joblite_db(80, &[], &mut rng);
         let db_b = Database::analyze(
             tpchlite(&DatasetConfig { base_rows: 60, ..Default::default() }, &mut rng),
             &mut rng,
@@ -249,10 +246,7 @@ mod tests {
     #[test]
     fn new_database_needs_only_adapter_training() {
         let mut rng = StdRng::seed_from_u64(12);
-        let db_a = Database::analyze(
-            joblite(&DatasetConfig { base_rows: 80, ..Default::default() }, &mut rng),
-            &mut rng,
-        );
+        let db_a = joblite_db(80, &[], &mut rng);
         let db_b = Database::analyze(
             tpchlite(&DatasetConfig { base_rows: 60, ..Default::default() }, &mut rng),
             &mut rng,

@@ -78,17 +78,14 @@ impl ZeroShotModel {
 mod tests {
     use super::*;
     use crate::corpus::build_corpus;
-    use ml4db_storage::datasets::{joblite, tpchlite, DatasetConfig};
+    use ml4db_storage::datasets::{joblite_db, tpchlite, DatasetConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
     fn stats_only_model_transfers_across_schemas() {
         let mut rng = StdRng::seed_from_u64(7);
-        let db_a = Database::analyze(
-            joblite(&DatasetConfig { base_rows: 100, ..Default::default() }, &mut rng),
-            &mut rng,
-        );
+        let db_a = joblite_db(100, &[], &mut rng);
         let db_b = Database::analyze(
             tpchlite(&DatasetConfig { base_rows: 80, ..Default::default() }, &mut rng),
             &mut rng,
@@ -119,10 +116,7 @@ mod tests {
     #[test]
     fn zero_shot_beats_db_specific_on_unseen_database() {
         let mut rng = StdRng::seed_from_u64(8);
-        let db_a = Database::analyze(
-            joblite(&DatasetConfig { base_rows: 100, ..Default::default() }, &mut rng),
-            &mut rng,
-        );
+        let db_a = joblite_db(100, &[], &mut rng);
         let db_b = Database::analyze(
             tpchlite(&DatasetConfig { base_rows: 80, ..Default::default() }, &mut rng),
             &mut rng,

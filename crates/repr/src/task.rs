@@ -50,12 +50,6 @@ impl CostRegressor {
         target_to_latency(y[(0, 0)])
     }
 
-    /// Raw score in target space (monotone in predicted latency).
-    pub fn predict_target(&self, tree: &Tree) -> f32 {
-        let emb = self.encoder.encode(tree);
-        self.head.predict(&emb)[(0, 0)]
-    }
-
     /// One SGD pass over the data (shuffled); returns the mean loss.
     pub fn train_epoch<R: Rng + ?Sized>(
         &mut self,

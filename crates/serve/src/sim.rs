@@ -196,17 +196,13 @@ fn observe(tenant: u32, class: u8, verdict: &'static str, depth: u32) {
 mod tests {
     use super::*;
     use ml4db_datagen::{LoadSpec, SchemaGraph, TemplateMix};
-    use ml4db_storage::datasets::{joblite, DatasetConfig};
-    use ml4db_storage::Database;
+    use ml4db_storage::datasets::joblite_db;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn run_once(seed: u64) -> String {
         let mut rng = StdRng::seed_from_u64(3);
-        let db = Database::analyze(
-            joblite(&DatasetConfig { base_rows: 120, ..Default::default() }, &mut rng),
-            &mut rng,
-        );
+        let db = joblite_db(120, &[], &mut rng);
         let env = Env::new(&db);
         let mix = TemplateMix::generate(&db, &SchemaGraph::joblite(), 3, 3, 2, 5);
         let spec = LoadSpec {

@@ -70,11 +70,6 @@ impl LisaIndex {
         self.len == 0
     }
 
-    /// Number of strips.
-    pub fn num_strips(&self) -> usize {
-        self.strips.len()
-    }
-
     /// Exact range query. Returns `(ids, scanned)` — `scanned` counts
     /// entries examined, which for LISA stays close to the result size
     /// except at strip boundaries.

@@ -10,6 +10,7 @@ use rand::Rng;
 use rand_distr::{Distribution, Zipf};
 
 use crate::table::{Catalog, ColumnData, DataType, Schema, Table};
+use crate::Database;
 
 /// Scale and skew knobs for the generators.
 #[derive(Clone, Copy, Debug)]
@@ -151,6 +152,23 @@ pub fn joblite<R: Rng + ?Sized>(cfg: &DatasetConfig, rng: &mut R) -> Catalog {
         ],
     ));
     catalog
+}
+
+/// Stages a `joblite` instance the way every scenario runner, fixture and
+/// bench does: generate, `ANALYZE`, declare `indexes` as
+/// `(table, column)` pairs. Both generation and analysis draw from `rng`,
+/// so a caller that keeps using `rng` afterwards stays on the same stream.
+pub fn joblite_db<R: Rng + ?Sized>(
+    base_rows: usize,
+    indexes: &[(&str, &str)],
+    rng: &mut R,
+) -> Database {
+    let catalog = joblite(&DatasetConfig { base_rows, ..Default::default() }, rng);
+    let mut db = Database::analyze(catalog, rng);
+    for (table, column) in indexes {
+        db.add_index(table, column);
+    }
+    db
 }
 
 /// The `tpchlite` schema: `customer → orders → lineitem` plus `nation`.

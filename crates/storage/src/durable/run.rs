@@ -179,7 +179,7 @@ impl Run {
     /// the PGM candidate through the lifecycle gate.
     pub fn assemble(id: u32, entries: Vec<RunEntry>, file_bytes: u64) -> Self {
         let keys: Vec<u64> = entries.iter().map(|e| e.key()).collect();
-        let index = gate_run_index(id, &keys);
+        let index = gate_run_index(&keys);
         ml4db_obs::counter_add("run.loads", 1);
         Self { id, keys, entries, index, file_bytes }
     }
@@ -261,7 +261,7 @@ impl Run {
 /// search (score 0 — it is never wrong); the candidate's score is the
 /// fraction of deterministic sample probes whose result disagrees with
 /// binary search, so any disagreement fails the zero-tolerance gate.
-fn gate_run_index(run_id: u32, keys: &[u64]) -> RunIndex {
+fn gate_run_index(keys: &[u64]) -> RunIndex {
     if keys.len() < 2 {
         return RunIndex::BinarySearch;
     }
@@ -297,7 +297,6 @@ fn gate_run_index(run_id: u32, keys: &[u64]) -> RunIndex {
         }
     } else {
         ml4db_obs::counter_add("run.index_rejections", 1);
-        let _ = run_id;
         RunIndex::BinarySearch
     }
 }

@@ -271,11 +271,6 @@ impl<M: StorageMedium> DurableStore<M> {
         self.flushed_through
     }
 
-    /// Distinct keys currently staged in the memtable.
-    pub fn memtable_len(&self) -> usize {
-        self.memtable.len()
-    }
-
     /// Stages an upsert in the current batch.
     pub fn put(&mut self, key: u64, value: u64) -> Result<(), WalError> {
         let seq = self.wal.alloc_seq();

@@ -8,6 +8,7 @@
 //! cargo run --release --example controller
 //! ```
 
+use ml4db_core::ctl::world::{SHIFT_AT, TOLERANCE};
 use ml4db_core::ctl::{
     run_world, CtlWorldConfig, NoopController, OracleController, RuleController,
 };
@@ -20,13 +21,13 @@ fn main() {
 
     let noop = run_world(spec, &mut NoopController, CtlFault::None, &cfg);
     let rule = run_world(spec, &mut RuleController::new(), CtlFault::None, &cfg);
-    let oracle = run_world(spec, &mut OracleController::new(cfg.shift_at), CtlFault::None, &cfg);
+    let oracle = run_world(spec, &mut OracleController::new(SHIFT_AT), CtlFault::None, &cfg);
 
     println!(
         "closed loop on {} (shift lands at epoch {}, gate tolerance {:.0}%)\n",
         spec.name(),
-        cfg.shift_at,
-        cfg.tolerance * 100.0
+        SHIFT_AT,
+        TOLERANCE * 100.0
     );
     println!("{:<8} {:>12} {:>12} {:>12}", "epoch", "noop_us", "ctl_us", "oracle_us");
     for e in 0..cfg.epochs as usize {

@@ -10,18 +10,14 @@ use ml4db_core::prelude::*;
 use ml4db_core::serve::{
     run_closed_loop, AdmissionConfig, Outcome, Request, ServeConfig, Server, SimConfig,
 };
-use ml4db_core::storage::datasets::{joblite, DatasetConfig};
-use ml4db_core::storage::Database;
+use ml4db_core::storage::datasets::joblite_db;
 use ml4db_datagen::{LoadGen, LoadSpec, TemplateMix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(7);
-    let db = Database::analyze(
-        joblite(&DatasetConfig { base_rows: 200, ..Default::default() }, &mut rng),
-        &mut rng,
-    );
+    let db = joblite_db(200, &[], &mut rng);
     let env = Env::new(&db);
     let mix = TemplateMix::generate(&db, &SchemaGraph::joblite(), 4, 4, 3, 7);
 

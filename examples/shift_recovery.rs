@@ -8,6 +8,7 @@
 //! ```
 
 use ml4db_core::datagen::ShiftScenario;
+use ml4db_core::optimizer::harness::{DRIFT_THRESHOLD, GATE_TOLERANCE};
 use ml4db_core::optimizer::{run_shift_recovery, ShiftRecoveryConfig};
 
 fn main() {
@@ -15,8 +16,8 @@ fn main() {
     println!(
         "model lifecycle under workload shift (gate tolerance {:.0}%, \
          drift threshold {})\n",
-        cfg.tolerance * 100.0,
-        cfg.drift_threshold
+        GATE_TOLERANCE * 100.0,
+        DRIFT_THRESHOLD
     );
     println!(
         "{:<22} {:>8} {:>8} {:>9} {:>6} {:>6} {:>9} {:>9} {:>9} {:>9}",

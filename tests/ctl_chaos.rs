@@ -14,6 +14,7 @@
 //!   demonstrably *worse* than no-op — if the faults were toothless,
 //!   surviving them would prove nothing.
 
+use ml4db_ctl::world::RETRY_LIMIT;
 use ml4db_ctl::{
     run_world, CtlWorldConfig, NaiveController, NoopController, RuleController, WorldReport,
 };
@@ -21,17 +22,6 @@ use ml4db_datagen::{ScenarioKind, ScenarioSpec, ShiftKind};
 use ml4db_guard::ctlchaos::CtlFault;
 
 const TIE_EPS: f64 = 1e-6;
-
-fn quick() -> CtlWorldConfig {
-    CtlWorldConfig {
-        base_rows: 120,
-        train_n: 10,
-        eval_n: 8,
-        epochs: 5,
-        train_epochs: 20,
-        ..Default::default()
-    }
-}
 
 /// The chaos scenario panel: one shift (retrain genuinely promotes),
 /// one drift-heavy benign, one adversarial plan trap.
@@ -46,16 +36,16 @@ fn panel() -> [ScenarioSpec; 3] {
 fn noop_baseline(spec: ScenarioSpec) -> WorldReport {
     // The no-op controller takes no actions, so no fault family can
     // touch its world: CtlFault::None is the baseline for all of them.
-    run_world(spec, &mut NoopController, CtlFault::None, &quick())
+    run_world(spec, &mut NoopController, CtlFault::None, &CtlWorldConfig::smoke())
 }
 
 fn rule_under(spec: ScenarioSpec, fault: CtlFault) -> WorldReport {
-    run_world(spec, &mut RuleController::new(), fault, &quick())
+    run_world(spec, &mut RuleController::new(), fault, &CtlWorldConfig::smoke())
 }
 
 #[test]
 fn rule_controller_never_does_worse_than_noop_under_any_fault_family() {
-    let cfg = quick();
+    let cfg = CtlWorldConfig::smoke();
     for spec in panel() {
         let noop = noop_baseline(spec);
         for fault in CtlFault::all_families() {
@@ -91,7 +81,7 @@ fn lying_sensors_are_discarded_and_leave_the_world_untouched() {
         assert_eq!(rule.log.actions().count(), 0, "{}", spec.name());
         assert_eq!(
             rule.log.count_outcome("digest_mismatch"),
-            quick().epochs as usize,
+            CtlWorldConfig::smoke().epochs as usize,
             "{}",
             spec.name()
         );
@@ -168,7 +158,7 @@ fn exhausted_actuator_budget_degrades_every_decision_to_noop() {
     assert!(rule.log.actions().count() >= 1);
     for r in rule.log.actions() {
         assert_eq!(r.outcome, "transient_exhausted");
-        assert_eq!(r.attempts, quick().retry_limit + 1);
+        assert_eq!(r.attempts, RETRY_LIMIT + 1);
         assert_eq!(r.pre_generation, r.post_generation);
     }
     assert_eq!(rule.total_us, noop.total_us);
@@ -178,7 +168,7 @@ fn exhausted_actuator_budget_degrades_every_decision_to_noop() {
 
 #[test]
 fn action_storm_is_absorbed_by_hysteresis() {
-    let cfg = quick();
+    let cfg = CtlWorldConfig::smoke();
     for spec in panel() {
         let noop = noop_baseline(spec);
         let storm = rule_under(spec, CtlFault::ActionStorm { from_epoch: 0 });
@@ -256,7 +246,7 @@ fn naive_controller_is_harmed_by_at_least_three_families() {
         CtlFault::PoisonedRetrain,
         CtlFault::ActionStorm { from_epoch: 0 },
     ] {
-        let naive = run_world(spec, &mut NaiveController, fault, &quick());
+        let naive = run_world(spec, &mut NaiveController, fault, &CtlWorldConfig::smoke());
         if naive.total_us > noop.total_us + TIE_EPS {
             harmed.push(fault.name());
         }
@@ -272,7 +262,7 @@ fn naive_controller_is_harmed_by_at_least_three_families() {
 #[test]
 fn naive_harm_mechanisms_are_the_guarded_ones() {
     let spec = panel()[0];
-    let cfg = quick();
+    let cfg = CtlWorldConfig::smoke();
 
     // Lying sensors: the naive controller swallows fabricated shed and
     // regression counts — it tightens admission and flips arms on a

@@ -1,23 +1,24 @@
 //! Property tests for the closed-loop controller: the decision log is a
 //! pure function of the run inputs (byte-identical at any thread
 //! count), and the guarded controller never does worse than no-op on
-//! any cell it is pointed at.
+//! any cell it is pointed at. Also here: the `tests/golden/ctl.json`
+//! snapshot of the smoke-scale controller matrix, so a drift in any
+//! cell's score or decision-log fingerprint fails tier-1 instead of only
+//! the full-scale `BENCH_ctl.json` comparison in CI. Regenerate it
+//! deliberately with `ML4DB_BLESS=1 cargo test --test ctl_properties`.
+
+mod common;
 
 use ml4db_core::par;
-use ml4db_ctl::{run_world, CtlWorldConfig, NoopController, RuleController};
+use ml4db_ctl::{
+    run_ctl_matrix, run_world, CtlWorldConfig, NoopController, RuleController,
+};
 use ml4db_datagen::ScenarioSpec;
 use ml4db_guard::ctlchaos::CtlFault;
 use proptest::prelude::*;
 
 fn quick() -> CtlWorldConfig {
-    CtlWorldConfig {
-        base_rows: 100,
-        train_n: 8,
-        eval_n: 6,
-        epochs: 4,
-        train_epochs: 15,
-        ..Default::default()
-    }
+    CtlWorldConfig { base_rows: 100, train_n: 8, eval_n: 6, epochs: 4, train_epochs: 15 }
 }
 
 proptest! {
@@ -63,4 +64,11 @@ proptest! {
             );
         }
     }
+}
+
+#[test]
+fn golden_ctl_matrix_snapshot() {
+    let report = run_ctl_matrix(7, &CtlWorldConfig::smoke());
+    assert!(report.pass(), "the controller matrix must pass at smoke scale");
+    common::check_golden("ctl.json", &report.to_canonical_json().to_string());
 }

@@ -10,69 +10,33 @@
 //! at 1, 4, and 8 threads, because CI diffs the artifacts of both
 //! threading modes.
 
-use std::path::PathBuf;
-use std::sync::{Mutex, OnceLock};
+mod common;
+
+use std::sync::OnceLock;
 
 use ml4db_core::matrix::{run_matrix, MatrixConfig, MatrixReport};
 use ml4db_core::obs;
 use ml4db_core::par;
-
-// The obs sink is process-global; every test here serializes on it.
-static OBS_LOCK: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn smoke_config() -> MatrixConfig {
-    MatrixConfig {
-        base_rows: 120,
-        train_n: 10,
-        eval_n: 8,
-        trap_keep: 5,
-        serve_requests: 48,
-        seed: 7,
-    }
-}
 
 /// One shared smoke-scale run for every assertion in this file.
 fn smoke_report() -> &'static MatrixReport {
     static REPORT: OnceLock<MatrixReport> = OnceLock::new();
     REPORT.get_or_init(|| {
         let _prev = obs::set_mode(obs::Mode::Noop);
-        run_matrix(&smoke_config())
+        run_matrix(&MatrixConfig::smoke())
     })
 }
 
 #[test]
 fn golden_matrix_snapshot() {
-    let _s = serial();
+    let _s = obs::serial();
     let canonical = smoke_report().to_canonical_json().to_string();
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/matrix.json");
-    if std::env::var("ML4DB_BLESS").as_deref() == Ok("1") {
-        std::fs::write(&path, format!("{canonical}\n"))
-            .unwrap_or_else(|e| panic!("cannot bless {}: {e}", path.display()));
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden snapshot {} ({e}); generate it with \
-             ML4DB_BLESS=1 cargo test --test matrix_golden",
-            path.display()
-        )
-    });
-    assert_eq!(
-        canonical,
-        golden.trim_end(),
-        "matrix report drifted from {}; if the change is intended, \
-         regenerate with ML4DB_BLESS=1 cargo test --test matrix_golden",
-        path.display()
-    );
+    common::check_golden("matrix.json", &canonical);
 }
 
 #[test]
 fn matrix_meets_the_standing_bar() {
-    let _s = serial();
+    let _s = obs::serial();
     let r = smoke_report();
     assert!(r.scenarios >= 6, "matrix must keep at least 6 scenarios, has {}", r.scenarios);
     assert!(r.policies >= 3, "matrix must keep at least 3 policies, has {}", r.policies);
@@ -92,9 +56,9 @@ fn matrix_meets_the_standing_bar() {
 
 #[test]
 fn matrix_byte_identical_across_thread_counts() {
-    let _s = serial();
+    let _s = obs::serial();
     let _prev = obs::set_mode(obs::Mode::Noop);
-    let cfg = smoke_config();
+    let cfg = MatrixConfig::smoke();
     let at = |threads: usize| -> (String, u64) {
         let prev = par::set_threads(threads);
         let r = run_matrix(&cfg);

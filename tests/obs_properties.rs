@@ -13,12 +13,9 @@
 //!    metrics, report joins) is byte-identical between one thread and
 //!    many, for workloads of fingerprint-distinct queries.
 
-use std::collections::BTreeSet;
-use std::sync::Mutex;
-
 use ml4db_core::obs;
 use ml4db_core::obs::{Histogram, MetricsRegistry};
-use ml4db_core::optimizer::{evaluate, Env};
+use ml4db_core::optimizer::{dedup_by_fingerprint, evaluate, Env};
 use ml4db_core::par;
 use ml4db_core::prelude::*;
 use proptest::prelude::*;
@@ -130,22 +127,10 @@ proptest! {
 // End-to-end determinism and report/trace joins
 // ---------------------------------------------------------------------------
 
-// The obs sink is process-global: tests below install Collect mode and
-// must not interleave (same pattern as the ml4db-par override lock).
-static OBS_LOCK: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Keeps only the first query per fingerprint. The determinism contract
-/// covers fingerprint-distinct workloads: duplicate queries race benignly
-/// on the plan cache and expert memo, which would make *hit/miss
-/// attribution* (not results) schedule-dependent.
-fn dedup_by_fingerprint(queries: Vec<Query>) -> Vec<Query> {
-    let mut seen = BTreeSet::new();
-    queries.into_iter().filter(|q| seen.insert(q.fingerprint())).collect()
-}
+// Workloads below are deduplicated by fingerprint: the determinism
+// contract covers fingerprint-distinct workloads, because duplicate
+// queries race benignly on the plan cache and expert memo, which would
+// make *hit/miss attribution* (not results) schedule-dependent.
 
 fn canonical_trace_at(threads: usize, db: &Database, queries: &[Query]) -> String {
     let prev = par::set_threads(threads);
@@ -161,7 +146,7 @@ fn canonical_trace_at(threads: usize, db: &Database, queries: &[Query]) -> Strin
 
 #[test]
 fn canonical_trace_identical_across_thread_counts() {
-    let _s = serial();
+    let _s = obs::serial();
     let db = demo_database(110, 63);
     let queries = dedup_by_fingerprint(demo_workload(&db, 24, 64));
     assert!(queries.len() >= 8, "workload collapsed under dedup");
@@ -180,7 +165,7 @@ fn canonical_trace_identical_across_thread_counts() {
 
 #[test]
 fn every_evaluated_query_joins_report_and_trace_exactly_once() {
-    let _s = serial();
+    let _s = obs::serial();
     let db = demo_database(100, 65);
     let queries = dedup_by_fingerprint(demo_workload(&db, 20, 66));
     let env = Env::new(&db);
@@ -218,7 +203,7 @@ fn every_evaluated_query_joins_report_and_trace_exactly_once() {
 
 #[test]
 fn merged_trace_metrics_identical_across_thread_counts() {
-    let _s = serial();
+    let _s = obs::serial();
     let db = demo_database(100, 67);
     let queries = dedup_by_fingerprint(demo_workload(&db, 16, 68));
 

@@ -14,12 +14,12 @@ use ml4db_oracle::exhaustive::{
     check_best_plan_optimal, check_greedy_scale_invariance, check_planners_emit_valid_plans,
 };
 use ml4db_oracle::index_check::{check_ordered_indexes, check_spatial_indexes};
-use ml4db_oracle::reference::{canonical_multiset, check_plan_vs_reference, reference_execute};
+use ml4db_oracle::reference::{check_plan_vs_reference, reference_execute};
 use ml4db_oracle::workload::{
     joblite_db, sample_query, tpchlite_db, JOBLITE_EDGES, TPCHLITE_EDGES,
 };
 use ml4db_oracle::{assert_no_discrepancies, Discrepancy};
-use ml4db_plan::executor::{execute, execute_with_timeout, ExecOutcome};
+use ml4db_plan::executor::{canonical_multiset, execute, execute_with_timeout, ExecOutcome};
 use ml4db_plan::{ClassicEstimator, Planner, TrueCardinality};
 use ml4db_storage::exec::{hash_join, nested_loop_join, sort_merge_join};
 use ml4db_storage::{Row, Value, TRUE_WEIGHTS};

@@ -7,8 +7,7 @@
 
 use ml4db_core::par;
 use ml4db_core::prelude::*;
-use ml4db_core::storage::datasets::{joblite, DatasetConfig};
-use ml4db_core::storage::Database;
+use ml4db_core::storage::datasets::joblite_db;
 use ml4db_datagen::{LoadGen, LoadSpec, TemplateMix};
 use ml4db_serve::{run_closed_loop, AdmissionConfig, SimConfig};
 use rand::rngs::StdRng;
@@ -17,10 +16,7 @@ use rand::SeedableRng;
 /// One full simulated serving run, rendered canonically.
 fn canonical_run(seed: u64) -> String {
     let mut rng = StdRng::seed_from_u64(17);
-    let db = Database::analyze(
-        joblite(&DatasetConfig { base_rows: 150, ..Default::default() }, &mut rng),
-        &mut rng,
-    );
+    let db = joblite_db(150, &[], &mut rng);
     let env = Env::new(&db);
     let mix = TemplateMix::generate(&db, &SchemaGraph::joblite(), 4, 4, 3, 23);
     let spec = LoadSpec {

@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
 use ml4db_core::prelude::*;
-use ml4db_core::storage::datasets::{joblite, DatasetConfig};
+use ml4db_core::storage::datasets::joblite_db;
 use ml4db_core::storage::Database;
 use ml4db_datagen::TemplateMix;
 use ml4db_serve::{AdmissionConfig, AdmissionVerdict, DurabilitySink, Request, ServeConfig, Server};
@@ -41,10 +41,7 @@ impl DurabilitySink for SharedJournal {
 
 fn setup(seed: u64) -> (Database, TemplateMix) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let db = Database::analyze(
-        joblite(&DatasetConfig { base_rows: 120, ..Default::default() }, &mut rng),
-        &mut rng,
-    );
+    let db = joblite_db(120, &[], &mut rng);
     let mix = TemplateMix::generate(&db, &SchemaGraph::joblite(), TENANTS, 4, 3, seed);
     (db, mix)
 }

@@ -13,7 +13,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ml4db_core::prelude::*;
-use ml4db_core::storage::datasets::{joblite, DatasetConfig};
+use ml4db_core::storage::datasets::joblite_db;
 use ml4db_core::storage::Database;
 use ml4db_datagen::TemplateMix;
 use ml4db_serve::{AdmissionConfig, Outcome, Request, ServeConfig, Server};
@@ -27,10 +27,7 @@ const TENANTS: u32 = 4;
 
 fn setup(seed: u64) -> (Database, TemplateMix) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let db = Database::analyze(
-        joblite(&DatasetConfig { base_rows: 150, ..Default::default() }, &mut rng),
-        &mut rng,
-    );
+    let db = joblite_db(150, &[], &mut rng);
     let mix = TemplateMix::generate(&db, &SchemaGraph::joblite(), TENANTS, 4, 3, seed);
     (db, mix)
 }

@@ -12,35 +12,25 @@
 //! snapshot deliberately with `ML4DB_BLESS=1 cargo test --test
 //! shift_recovery`.
 
-use std::path::PathBuf;
-use std::sync::{Mutex, OnceLock};
+mod common;
 
+use std::sync::OnceLock;
+
+use common::check_golden;
 use ml4db_core::datagen::{ShiftKind, ShiftScenario};
 use ml4db_core::obs;
 use ml4db_core::obs::{Event, Trace};
+use ml4db_core::optimizer::harness::GATE_TOLERANCE;
 use ml4db_core::optimizer::{
     dedup_by_fingerprint, run_shift_recovery, ShiftRecoveryConfig, ShiftRecoveryReport,
 };
 use ml4db_core::par;
 use ml4db_core::prelude::*;
 
-// The obs sink is process-global; every test here serializes on it.
-static OBS_LOCK: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 const SEED: u64 = 11;
 
 fn cfg() -> ShiftRecoveryConfig {
-    ShiftRecoveryConfig {
-        base_rows: 200,
-        eval_n: 16,
-        holdout_n: 8,
-        epochs: 25,
-        ..Default::default()
-    }
+    ShiftRecoveryConfig { base_rows: 200, eval_n: 16, holdout_n: 8, epochs: 25 }
 }
 
 /// One recovery run per seeded scenario, computed once and shared by the
@@ -58,7 +48,7 @@ fn reports() -> &'static Vec<ShiftRecoveryReport> {
 
 #[test]
 fn every_scenario_degrades_under_shift() {
-    let _s = serial();
+    let _s = obs::serial();
     for r in reports() {
         assert!(
             r.shift_err > r.pre_err,
@@ -72,7 +62,7 @@ fn every_scenario_degrades_under_shift() {
 
 #[test]
 fn every_scenario_fires_drift_and_rearms_after_rebaseline() {
-    let _s = serial();
+    let _s = obs::serial();
     for r in reports() {
         assert!(r.drift_fired, "{}: drift detector stayed quiet through the shift", r.scenario);
         assert!(r.drift_rearmed, "{}: detector did not re-arm cleanly after rebaseline", r.scenario);
@@ -81,8 +71,8 @@ fn every_scenario_fires_drift_and_rearms_after_rebaseline() {
 
 #[test]
 fn every_scenario_repromotes_the_retrained_candidate() {
-    let _s = serial();
-    let tol = cfg().tolerance;
+    let _s = obs::serial();
+    let tol = GATE_TOLERANCE;
     for r in reports() {
         assert!(r.promoted, "{}: retrained candidate failed the gate", r.scenario);
         assert!(
@@ -110,7 +100,7 @@ fn every_scenario_repromotes_the_retrained_candidate() {
 
 #[test]
 fn every_scenario_rejects_the_sabotaged_candidate() {
-    let _s = serial();
+    let _s = obs::serial();
     for r in reports() {
         assert!(r.sabotage_rejected, "{}: sabotaged candidate slipped through the gate", r.scenario);
         // Exactly one promotion happened: the honest retrain.
@@ -121,7 +111,7 @@ fn every_scenario_rejects_the_sabotaged_candidate() {
 
 #[test]
 fn recovery_reports_are_byte_identical_across_thread_counts() {
-    let _s = serial();
+    let _s = obs::serial();
     let bits_at = |threads: usize| -> Vec<u64> {
         let prev = par::set_threads(threads);
         let bits = ShiftScenario::all(SEED)
@@ -146,14 +136,8 @@ fn recovery_reports_are_byte_identical_across_thread_counts() {
 
 #[test]
 fn lifecycle_legs_hold_across_seeds() {
-    let _s = serial();
-    let small = ShiftRecoveryConfig {
-        base_rows: 150,
-        eval_n: 12,
-        holdout_n: 8,
-        epochs: 20,
-        ..Default::default()
-    };
+    let _s = obs::serial();
+    let small = ShiftRecoveryConfig { base_rows: 150, eval_n: 12, holdout_n: 8, epochs: 20 };
     for seed in [5u64, 23] {
         for scenario in ShiftScenario::all(seed) {
             let r = run_shift_recovery(scenario, &small);
@@ -192,7 +176,7 @@ fn lifecycle_legs_hold_across_seeds() {
 
 #[test]
 fn stale_cached_plans_are_never_served_across_a_promotion() {
-    let _s = serial();
+    let _s = obs::serial();
     let db = demo_database(100, 45);
     let queries = dedup_by_fingerprint(demo_workload(&db, 6, 46));
     let env = Env::new(&db);
@@ -235,7 +219,7 @@ fn stale_cached_plans_are_never_served_across_a_promotion() {
 
 #[test]
 fn shadow_scoring_does_not_poison_the_serving_cache() {
-    let _s = serial();
+    let _s = obs::serial();
     let db = demo_database(80, 47);
     let queries = dedup_by_fingerprint(demo_workload(&db, 4, 48));
     let env = Env::new(&db);
@@ -257,7 +241,7 @@ fn shadow_scoring_does_not_poison_the_serving_cache() {
 
 #[test]
 fn guard_trip_after_promotion_rolls_back_to_last_good() {
-    let _s = serial();
+    let _s = obs::serial();
 
     /// A learned estimator that went bad after promotion: pure NaN.
     struct Poisoned;
@@ -322,41 +306,15 @@ fn recovery_trace() -> (Trace, ShiftRecoveryReport) {
     (obs::take_trace(), report)
 }
 
-/// Compares `trace`'s canonical JSON byte-for-byte against the snapshot,
-/// or rewrites the snapshot when `ML4DB_BLESS=1`.
-fn check_golden(name: &str, trace: &Trace) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name);
-    let canonical = trace.canonical_string();
-    if std::env::var("ML4DB_BLESS").as_deref() == Ok("1") {
-        std::fs::write(&path, format!("{canonical}\n"))
-            .unwrap_or_else(|e| panic!("cannot bless {}: {e}", path.display()));
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden snapshot {} ({e}); generate it with \
-             ML4DB_BLESS=1 cargo test --test shift_recovery",
-            path.display()
-        )
-    });
-    assert_eq!(
-        canonical,
-        golden.trim_end(),
-        "canonical trace drifted from {}; if the change is intended, \
-         regenerate with ML4DB_BLESS=1 cargo test --test shift_recovery",
-        path.display()
-    );
-}
-
 #[test]
 fn golden_shift_recovery_trace() {
-    let _s = serial();
-    check_golden("shift_recovery.json", &recovery_trace().0);
+    let _s = obs::serial();
+    check_golden("shift_recovery.json", &recovery_trace().0.canonical_string());
 }
 
 #[test]
 fn golden_shift_recovery_byte_identical_across_thread_counts() {
-    let _s = serial();
+    let _s = obs::serial();
     let at = |threads: usize| -> String {
         let prev = par::set_threads(threads);
         let s = recovery_trace().0.canonical_string();
@@ -371,7 +329,7 @@ fn golden_shift_recovery_byte_identical_across_thread_counts() {
 
 #[test]
 fn trace_records_candidate_training_with_origin() {
-    let _s = serial();
+    let _s = obs::serial();
     let (t, _) = recovery_trace();
     let origins: Vec<&str> = t
         .all_events()
@@ -386,7 +344,7 @@ fn trace_records_candidate_training_with_origin() {
 
 #[test]
 fn trace_records_validation_verdicts_with_margins() {
-    let _s = serial();
+    let _s = obs::serial();
     let (t, r) = recovery_trace();
     let verdicts: Vec<(u32, bool, f64, f64, f64)> = t
         .all_events()
@@ -414,7 +372,7 @@ fn trace_records_validation_verdicts_with_margins() {
 
 #[test]
 fn trace_records_promotion_with_generation() {
-    let _s = serial();
+    let _s = obs::serial();
     let (t, _) = recovery_trace();
     assert!(
         t.all_events().any(|e| matches!(
@@ -428,7 +386,7 @@ fn trace_records_promotion_with_generation() {
 
 #[test]
 fn trace_records_gate_rejection_as_rollback() {
-    let _s = serial();
+    let _s = obs::serial();
     let (t, _) = recovery_trace();
     assert!(
         t.all_events().any(|e| matches!(

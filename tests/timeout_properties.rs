@@ -13,9 +13,10 @@
 use std::sync::OnceLock;
 
 use ml4db_core::optimizer::Env;
-use ml4db_oracle::reference::canonical_multiset;
 use ml4db_oracle::workload::{joblite_db, sample_query, JOBLITE_EDGES};
-use ml4db_plan::executor::{execute, execute_with_timeout, naive_execute, ExecOutcome};
+use ml4db_plan::executor::{
+    canonical_multiset, execute, execute_with_timeout, naive_execute, ExecOutcome,
+};
 use ml4db_plan::{all_hint_sets, Query};
 use ml4db_storage::Database;
 use proptest::prelude::*;

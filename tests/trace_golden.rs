@@ -22,28 +22,15 @@
 //! cardinality, guard trip, drift verdict, query report) fails a test
 //! *named for it*, independent of the snapshot files.
 
-use std::collections::BTreeSet;
-use std::path::PathBuf;
-use std::sync::Mutex;
+mod common;
 
+use common::check_golden;
 use ml4db_core::guard::{run_scenario, Fault};
 use ml4db_core::obs;
 use ml4db_core::obs::{Event, Trace};
-use ml4db_core::optimizer::{evaluate, Env};
+use ml4db_core::optimizer::{dedup_by_fingerprint, evaluate, Env};
 use ml4db_core::par;
 use ml4db_core::prelude::*;
-
-// The obs sink is process-global; every test here serializes on it.
-static OBS_LOCK: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn dedup_by_fingerprint(queries: Vec<Query>) -> Vec<Query> {
-    let mut seen = BTreeSet::new();
-    queries.into_iter().filter(|q| seen.insert(q.fingerprint())).collect()
-}
 
 /// Scenario 1: a clean evaluation pass with the expert planner over
 /// fingerprint-distinct queries — plan-cache hits, no guard activity.
@@ -67,47 +54,21 @@ fn guarded_trip_trace() -> Trace {
     obs::take_trace()
 }
 
-/// Compares `trace`'s canonical JSON byte-for-byte against the snapshot,
-/// or rewrites the snapshot when `ML4DB_BLESS=1`.
-fn check_golden(name: &str, trace: &Trace) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name);
-    let canonical = trace.canonical_string();
-    if std::env::var("ML4DB_BLESS").as_deref() == Ok("1") {
-        std::fs::write(&path, format!("{canonical}\n"))
-            .unwrap_or_else(|e| panic!("cannot bless {}: {e}", path.display()));
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden snapshot {} ({e}); generate it with \
-             ML4DB_BLESS=1 cargo test --test trace_golden",
-            path.display()
-        )
-    });
-    assert_eq!(
-        canonical,
-        golden.trim_end(),
-        "canonical trace drifted from {}; if the change is intended, \
-         regenerate with ML4DB_BLESS=1 cargo test --test trace_golden",
-        path.display()
-    );
-}
-
 #[test]
 fn golden_clean_cache_hit_path() {
-    let _s = serial();
-    check_golden("clean_cache_hit.json", &clean_cache_hit_trace());
+    let _s = obs::serial();
+    check_golden("clean_cache_hit.json", &clean_cache_hit_trace().canonical_string());
 }
 
 #[test]
 fn golden_guarded_trip_scenario() {
-    let _s = serial();
-    check_golden("guarded_trip.json", &guarded_trip_trace());
+    let _s = obs::serial();
+    check_golden("guarded_trip.json", &guarded_trip_trace().canonical_string());
 }
 
 #[test]
 fn golden_traces_byte_identical_across_thread_counts() {
-    let _s = serial();
+    let _s = obs::serial();
     let at = |threads: usize| -> (String, String) {
         let prev = par::set_threads(threads);
         let clean = clean_cache_hit_trace().canonical_string();
@@ -127,7 +88,7 @@ fn golden_traces_byte_identical_across_thread_counts() {
 
 #[test]
 fn trace_records_cache_hits_and_misses() {
-    let _s = serial();
+    let _s = obs::serial();
     let t = clean_cache_hit_trace();
     let mut hits = 0usize;
     let mut misses = 0usize;
@@ -147,7 +108,7 @@ fn trace_records_cache_hits_and_misses() {
 
 #[test]
 fn trace_records_plan_choice_per_query() {
-    let _s = serial();
+    let _s = obs::serial();
     let t = clean_cache_hit_trace();
     for qid in t.query_ids() {
         assert!(
@@ -159,7 +120,7 @@ fn trace_records_plan_choice_per_query() {
 
 #[test]
 fn trace_records_per_operator_cardinality() {
-    let _s = serial();
+    let _s = obs::serial();
     let t = clean_cache_hit_trace();
     assert!(t.count_kind("operator") > 0, "no per-operator events recorded");
     for qid in t.query_ids() {
@@ -183,7 +144,7 @@ fn trace_records_per_operator_cardinality() {
 
 #[test]
 fn trace_records_execution_and_query_reports() {
-    let _s = serial();
+    let _s = obs::serial();
     let t = clean_cache_hit_trace();
     let n = t.query_ids().len();
     // Two executions per query: one inside the expert-latency baseline,
@@ -195,7 +156,7 @@ fn trace_records_execution_and_query_reports() {
 
 #[test]
 fn trace_records_guard_trip_with_component_and_reason() {
-    let _s = serial();
+    let _s = obs::serial();
     let t = guarded_trip_trace();
     let trips: Vec<_> = t
         .all_events()
@@ -216,7 +177,7 @@ fn trace_records_guard_trip_with_component_and_reason() {
 
 #[test]
 fn trace_records_guard_fallbacks_with_reasons() {
-    let _s = serial();
+    let _s = obs::serial();
     let t = guarded_trip_trace();
     let fallbacks = t
         .all_events()
@@ -233,7 +194,7 @@ fn trace_records_guard_fallbacks_with_reasons() {
 
 #[test]
 fn trace_records_drift_verdicts() {
-    let _s = serial();
+    let _s = obs::serial();
     // Drift verdicts ride the feedback path, not the chaos scenario:
     // feed a guarded estimator ground truth directly.
     use ml4db_core::guard::GuardedCardEstimator;
@@ -263,7 +224,7 @@ fn trace_records_drift_verdicts() {
 
 #[test]
 fn full_trace_strips_to_canonical() {
-    let _s = serial();
+    let _s = obs::serial();
     let t = clean_cache_hit_trace();
     let mut full = t.to_json();
     assert!(
@@ -277,7 +238,7 @@ fn full_trace_strips_to_canonical() {
 
 #[test]
 fn rendered_trace_reads_like_explain_analyze() {
-    let _s = serial();
+    let _s = obs::serial();
     let t = clean_cache_hit_trace();
     let rendered = t.render();
     assert!(rendered.contains("plan_chosen"), "{rendered}");

@@ -10,54 +10,33 @@
 //! learned index (segment bomb), and Bao's steering bandit
 //! (plan-regression trap).
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use ml4db_core::datagen::zoo::{ScenarioKind, ScenarioSpec};
 use ml4db_core::datagen::key_stream;
-use ml4db_core::index::{OrderedIndex, PgmIndex};
+use ml4db_core::card::collect_samples;
+use ml4db_core::index::PgmIndex;
 use ml4db_core::matrix::{run_matrix, MatrixConfig, MatrixReport};
 use ml4db_core::obs;
-use ml4db_core::plan::{CardEstimator, ClassicEstimator, Query, TrueCardinality};
-use ml4db_core::storage::datasets::{joblite, DatasetConfig};
+use ml4db_core::optimizer::harness::{qerr_stream, train_mscn};
+use ml4db_core::pipeline::demo_database;
+use ml4db_core::plan::{CardEstimator, ClassicEstimator, Query};
 use ml4db_core::storage::Database;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-static OBS_LOCK: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// One shared smoke-scale matrix run for the probe-level assertions.
 fn smoke_report() -> &'static MatrixReport {
     static REPORT: OnceLock<MatrixReport> = OnceLock::new();
     REPORT.get_or_init(|| {
         let _prev = obs::set_mode(obs::Mode::Noop);
-        run_matrix(&MatrixConfig {
-            base_rows: 120,
-            train_n: 10,
-            eval_n: 8,
-            trap_keep: 5,
-            serve_requests: 48,
-            seed: 7,
-        })
+        run_matrix(&MatrixConfig::smoke())
     })
-}
-
-fn db(seed: u64) -> Database {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut db = Database::analyze(
-        joblite(&DatasetConfig { base_rows: 150, ..Default::default() }, &mut rng),
-        &mut rng,
-    );
-    db.add_index("title", "year");
-    db
 }
 
 #[test]
 fn every_adversarial_scenario_defeats_an_unguarded_component() {
-    let _s = serial();
+    let _s = obs::serial();
     let r = smoke_report();
     assert_eq!(r.probes.len(), 4, "one probe per adversarial scenario");
     for p in &r.probes {
@@ -82,7 +61,7 @@ fn every_adversarial_scenario_defeats_an_unguarded_component() {
 
 #[test]
 fn plan_regression_trap_snares_the_unguarded_bandit_only() {
-    let _s = serial();
+    let _s = obs::serial();
     let r = smoke_report();
     let bao = r.cell("plan_regression_trap", "bao").expect("bao cell");
     assert!(bao.regressions >= 1, "the trap must produce >=1 unguarded Bao regression");
@@ -96,8 +75,8 @@ fn plan_regression_trap_snares_the_unguarded_bandit_only() {
 
 #[test]
 fn pgm_segment_bomb_blows_up_the_learned_index_directly() {
-    let _s = serial();
-    let base = db(11);
+    let _s = obs::serial();
+    let base = demo_database(150, 11);
     let spec = ScenarioSpec::new(ScenarioKind::PgmSegmentBomb, 11);
     let applied = spec.apply(&base);
 
@@ -122,39 +101,31 @@ fn pgm_segment_bomb_blows_up_the_learned_index_directly() {
 
 #[test]
 fn correlation_trap_degrades_the_joint_model_more_than_classical() {
-    let _s = serial();
+    let _s = obs::serial();
     // Same data, same queries, two estimators: the flip rearranges the
     // year–votes *joint* while re-analysis keeps per-column histograms
     // faithful, so the trained joint model must lose more ground than
     // the classical independence estimator when the data flips under
     // both.
-    use ml4db_core::card::{collect_samples, MscnEstimator};
-
-    let base = db(13);
+    let base = demo_database(150, 13);
     let spec = ScenarioSpec::new(ScenarioKind::CorrelationTrap, 13);
     let applied = spec.apply(&base);
     let train = spec.train_workload(&base, 16);
     let eval = spec.eval_workload(&applied, 12);
 
     let mut rng = StdRng::seed_from_u64(13);
-    let mut mscn = MscnEstimator::new(16, &mut rng);
-    mscn.fit(&base, &collect_samples(&base, &train), 25, 0.005, &mut rng);
+    let mscn = train_mscn(&base, &collect_samples(&base, &train), 25, &mut rng);
 
-    let ratio_of = |est: &dyn Fn(&Database, &Query) -> f64| -> f64 {
-        let err = |db: &Database| -> f64 {
-            let oracle = TrueCardinality::new();
-            eval.iter()
-                .map(|q| {
-                    let truth = oracle.estimate(db, q, q.full_mask()).max(1.0);
-                    (est(db, q).max(1.0) / truth).ln().abs()
-                })
-                .sum::<f64>()
-                / eval.len().max(1) as f64
-        };
-        err(&applied) / err(&base).max(1e-6)
-    };
-    let mscn_ratio = ratio_of(&|db, q| mscn.estimate(db, q, q.full_mask()));
-    let classical_ratio = ratio_of(&|db, q| ClassicEstimator.estimate(db, q, q.full_mask()));
+    fn ratio_of<E: CardEstimator>(
+        est: &E,
+        base: &Database,
+        applied: &Database,
+        eval: &[Query],
+    ) -> f64 {
+        qerr_stream(applied, est, eval).0 / qerr_stream(base, est, eval).0.max(1e-6)
+    }
+    let mscn_ratio = ratio_of(&mscn, &base, &applied, &eval);
+    let classical_ratio = ratio_of(&ClassicEstimator, &base, &applied, &eval);
 
     assert!(mscn_ratio >= 1.25, "the flip must defeat the joint model: x{mscn_ratio:.2}");
     assert!(
