@@ -60,7 +60,7 @@ pub mod prelude {
     pub use ml4db_lifecycle::{GateConfig, LifecycleState, ModelRegistry};
     pub use ml4db_index::{AlexIndex, BPlusTree, DynamicPgm, MutableIndex, OrderedIndex, PgmIndex, RadixSpline, Rmi};
     pub use ml4db_optimizer::{AutoSteer, Balsa, Bao, Env, Leon, Neo, ParamTree, Rtos};
-    pub use ml4db_par::{par_map, par_map_indexed, set_threads};
+    pub use ml4db_par::{par_map, par_map_indexed, with_threads};
     pub use ml4db_plan::{
         bao_arms, CardEstimator, ClassicEstimator, CostModel, HintSet, PlanCache, PlanNode,
         Planner, Query, TrueCardinality,

@@ -24,9 +24,10 @@
 //! point of the matrix.
 //!
 //! Everything is a pure function of [`MatrixConfig`]: databases,
-//! workloads, training, and scoring all derive from salted seeds;
-//! parallel sections use order-preserving `ml4db_par::par_map` only with
-//! stateless planners, and every stateful guard runs serially — so
+//! workloads, training, and scoring all derive from salted seeds; the
+//! only fan-out is the order-preserving per-query one inside
+//! `harness::evaluate*`, while each planner decision and every stateful
+//! guard runs serially — so
 //! [`MatrixReport::to_canonical_json`] is byte-identical across
 //! `ML4DB_THREADS` settings. The serving column runs each scenario's
 //! evaluation stream through the real `ml4db-serve` closed loop

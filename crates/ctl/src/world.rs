@@ -810,10 +810,9 @@ mod tests {
         let cfg = CtlWorldConfig::smoke();
         let default_threads =
             run_world(shift_spec(), &mut RuleController::new(), CtlFault::None, &cfg);
-        let prev = ml4db_par::set_threads(1);
-        let single =
-            run_world(shift_spec(), &mut RuleController::new(), CtlFault::None, &cfg);
-        ml4db_par::set_threads(prev);
+        let single = ml4db_par::with_threads(1, || {
+            run_world(shift_spec(), &mut RuleController::new(), CtlFault::None, &cfg)
+        });
         assert_eq!(
             default_threads.log.canonical_string(),
             single.log.canonical_string(),

@@ -63,27 +63,21 @@ pub fn discover_hint_sets(env: &Env, query: &Query, cost_cap: f64) -> Discovery 
     let consider = |plan: &PlanNode| -> bool {
         plan.signature() != base_sig && plan.est_cost <= base_cost * cost_cap
     };
-    // Probe every single toggle in parallel (each probe is an
-    // independent plan), then fold the verdicts in toggle order so the
-    // kept list is scheduling-independent.
-    let toggles = single_toggles();
-    let probes: Vec<Option<PlanNode>> =
-        ml4db_par::par_map(&toggles, |&h| env.plan_with_hint(query, h));
+    // Probe every single toggle, in toggle order, on the calling thread.
     let mut kept: Vec<HintSet> = Vec::new();
     let mut effective = 0usize;
-    for (h, probe) in toggles.iter().zip(&probes) {
-        if let Some(plan) = probe {
+    for h in single_toggles() {
+        if let Some(plan) = env.plan_with_hint(query, h) {
             if plan.signature() != base_sig {
                 effective += 1;
                 if plan.est_cost <= base_cost * cost_cap {
-                    kept.push(*h);
+                    kept.push(h);
                 }
             }
         }
     }
     // Greedy merge phase: candidate pairs come only from the kept
-    // singles, so the full candidate list is known up front — sweep the
-    // plans in parallel and filter in pair order.
+    // singles, so the full candidate list is known up front.
     let singles = kept.clone();
     let mut pairs: Vec<HintSet> = Vec::new();
     for i in 0..singles.len() {
@@ -94,13 +88,9 @@ pub fn discover_hint_sets(env: &Env, query: &Query, cost_cap: f64) -> Discovery 
             }
         }
     }
-    let merged: Vec<Option<PlanNode>> =
-        ml4db_par::par_map(&pairs, |&m| env.plan_with_hint(query, m));
-    for (m, probe) in pairs.iter().zip(&merged) {
-        if let Some(plan) = probe {
-            if consider(plan) {
-                kept.push(*m);
-            }
+    for m in pairs {
+        if env.plan_with_hint(query, m).is_some_and(|plan| consider(&plan)) {
+            kept.push(m);
         }
     }
     let mut arms = vec![HintSet::all()];

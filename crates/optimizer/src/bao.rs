@@ -50,24 +50,23 @@ impl Bao {
         }
     }
 
-    /// Plans every arm in parallel, scores each plan with `score`, and
-    /// picks the minimum. Selection is by `(score, arm index)` under
-    /// `f64::total_cmp`, so ties and the fold order are deterministic —
-    /// the winner cannot depend on which thread finished first.
+    /// Plans every arm in order on the calling thread, scores each plan
+    /// with `score`, and picks the minimum by `(score, arm index)` under
+    /// `f64::total_cmp`. A decision never spawns threads: parallelism is
+    /// across queries (the batch harnesses), and staying on the caller's
+    /// thread keeps the sweep's events under its `with_query` context.
     fn sweep_arms(
         env: &Env,
         query: &Query,
         arms: &[HintSet],
-        score: impl Fn(&PlanNode) -> f64 + Sync,
+        score: impl Fn(&PlanNode) -> f64,
     ) -> BaoChoice {
-        let scored: Vec<Option<(f64, PlanNode)>> = ml4db_par::par_map(arms, |&arm| {
-            env.plan_with_hint(query, arm).map(|plan| (score(&plan), plan))
-        });
         let mut best: Option<(f64, usize, PlanNode)> = None;
-        for (i, entry) in scored.into_iter().enumerate() {
-            let Some((s, plan)) = entry else {
+        for (i, &arm) in arms.iter().enumerate() {
+            let Some(plan) = env.plan_with_hint(query, arm) else {
                 continue;
             };
+            let s = score(&plan);
             if best.as_ref().map_or(true, |(b, _, _)| s.total_cmp(b).is_lt()) {
                 best = Some((s, i, plan));
             }
@@ -78,9 +77,8 @@ impl Bao {
 
     /// Chooses an arm for `query` by Thompson sampling: draw one weight
     /// vector from the posterior, score every arm's plan under it, pick the
-    /// minimum predicted log-latency. The posterior draw happens up front
-    /// on the caller's RNG; the per-arm sweep is parallel and consumes no
-    /// randomness, so the RNG stream matches the serial formulation.
+    /// minimum predicted log-latency. The posterior draw is the only
+    /// randomness consumed; the per-arm sweep is deterministic.
     pub fn choose<R: Rng + ?Sized>(&self, env: &Env, query: &Query, rng: &mut R) -> BaoChoice {
         let weights = self.model.sample_weights(rng);
         Self::sweep_arms(env, query, &self.arms, |plan| {

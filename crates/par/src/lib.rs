@@ -20,31 +20,46 @@
 //! # Thread-count resolution
 //!
 //! The pool size is resolved per call, in priority order:
-//! 1. a programmatic [`set_threads`] override (tests, benchmarks),
+//! 1. a [`with_threads`] override on the calling thread (tests, benchmarks),
 //! 2. the `ML4DB_THREADS` environment variable,
 //! 3. [`std::thread::available_parallelism`].
 //!
-//! `ML4DB_THREADS=1` (or `set_threads(1)`) short-circuits to a plain
+//! `ML4DB_THREADS=1` (or `with_threads(1, ..)`) short-circuits to a plain
 //! serial loop on the calling thread — no pool, no atomics.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Programmatic thread-count override; 0 means "not set".
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Overrides the pool size for subsequent [`par_map`] calls in this
-/// process. Pass 0 to clear the override and fall back to
-/// `ML4DB_THREADS` / hardware parallelism. Returns the previous override.
-pub fn set_threads(n: usize) -> usize {
-    THREAD_OVERRIDE.swap(n, Ordering::SeqCst)
+thread_local! {
+    /// This thread's [`with_threads`] override; 0 means "not set".
+    static PINNED_THREADS: Cell<usize> = const { Cell::new(0) };
 }
 
-/// The pool size [`par_map`] will use right now: the [`set_threads`]
+/// Runs `f` with the pool size pinned to `n` (0 = no override) for
+/// [`par_map`] calls made on the calling thread, then restores the
+/// previous value — also when `f` unwinds. Calls nest; the innermost wins.
+///
+/// The override is thread-local and pool workers do not inherit it. That
+/// is correct precisely because fork-join is one level deep here: only
+/// batch entry points call `par_map`, never a `par_map` worker, so the
+/// thread that enters the batch is the only one that resolves a pool size.
+pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            PINNED_THREADS.with(|o| o.set(self.0));
+        }
+    }
+    let _restore = Restore(PINNED_THREADS.with(|o| o.replace(n)));
+    f()
+}
+
+/// The pool size [`par_map`] will use right now: the [`with_threads`]
 /// override if set, else `ML4DB_THREADS` if parseable and non-zero, else
 /// the hardware's available parallelism (at least 1).
 pub fn max_threads() -> usize {
-    let o = THREAD_OVERRIDE.load(Ordering::SeqCst);
+    let o = PINNED_THREADS.with(Cell::get);
     if o > 0 {
         return o;
     }
@@ -61,6 +76,10 @@ pub fn max_threads() -> usize {
 /// Maps `f` over `items` on up to [`max_threads`] scoped threads,
 /// returning results in input order. Bit-identical to
 /// `items.iter().map(f).collect()` for pure `f`, at any thread count.
+///
+/// Must not be called under `ml4db_obs::with_query`: the query context
+/// is thread-local, so events emitted by pool workers would lose their
+/// query. Fan out *across* queries and enter `with_query` inside `f`.
 pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
@@ -132,48 +151,20 @@ where
     items.iter().enumerate().map(|(i, t)| f(i, t)).collect()
 }
 
-/// RAII guard that applies a [`set_threads`] override and restores the
-/// previous value on drop. Lets tests pin a thread count without
-/// leaking state into other tests in the same process.
-pub struct ThreadGuard {
-    previous: usize,
-}
-
-impl ThreadGuard {
-    /// Applies `n` as the thread override until the guard drops.
-    pub fn new(n: usize) -> Self {
-        Self { previous: set_threads(n) }
-    }
-}
-
-impl Drop for ThreadGuard {
-    fn drop(&mut self) {
-        set_threads(self.previous);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // `set_threads` is process-global, so tests that touch it serialize
-    // on this lock to stay correct under the default parallel test
-    // runner.
-    static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
     fn par_map_preserves_order() {
-        let _guard = OVERRIDE_LOCK.lock().unwrap();
-        let _t = ThreadGuard::new(4);
         let items: Vec<u64> = (0..1013).collect();
-        let out = par_map(&items, |&x| x * 3 + 1);
+        let out = with_threads(4, || par_map(&items, |&x| x * 3 + 1));
         let expected: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();
         assert_eq!(out, expected);
     }
 
     #[test]
     fn par_map_matches_serial_at_every_thread_count() {
-        let _guard = OVERRIDE_LOCK.lock().unwrap();
         let items: Vec<u64> = (0..257).map(|i| i * 7 + 3).collect();
         let f = |i: usize, x: &u64| {
             // Mix index and value so both order bugs and item bugs show.
@@ -183,43 +174,35 @@ mod tests {
         };
         let serial = serial_map_indexed(&items, f);
         for threads in [1, 2, 3, 4, 8, 32] {
-            let _t = ThreadGuard::new(threads);
-            assert_eq!(par_map_indexed(&items, f), serial, "threads = {threads}");
+            let out = with_threads(threads, || par_map_indexed(&items, f));
+            assert_eq!(out, serial, "threads = {threads}");
         }
     }
 
     #[test]
     fn empty_and_singleton_inputs() {
-        let _guard = OVERRIDE_LOCK.lock().unwrap();
-        let _t = ThreadGuard::new(4);
-        let empty: Vec<u32> = vec![];
-        assert_eq!(par_map(&empty, |&x| x + 1), Vec::<u32>::new());
-        assert_eq!(par_map(&[41u32], |&x| x + 1), vec![42]);
+        with_threads(4, || {
+            let empty: Vec<u32> = vec![];
+            assert_eq!(par_map(&empty, |&x| x + 1), Vec::<u32>::new());
+            assert_eq!(par_map(&[41u32], |&x| x + 1), vec![42]);
+        });
     }
 
     #[test]
-    fn thread_guard_restores_previous_override() {
-        let _guard = OVERRIDE_LOCK.lock().unwrap();
-        let baseline = set_threads(0);
-        {
-            let _t = ThreadGuard::new(7);
+    fn with_threads_zero_lifts_an_outer_override() {
+        let baseline = max_threads();
+        with_threads(7, || {
             assert_eq!(max_threads(), 7);
-            {
-                let _inner = ThreadGuard::new(2);
-                assert_eq!(max_threads(), 2);
-            }
+            with_threads(0, || assert_eq!(max_threads(), baseline));
             assert_eq!(max_threads(), 7);
-        }
-        assert!(max_threads() >= 1);
-        set_threads(baseline);
+        });
+        assert_eq!(max_threads(), baseline);
     }
 
     #[test]
     fn results_can_borrow_from_captured_state() {
-        let _guard = OVERRIDE_LOCK.lock().unwrap();
-        let _t = ThreadGuard::new(3);
         let words = ["plan", "cache", "epoch", "fingerprint"];
-        let lens = par_map(&words, |w| w.len());
+        let lens = with_threads(3, || par_map(&words, |w| w.len()));
         assert_eq!(lens, vec![4, 5, 5, 11]);
     }
 }

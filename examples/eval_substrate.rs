@@ -95,18 +95,18 @@ fn main() {
     println!("\n== evaluate() across thread counts ==");
     let mut digests = Vec::new();
     for threads in [1usize, 2, 4] {
-        let prev = par::set_threads(threads);
         let env = Env::new(&db);
         let t = Instant::now();
-        let report = evaluate(&env, &workload, |env, q| {
-            if q.num_tables() >= 3 {
-                env.plan_with_hint(q, HintSet { nested_loop: false, ..HintSet::all() })
-            } else {
-                env.expert_plan(q)
-            }
+        let report = par::with_threads(threads, || {
+            evaluate(&env, &workload, |env, q| {
+                if q.num_tables() >= 3 {
+                    env.plan_with_hint(q, HintSet { nested_loop: false, ..HintSet::all() })
+                } else {
+                    env.expert_plan(q)
+                }
+            })
         });
         let wall = t.elapsed();
-        par::set_threads(prev);
         let d = digest(&report);
         println!(
             "threads={threads}: wall {wall:>9.1?}, report digest {d:016x}, \

@@ -99,12 +99,12 @@ fn tripped_estimator_guards_run_at_classical_parity() {
 #[test]
 fn chaos_reports_identical_across_thread_counts() {
     let sweep_at = |threads: usize| -> Vec<u64> {
-        let prev = par::set_threads(threads);
-        let mut bits: Vec<u64> =
-            run_all(true, SEED).iter().map(|r| r.bits()).collect();
-        bits.extend(run_all(false, SEED).iter().map(|r| r.bits()));
-        par::set_threads(prev);
-        bits
+        par::with_threads(threads, || {
+            let mut bits: Vec<u64> =
+                run_all(true, SEED).iter().map(|r| r.bits()).collect();
+            bits.extend(run_all(false, SEED).iter().map(|r| r.bits()));
+            bits
+        })
     };
     let serial = sweep_at(1);
     assert_eq!(sweep_at(4), serial, "chaos reports diverged at 4 threads");

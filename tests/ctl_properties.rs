@@ -33,11 +33,12 @@ proptest! {
     ) {
         let spec = ScenarioSpec::zoo(seed_step * 7 + 1)[scenario];
         let cfg = quick();
-        let prev = par::set_threads(1);
-        let serial = run_world(spec, &mut RuleController::new(), CtlFault::None, &cfg);
-        par::set_threads(6);
-        let parallel = run_world(spec, &mut RuleController::new(), CtlFault::None, &cfg);
-        par::set_threads(prev);
+        let at = |threads: usize| {
+            par::with_threads(threads, || {
+                run_world(spec, &mut RuleController::new(), CtlFault::None, &cfg)
+            })
+        };
+        let (serial, parallel) = (at(1), at(6));
         prop_assert_eq!(
             serial.log.canonical_string(),
             parallel.log.canonical_string()

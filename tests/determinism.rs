@@ -9,8 +9,8 @@
 //!    the `ml4db_par` pool changes wall-clock only, never results:
 //!    reports are byte-identical between 1 thread and many.
 //!
-//! Thread counts are pinned with `ml4db_core::par::set_threads` (the
-//! programmatic equivalent of the `ML4DB_THREADS` env var) so the test is
+//! Thread counts are pinned with `ml4db_core::par::with_threads` (the
+//! scoped equivalent of the `ML4DB_THREADS` env var) so the test is
 //! robust no matter how the harness sets the environment. The CI workflow
 //! additionally runs the whole suite under `ML4DB_THREADS=1`.
 
@@ -80,20 +80,20 @@ fn evaluate_identical_across_thread_counts() {
     let queries = demo_workload(&db, 40, 62);
 
     let run_at = |threads: usize| -> Vec<u64> {
-        let prev = par::set_threads(threads);
         // A fresh Env per run: each thread count starts from a cold
         // plan cache, so agreement cannot come from shared state.
         let env = Env::new(&db);
-        let report = evaluate(&env, &queries, |env, q| {
-            // A planner with a real decision surface: restrict operators
-            // on a query-dependent criterion so plans differ per query.
-            if q.num_tables() >= 3 {
-                env.plan_with_hint(q, HintSet { nested_loop: false, ..HintSet::all() })
-            } else {
-                env.expert_plan(q)
-            }
+        let report = par::with_threads(threads, || {
+            evaluate(&env, &queries, |env, q| {
+                // A planner with a real decision surface: restrict operators
+                // on a query-dependent criterion so plans differ per query.
+                if q.num_tables() >= 3 {
+                    env.plan_with_hint(q, HintSet { nested_loop: false, ..HintSet::all() })
+                } else {
+                    env.expert_plan(q)
+                }
+            })
         });
-        par::set_threads(prev);
         report_bits(&report)
     };
 
@@ -113,11 +113,11 @@ fn diverse_observations_identical_across_thread_counts() {
     let queries = demo_workload(&db, 12, 72);
 
     let collect_at = |threads: usize| -> Vec<u64> {
-        let prev = par::set_threads(threads);
         let env = Env::new(&db);
         let mut rng = StdRng::seed_from_u64(73);
-        let obs = collect_observations_diverse(&env, &queries, 3, &mut rng);
-        par::set_threads(prev);
+        let obs = par::with_threads(threads, || {
+            collect_observations_diverse(&env, &queries, 3, &mut rng)
+        });
         obs.iter().map(|o| o.latency_us.to_bits()).collect()
     };
 

@@ -60,9 +60,7 @@ fn matrix_byte_identical_across_thread_counts() {
     let _prev = obs::set_mode(obs::Mode::Noop);
     let cfg = MatrixConfig::smoke();
     let at = |threads: usize| -> (String, u64) {
-        let prev = par::set_threads(threads);
-        let r = run_matrix(&cfg);
-        par::set_threads(prev);
+        let r = par::with_threads(threads, || run_matrix(&cfg));
         (r.to_canonical_json().to_string(), r.bits())
     };
     let one = at(1);

@@ -133,15 +133,13 @@ proptest! {
 // make *hit/miss attribution* (not results) schedule-dependent.
 
 fn canonical_trace_at(threads: usize, db: &Database, queries: &[Query]) -> String {
-    let prev = par::set_threads(threads);
     // Fresh Env per run: a cold plan cache and expert memo, so agreement
     // across thread counts cannot come from shared state.
     let env = Env::new(db);
     let _g = obs::ModeGuard::collect();
-    let _report = evaluate(&env, queries, |env, q| env.expert_plan(q));
-    let trace = obs::take_trace();
-    par::set_threads(prev);
-    trace.canonical_string()
+    let _report =
+        par::with_threads(threads, || evaluate(&env, queries, |env, q| env.expert_plan(q)));
+    obs::take_trace().canonical_string()
 }
 
 #[test]
@@ -208,13 +206,12 @@ fn merged_trace_metrics_identical_across_thread_counts() {
     let queries = dedup_by_fingerprint(demo_workload(&db, 16, 68));
 
     let metrics_at = |threads: usize| -> String {
-        let prev = par::set_threads(threads);
         let env = Env::new(&db);
         let _g = obs::ModeGuard::collect();
-        let _ = evaluate(&env, &queries, |env, q| env.expert_plan(q));
-        let trace = obs::take_trace();
-        par::set_threads(prev);
-        trace.metrics.to_json().to_string()
+        let _ = par::with_threads(threads, || {
+            evaluate(&env, &queries, |env, q| env.expert_plan(q))
+        });
+        obs::take_trace().metrics.to_json().to_string()
     };
 
     let one = metrics_at(1);

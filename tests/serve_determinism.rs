@@ -52,10 +52,7 @@ fn repeated_runs_are_byte_identical() {
 /// the engine underneath.
 #[test]
 fn thread_count_cannot_change_the_report() {
-    let prev = par::set_threads(1);
-    let serial = canonical_run(42);
-    par::set_threads(6);
-    let threaded = canonical_run(42);
-    par::set_threads(prev);
+    let serial = par::with_threads(1, || canonical_run(42));
+    let threaded = par::with_threads(6, || canonical_run(42));
     assert_eq!(serial, threaded, "serving report differs across thread counts");
 }

@@ -113,13 +113,9 @@ fn every_scenario_rejects_the_sabotaged_candidate() {
 fn recovery_reports_are_byte_identical_across_thread_counts() {
     let _s = obs::serial();
     let bits_at = |threads: usize| -> Vec<u64> {
-        let prev = par::set_threads(threads);
-        let bits = ShiftScenario::all(SEED)
-            .into_iter()
-            .map(|s| run_shift_recovery(s, &cfg()).bits())
-            .collect();
-        par::set_threads(prev);
-        bits
+        par::with_threads(threads, || {
+            ShiftScenario::all(SEED).into_iter().map(|s| run_shift_recovery(s, &cfg()).bits()).collect()
+        })
     };
     let one = bits_at(1);
     assert_eq!(
@@ -316,10 +312,7 @@ fn golden_shift_recovery_trace() {
 fn golden_shift_recovery_byte_identical_across_thread_counts() {
     let _s = obs::serial();
     let at = |threads: usize| -> String {
-        let prev = par::set_threads(threads);
-        let s = recovery_trace().0.canonical_string();
-        par::set_threads(prev);
-        s
+        par::with_threads(threads, || recovery_trace().0.canonical_string())
     };
     let one = at(1);
     for threads in [4, 8] {

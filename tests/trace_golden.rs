@@ -28,7 +28,7 @@ use common::check_golden;
 use ml4db_core::guard::{run_scenario, Fault};
 use ml4db_core::obs;
 use ml4db_core::obs::{Event, Trace};
-use ml4db_core::optimizer::{dedup_by_fingerprint, evaluate, Env};
+use ml4db_core::optimizer::{dedup_by_fingerprint, discover_hint_sets, evaluate, Env};
 use ml4db_core::par;
 use ml4db_core::prelude::*;
 
@@ -70,16 +70,49 @@ fn golden_guarded_trip_scenario() {
 fn golden_traces_byte_identical_across_thread_counts() {
     let _s = obs::serial();
     let at = |threads: usize| -> (String, String) {
-        let prev = par::set_threads(threads);
-        let clean = clean_cache_hit_trace().canonical_string();
-        let trip = guarded_trip_trace().canonical_string();
-        par::set_threads(prev);
-        (clean, trip)
+        par::with_threads(threads, || {
+            (clean_cache_hit_trace().canonical_string(), guarded_trip_trace().canonical_string())
+        })
     };
     let one = at(1);
     for threads in [4, 8] {
         assert_eq!(at(threads), one, "golden scenario diverged at {threads} threads");
     }
+}
+
+/// Regression: a Bao / AutoSteer decision made under `with_query` keeps
+/// every event it emits under that query at any pool size. The query
+/// context is thread-local, so this fails as soon as an arm sweep or a
+/// hint-set probe fans out over `par_map` again: the workers' `PlanChosen`
+/// / `CacheLookup` events land in `global`, and only when the pool has
+/// more than one thread.
+#[test]
+fn serial_arm_sweeps_keep_trace_attribution_at_any_thread_count() {
+    let _s = obs::serial();
+    let db = demo_database(100, 41);
+    let queries = demo_workload(&db, 3, 42);
+    let (bao, _) = train_bao(&db, &queries, 43);
+    let at = |threads: usize| -> String {
+        let env = Env::new(&db);
+        let _g = obs::ModeGuard::collect();
+        par::with_threads(threads, || {
+            for q in &queries {
+                obs::with_query(q.fingerprint(), || {
+                    bao.choose_greedy(&env, q);
+                    discover_hint_sets(&env, q, 10.0);
+                });
+            }
+        });
+        let trace = obs::take_trace();
+        assert!(
+            trace.global.is_empty(),
+            "{} events lost their query at {threads} threads",
+            trace.global.len()
+        );
+        assert!(trace.count_kind("plan_chosen") > 0, "the decisions emitted nothing");
+        trace.canonical_string()
+    };
+    assert_eq!(at(1), at(4), "decision trace depends on the thread count");
 }
 
 // ---------------------------------------------------------------------------
