@@ -12,7 +12,8 @@
 //! `BENCH_serve.json` are canonical: pure functions of the committed
 //! constants, byte-identical across machines and `ML4DB_THREADS`, so CI
 //! `git diff`s them. `BENCH_index.json` and `BENCH_storage.json` carry
-//! host wall-clock — compare their figures only within one run. Wall
+//! host wall-clock — compare their figures only within one run (the
+//! storage suite's two run counts are exact, and one is its gate). Wall
 //! time of every suite goes to stderr, never into an artifact.
 //!
 //! Exit status: 0 when every selected suite's gate held, 1 when one

@@ -1,15 +1,19 @@
 //! Durable-tier benchmark: WAL append throughput, recovery latency,
-//! run-index build time, and on-disk bytes per key.
+//! run-index build time, on-disk bytes per key — and the read
+//! amplification compaction leaves behind.
 //!
-//! All figures are wall-clock on the running host — compare only within
-//! one run (the committed per-PR trajectory), never raw across machines.
-//! The workload itself is seeded and deterministic; only the timings
-//! vary.
+//! The timing figures are wall-clock on the running host — compare only
+//! within one run (the committed per-PR trajectory), never raw across
+//! machines. The workload itself is seeded and deterministic, so the
+//! two read-amplification figures (`runs_after_load`,
+//! `mean_runs_probed_per_get`) are exact counts, identical on every
+//! host, and `runs_after_load` is the suite's gate.
 
 use std::collections::BTreeMap;
 use std::hint::black_box;
 
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use ml4db_core::storage::durable::run::{Run, RunEntry, RunIndex};
@@ -25,6 +29,40 @@ const N: u64 = 100_000;
 /// Records per commit.
 const BATCH: u64 = 64;
 const SEED: u64 = 42;
+/// Keys loaded for the read-amplification count.
+const LOADED_KEYS: u64 = 200_000;
+/// Most runs a default-config store may hold after that load: fan-in 8
+/// leaves at most 7 per size tier and the load spans three tiers;
+/// without compaction it holds 196.
+const MAX_RUNS_AFTER_LOAD: usize = 24;
+
+/// Loads [`LOADED_KEYS`] shuffled keys into a default-config store and
+/// counts, exactly, the runs left and the mean runs a `get` probes
+/// (newest first, until one holds the key) over a zipf sample of them.
+fn read_amplification(rng: &mut StdRng) -> (usize, f64) {
+    let mut order: Vec<u64> = (0..LOADED_KEYS).collect();
+    order.shuffle(rng);
+    let mut store = DurableStore::create(SimDisk::new(), StoreConfig::default()).expect("create");
+    for chunk in order.chunks(BATCH as usize) {
+        for &key in chunk {
+            store.put(key, key).expect("put");
+        }
+        store.commit().expect("commit");
+    }
+    store.flush().expect("flush");
+    let gets = 100_000u64;
+    let mut probed = 0u64;
+    for _ in 0..gets {
+        // Zipf with exponent 1 by inverse CDF (rank = N^u), ranks
+        // scattered over the key space so hot keys do not share a run.
+        let rank = (LOADED_KEYS as f64).powf(rng.gen::<f64>()) as u64;
+        let key = rank.wrapping_mul(2_654_435_761) % LOADED_KEYS;
+        let mut newest_first = store.runs().iter().rev();
+        let at = newest_first.position(|run| run.get_unindexed(key).is_some());
+        probed += at.expect("every loaded key is in a run") as u64 + 1;
+    }
+    (store.runs().len(), probed as f64 / gets as f64)
+}
 
 pub fn run() -> Outcome {
     let (n, batch) = (N, BATCH);
@@ -111,6 +149,9 @@ pub fn run() -> Outcome {
     });
     assert_eq!(sum_learned, sum_binary, "gated index disagrees with binary search");
 
+    // --- Read amplification after a load (exact counts, the gate) -------
+    let (runs_after_load, runs_probed_per_get) = read_amplification(&mut rng);
+
     let per_1e5 = 100_000.0 / n as f64;
     let mut o = BTreeMap::new();
     o.insert("bench".into(), Value::String("storage_durable".into()));
@@ -160,5 +201,10 @@ pub fn run() -> Outcome {
         "probe_speedup_vs_binary".into(),
         Value::Number((t_probe_binary / t_probe * 100.0).round() / 100.0),
     );
-    Outcome { json: Value::Object(o), pass: true }
+    o.insert("runs_after_load".into(), Value::Number(runs_after_load as f64));
+    o.insert(
+        "mean_runs_probed_per_get".into(),
+        Value::Number((runs_probed_per_get * 1e4).round() / 1e4),
+    );
+    Outcome { json: Value::Object(o), pass: runs_after_load <= MAX_RUNS_AFTER_LOAD }
 }

@@ -88,6 +88,9 @@ pub struct DiskScenarioReport {
     pub crash_points: u64,
     /// Recoveries performed and checked.
     pub recoveries: u64,
+    /// Compactions inside the swept op range — merges the every-op sweep
+    /// crashes into (crash families; 0 for the single-case scenarios).
+    pub compactions: u64,
     /// Crash points whose recovery violated an invariant.
     pub violations: u64,
     /// First violation, human-readable (empty when none).
@@ -117,8 +120,10 @@ impl DiskScenarioReport {
 }
 
 /// Workload shape: small enough that a full every-op sweep stays fast,
-/// busy enough to exercise rotation, flush, checkpoint, and GC.
-const BATCHES: usize = 32;
+/// busy enough to exercise rotation, flush, checkpoint, GC — and, at
+/// about one flush per seven batches and one merge per eight flushes,
+/// several compactions.
+const BATCHES: usize = 200;
 const KEY_SPACE: u64 = 96;
 
 fn store_cfg(checksums: bool, fsync_barriers: bool, read_retry: bool) -> StoreConfig {
@@ -197,13 +202,13 @@ fn feed(store: &mut DurableStore<SimDisk>, batches: &[Vec<KvOp>]) -> FeedOutcome
 }
 
 /// Runs the full workload fault-free and returns the total number of
-/// medium ops — the sweep's upper bound.
-fn probe_total_ops(cfg: StoreConfig, batches: &[Vec<KvOp>]) -> u64 {
+/// medium ops — the sweep's upper bound — and the compactions it holds.
+fn probe_total_ops(cfg: StoreConfig, batches: &[Vec<KvOp>]) -> (u64, u64) {
     let mut store =
         DurableStore::create(SimDisk::new(), cfg).expect("clean create cannot fail");
     let out = feed(&mut store, batches);
     assert!(!out.crashed, "probe run must complete");
-    store.medium_mut().ops()
+    (store.medium_mut().ops(), store.compactions())
 }
 
 /// Sweeps a crash-tail family over every op of the workload, recovering
@@ -220,12 +225,13 @@ fn crash_matrix(
     oracle: &KvOracle,
     tail_for: impl Fn(u64) -> TailPolicy,
 ) -> DiskScenarioReport {
-    let total = probe_total_ops(cfg, batches);
+    let (total, compactions) = probe_total_ops(cfg, batches);
     let mut report = DiskScenarioReport {
         scenario: name.to_string(),
         protected,
         crash_points: 0,
         recoveries: 0,
+        compactions,
         violations: 0,
         first_violation: String::new(),
         index_probes: 0,
@@ -294,6 +300,7 @@ fn short_read_scenario(protected: bool, batches: &[Vec<KvOp>], oracle: &KvOracle
         protected,
         crash_points: 1,
         recoveries: 0,
+        compactions: 0,
         violations: 0,
         first_violation: String::new(),
         index_probes: 0,
@@ -349,6 +356,7 @@ fn enospc_scenario(protected: bool, batches: &[Vec<KvOp>], oracle: &KvOracle) ->
         protected,
         crash_points: 1,
         recoveries: 0,
+        compactions: 0,
         violations: 0,
         first_violation: String::new(),
         index_probes: 0,

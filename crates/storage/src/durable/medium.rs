@@ -383,8 +383,13 @@ impl SimDisk {
         Ok(at)
     }
 
+    /// The file called `name`, created empty if missing. Looked up by
+    /// `&str`: only a file's first touch allocates its key.
     fn file_mut(&mut self, name: &str) -> &mut SimFile {
-        self.files.entry(name.to_string()).or_default()
+        if !self.files.contains_key(name) {
+            self.files.insert(name.to_string(), SimFile::default());
+        }
+        self.files.get_mut(name).expect("present or just inserted")
     }
 }
 
@@ -417,8 +422,12 @@ impl StorageMedium for SimDisk {
     fn sync(&mut self, name: &str) -> Result<(), IoFault> {
         self.tick()?;
         let f = self.files.get_mut(name).ok_or(IoFault::NotFound)?;
-        let mut tail = std::mem::take(&mut f.volatile);
-        f.durable.append(&mut tail);
+        if f.durable.is_empty() {
+            // A file synced once (every run) hands its buffer over whole.
+            std::mem::swap(&mut f.durable, &mut f.volatile);
+        } else {
+            f.durable.append(&mut f.volatile);
+        }
         Ok(())
     }
 

@@ -15,7 +15,9 @@
 //!   per-run PGM learned index promoted (or rejected) through the
 //!   lifecycle gate and probed via `predict_range` + last-mile search.
 //! - [`store`] — [`store::DurableStore`]: the commit / flush /
-//!   checkpoint / recovery protocol tying the layers together.
+//!   checkpoint / compaction / recovery protocol tying the layers
+//!   together (runs are merged size-tiered, so reads probe a
+//!   logarithmic number of them).
 //!
 //! The crash-matrix harness that proves the recovery invariants lives
 //! in `ml4db_guard::diskchaos` (the guard crate sits above storage in

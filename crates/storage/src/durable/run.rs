@@ -1,11 +1,13 @@
 //! Immutable sorted runs and their per-run learned indexes.
 //!
-//! A run is one memtable flush frozen on disk: a header, the entries in
-//! key order (tombstones included), and a CRC32 footer over everything
-//! before it. Runs are never rewritten — the property that makes them
-//! the safe home for a learned index, because the keys a model was
-//! fitted on can never drift out from under it (the staleness collapse
-//! PR 5 measured on mutable indexes cannot happen here).
+//! A run is one memtable flush — or the merge of several older runs
+//! (`merge_runs`) — frozen on disk: a header, the entries in key order
+//! (tombstones included), and a CRC32 footer over everything before it.
+//! Runs are never rewritten, only replaced whole by a merged run with a
+//! fresh id — the property that makes them the safe home for a learned
+//! index, because the keys a model was fitted on can never drift out
+//! from under it (the staleness collapse PR 5 measured on mutable
+//! indexes cannot happen here).
 //!
 //! Every run's index goes through the **lifecycle gate** exactly like
 //! any other learned component: a PGM model over the run's keys is
@@ -301,23 +303,41 @@ fn gate_run_index(keys: &[u64]) -> RunIndex {
     }
 }
 
-/// Writes a run durably: append the encoding, then an fsync barrier.
-/// Returns the assembled in-memory [`Run`].
+/// Writes a run durably — create, append the encoding, fsync barrier —
+/// and assembles the in-memory [`Run`]. Shared by memtable flushes
+/// ([`write_run`]) and compactions (`write_merged_run`), which differ
+/// only in what they count.
+fn persist_run<M: StorageMedium>(
+    medium: &mut M,
+    run_id: u32,
+    entries: Vec<RunEntry>,
+    fsync_barriers: bool,
+) -> Result<Run, IoFault> {
+    let name = run_name(run_id);
+    // The encoding lives only inside this block: it is freed before
+    // `assemble` allocates the key column and the index beside `entries`.
+    let file_bytes = {
+        let buf = encode_run(run_id, &entries);
+        medium.create(&name)?;
+        medium.append(&name, &buf)?;
+        buf.len() as u64
+    };
+    if fsync_barriers {
+        medium.sync(&name)?;
+    }
+    Ok(Run::assemble(run_id, entries, file_bytes))
+}
+
+/// Writes one memtable flush durably: append the encoding, then an
+/// fsync barrier. Returns the assembled in-memory [`Run`].
 pub fn write_run<M: StorageMedium>(
     medium: &mut M,
     run_id: u32,
     entries: Vec<RunEntry>,
     fsync_barriers: bool,
 ) -> Result<Run, IoFault> {
-    let buf = encode_run(run_id, &entries);
-    let name = run_name(run_id);
-    medium.create(&name)?;
-    medium.append(&name, &buf)?;
-    if fsync_barriers {
-        medium.sync(&name)?;
-    }
+    let run = persist_run(medium, run_id, entries, fsync_barriers)?;
     ml4db_obs::counter_add("run.flushes", 1);
-    let run = Run::assemble(run_id, entries, buf.len() as u64);
     let (id, n, promoted) =
         (run.id(), run.len() as u64, matches!(run.index(), RunIndex::Learned(_)));
     ml4db_obs::emit_with(move || ml4db_obs::Event::RunFlush {
@@ -326,6 +346,66 @@ pub fn write_run<M: StorageMedium>(
         index_promoted: promoted,
     });
     Ok(run)
+}
+
+/// Writes the output of a compaction durably, exactly like a flush
+/// (same file format, same barrier) but counted as `run.compactions` /
+/// `run.compacted_entries` — `run.flushes` and the `run_flush` event
+/// keep meaning *memtable flush*.
+pub(crate) fn write_merged_run<M: StorageMedium>(
+    medium: &mut M,
+    run_id: u32,
+    entries: Vec<RunEntry>,
+    fsync_barriers: bool,
+) -> Result<Run, IoFault> {
+    let run = persist_run(medium, run_id, entries, fsync_barriers)?;
+    ml4db_obs::counter_add("run.compactions", 1);
+    ml4db_obs::counter_add("run.compacted_entries", run.len() as u64);
+    Ok(run)
+}
+
+/// Merges `inputs` (each key-sorted, **oldest first**) into one
+/// key-sorted entry list where the newest entry wins a key tie. With
+/// `drop_tombstones` the winners that are tombstones are left out —
+/// correct only when nothing older than `inputs` exists for them to
+/// shadow.
+///
+/// The merge streams: one k-way walk over the borrowed input slices
+/// straight into the output vector (reserved at the no-duplicates upper
+/// bound, trimmed to exact capacity at the end) — no concatenated copy
+/// to sort, so the transient is the output beside its inputs and nothing
+/// more.
+pub(crate) fn merge_runs(inputs: &[&[RunEntry]], drop_tombstones: bool) -> Vec<RunEntry> {
+    // The unread rest of every input that still has entries, oldest
+    // first, and the key at the head of each.
+    let mut rest: Vec<&[RunEntry]> = inputs.iter().copied().filter(|r| !r.is_empty()).collect();
+    let mut heads: Vec<u64> = rest.iter().map(|r| r[0].key()).collect();
+    let mut merged = Vec::with_capacity(rest.iter().map(|r| r.len()).sum());
+    while let Some(&key) = heads.iter().min() {
+        // Newest to oldest: the first input holding `key` wins; every
+        // holder steps past it.
+        let mut winner = None;
+        for i in (0..rest.len()).rev() {
+            if heads[i] != key {
+                continue;
+            }
+            winner.get_or_insert(rest[i][0]);
+            rest[i] = &rest[i][1..];
+            match rest[i].first() {
+                Some(next) => heads[i] = next.key(),
+                None => {
+                    rest.remove(i);
+                    heads.remove(i);
+                }
+            }
+        }
+        match winner.expect("the minimum head belongs to some input") {
+            RunEntry::Tombstone { .. } if drop_tombstones => {}
+            entry => merged.push(entry),
+        }
+    }
+    merged.shrink_to_fit();
+    merged
 }
 
 /// Loads and verifies one run file; `Err(RunError::Corrupt)` marks a
@@ -375,6 +455,76 @@ mod tests {
         let (id, got) = decode_run(&buf, true).unwrap();
         assert_eq!(id, 7);
         assert_eq!(got, entries);
+    }
+
+    #[test]
+    fn run_encoding_is_pinned_byte_for_byte() {
+        // The on-disk format older stores wrote and newer ones must read:
+        // any change to these bytes orphans every existing run file.
+        let entries =
+            [RunEntry::Put { key: 1, value: 0x0102_0304_0506_0708 }, RunEntry::Tombstone { key: 2 }];
+        #[rustfmt::skip]
+        let want: [u8; 54] = [
+            b'R', b'U', b'N', b'1',
+            7, 0, 0, 0,
+            2, 0, 0, 0, 0, 0, 0, 0,
+            1, 0, 0, 0, 0, 0, 0, 0,  1,  8, 7, 6, 5, 4, 3, 2, 1,
+            2, 0, 0, 0, 0, 0, 0, 0,  2,  0, 0, 0, 0, 0, 0, 0, 0,
+            0xE6, 0xA9, 0x01, 0x56,
+        ];
+        assert_eq!(encode_run(7, &entries), want);
+    }
+
+    #[test]
+    fn merge_newest_wins_and_only_drops_tombstones_when_told() {
+        let put = |key, value| RunEntry::Put { key, value };
+        let dead = |key| RunEntry::Tombstone { key };
+        let oldest = [put(1, 10), put(2, 20), put(5, 50)];
+        let middle = [dead(2), put(3, 31), put(5, 51)];
+        let newest = [put(2, 22), dead(5), put(9, 92)];
+        let inputs: [&[RunEntry]; 4] = [&oldest, &[], &middle, &newest];
+        assert_eq!(
+            merge_runs(&inputs, false),
+            [put(1, 10), put(2, 22), put(3, 31), dead(5), put(9, 92)]
+        );
+        let compacted = merge_runs(&inputs, true);
+        assert_eq!(compacted, [put(1, 10), put(2, 22), put(3, 31), put(9, 92)]);
+        assert_eq!(compacted.capacity(), compacted.len(), "output is trimmed to exact capacity");
+        assert!(merge_runs(&[], true).is_empty());
+        assert!(merge_runs(&[&[dead(1)]], true).is_empty());
+    }
+
+    #[test]
+    fn merge_matches_a_map_fold_on_overlapping_runs() {
+        // Eight overlapping runs with pseudo-random keys: the streamed
+        // merge must equal folding them oldest-first into a map.
+        let runs: Vec<Vec<RunEntry>> = (0..8u64)
+            .map(|r| {
+                let mut keys: Vec<u64> =
+                    (0..200u64).map(|i| (i * (r + 3)).wrapping_mul(0x9E37_79B9) % 500).collect();
+                keys.sort_unstable();
+                keys.dedup();
+                keys.into_iter()
+                    .map(|key| {
+                        if (key + r) % 5 == 0 {
+                            RunEntry::Tombstone { key }
+                        } else {
+                            RunEntry::Put { key, value: r * 1_000 + key }
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let inputs: Vec<&[RunEntry]> = runs.iter().map(Vec::as_slice).collect();
+        let mut fold = std::collections::BTreeMap::new();
+        for e in runs.iter().flatten() {
+            fold.insert(e.key(), *e);
+        }
+        let want: Vec<RunEntry> = fold.into_values().collect();
+        assert_eq!(merge_runs(&inputs, false), want);
+        let live: Vec<RunEntry> =
+            want.into_iter().filter(|e| matches!(e, RunEntry::Put { .. })).collect();
+        assert_eq!(merge_runs(&inputs, true), live);
     }
 
     #[test]

@@ -32,6 +32,10 @@ pub const MAX_FRAME_PAYLOAD: u32 = 1 << 20;
 /// Frame header bytes: u32 length + u32 CRC.
 pub const FRAME_HEADER: usize = 8;
 
+/// Largest payload any [`WalRecord`] encodes to (a `Put`: tag + three
+/// `u64`s), so a whole frame fits a small stack buffer.
+pub const MAX_RECORD_PAYLOAD: usize = 25;
+
 /// WAL knobs. The protection switches exist for the chaos harness,
 /// which proves recovery *fails* without them; production code leaves
 /// them on.
@@ -120,12 +124,14 @@ pub enum WalRecord {
         /// Sequence number.
         seq: u64,
     },
-    /// All records with `seq <= flushed_through` are durable in runs
-    /// `0..=run_id`; replay skips them.
+    /// All records with `seq <= flushed_through` are durable in the
+    /// runs with ids up to `run_id` (ids are sparse: a compaction
+    /// retires its inputs' ids and takes a fresh one); replay skips them.
     Checkpoint {
         /// Sequence number of the checkpoint record itself.
         seq: u64,
-        /// Highest run id the checkpoint covers.
+        /// Id of the run whose flush wrote this checkpoint — the
+        /// highest run id it covers.
         run_id: u32,
         /// Highest sequence number folded into those runs.
         flushed_through: u64,
@@ -143,33 +149,37 @@ impl WalRecord {
         }
     }
 
-    /// Serializes the record payload (tag + seq + fields, little-endian).
+    /// Serializes the record payload (tag + seq + fields, little-endian)
+    /// into `out`, returning its length — the one payload encoder; the
+    /// append path calls it on a stack buffer.
+    pub fn encode_into(&self, out: &mut [u8; MAX_RECORD_PAYLOAD]) -> usize {
+        out[1..9].copy_from_slice(&self.seq().to_le_bytes());
+        let (tag, len) = match *self {
+            WalRecord::Put { key, value, .. } => {
+                out[9..17].copy_from_slice(&key.to_le_bytes());
+                out[17..25].copy_from_slice(&value.to_le_bytes());
+                (1, 25)
+            }
+            WalRecord::Delete { key, .. } => {
+                out[9..17].copy_from_slice(&key.to_le_bytes());
+                (2, 17)
+            }
+            WalRecord::Commit { .. } => (3, 9),
+            WalRecord::Checkpoint { run_id, flushed_through, .. } => {
+                out[9..13].copy_from_slice(&run_id.to_le_bytes());
+                out[13..21].copy_from_slice(&flushed_through.to_le_bytes());
+                (4, 21)
+            }
+        };
+        out[0] = tag;
+        len
+    }
+
+    /// [`Self::encode_into`] as an owned buffer.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(25);
-        match *self {
-            WalRecord::Put { seq, key, value } => {
-                out.push(1);
-                out.extend_from_slice(&seq.to_le_bytes());
-                out.extend_from_slice(&key.to_le_bytes());
-                out.extend_from_slice(&value.to_le_bytes());
-            }
-            WalRecord::Delete { seq, key } => {
-                out.push(2);
-                out.extend_from_slice(&seq.to_le_bytes());
-                out.extend_from_slice(&key.to_le_bytes());
-            }
-            WalRecord::Commit { seq } => {
-                out.push(3);
-                out.extend_from_slice(&seq.to_le_bytes());
-            }
-            WalRecord::Checkpoint { seq, run_id, flushed_through } => {
-                out.push(4);
-                out.extend_from_slice(&seq.to_le_bytes());
-                out.extend_from_slice(&run_id.to_le_bytes());
-                out.extend_from_slice(&flushed_through.to_le_bytes());
-            }
-        }
-        out
+        let mut buf = [0u8; MAX_RECORD_PAYLOAD];
+        let n = self.encode_into(&mut buf);
+        buf[..n].to_vec()
     }
 
     /// Parses a record payload; `None` on a structurally invalid one.
@@ -199,11 +209,14 @@ impl WalRecord {
 }
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3), table-driven
+// CRC32 (IEEE 802.3), table-driven, slicing-by-8
 // ---------------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k]`
+/// advances a byte that sits `k` positions before the end of an 8-byte
+/// step, so eight lookups retire eight input bytes.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -212,29 +225,61 @@ const fn crc32_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-/// CRC32 (IEEE) of `data`.
+/// CRC32 (IEEE) of `data`: eight bytes per step, then the bytewise tail.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = data.chunks_exact(8);
+    for w in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
 
+/// The frame header for `payload`: `[len: u32][crc32: u32]` — the one
+/// frame encoder; [`encode_frame`] and [`Wal::append`] both lay the
+/// payload behind it.
+fn frame_header(payload: &[u8]) -> [u8; FRAME_HEADER] {
+    assert!(payload.len() as u32 <= MAX_FRAME_PAYLOAD, "frame payload too large");
+    let mut header = [0u8; FRAME_HEADER];
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    header
+}
+
 /// Wraps a record payload in a length-prefixed, CRC-protected frame.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    assert!(payload.len() as u32 <= MAX_FRAME_PAYLOAD, "frame payload too large");
     let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(&frame_header(payload));
     out.extend_from_slice(payload);
     out
 }
@@ -272,8 +317,6 @@ pub fn decode_frame(
         // the only line of defense against a garbage length prefix.
         return Err(FrameStop::Corrupt);
     }
-    let want = crc32(&[]) ^ 0; // silence "unused" when checksums off
-    let _ = want;
     let crc = u32::from_le_bytes(rest[4..8].try_into().unwrap());
     let end = FRAME_HEADER + len as usize;
     if rest.len() < end {
@@ -340,6 +383,8 @@ pub struct Wal {
     cfg: WalConfig,
     /// Live segment ids, ascending; the last is active.
     segments: Vec<u32>,
+    /// File name of the active segment, kept so an append formats none.
+    active_name: String,
     /// Bytes appended to the active segment.
     active_bytes: u64,
     /// Next sequence number to assign.
@@ -354,10 +399,12 @@ pub struct Wal {
 impl Wal {
     /// Creates a fresh WAL (segment 0) on `medium`.
     pub fn create<M: StorageMedium>(medium: &mut M, cfg: WalConfig) -> Result<Self, WalError> {
-        medium.create(&segment_name(0)).map_err(Self::map_create)?;
+        let active_name = segment_name(0);
+        medium.create(&active_name).map_err(Self::map_create)?;
         Ok(Self {
             cfg,
             segments: vec![0],
+            active_name,
             active_bytes: 0,
             // Sequence numbers start at 1 so `flushed_through = 0` can
             // mean "no checkpoint yet" without colliding with a record.
@@ -431,8 +478,10 @@ impl Wal {
         // next segment.
         self.sync(medium)?;
         let next = self.active_segment() + 1;
-        self.try_io(|m| m.create(&segment_name(next)), medium)?;
+        let name = segment_name(next);
+        self.try_io(|m| m.create(&name), medium)?;
         self.segments.push(next);
+        self.active_name = name;
         self.active_bytes = 0;
         Ok(())
     }
@@ -445,12 +494,22 @@ impl Wal {
         medium: &mut M,
         rec: &WalRecord,
     ) -> Result<u64, WalError> {
-        let frame = encode_frame(&rec.encode());
+        // The whole frame is built on the stack: payload behind its
+        // header, no heap allocation on the append path.
+        let mut frame = [0u8; FRAME_HEADER + MAX_RECORD_PAYLOAD];
+        let (header, payload) = frame.split_at_mut(FRAME_HEADER);
+        let len = rec.encode_into(payload.try_into().expect("payload buffer size"));
+        header.copy_from_slice(&frame_header(&payload[..len]));
+        let frame = &frame[..FRAME_HEADER + len];
         if self.active_bytes >= self.cfg.segment_bytes {
             self.rotate(medium)?;
         }
-        let name = segment_name(self.active_segment());
-        self.try_io(|m| m.append(&name, &frame), medium)?;
+        // Lend the kept name to the retry loop (which needs `&mut self`)
+        // instead of formatting a fresh one per append.
+        let name = std::mem::take(&mut self.active_name);
+        let appended = self.try_io(|m| m.append(&name, frame), medium);
+        self.active_name = name;
+        appended?;
         self.active_bytes += frame.len() as u64;
         ml4db_obs::counter_add("wal.appends", 1);
         Ok(frame.len() as u64)
@@ -495,9 +554,8 @@ impl Wal {
     /// `fsync_barriers` is on) and emits the `wal_fsync` trace event.
     pub fn sync<M: StorageMedium>(&mut self, medium: &mut M) -> Result<(), WalError> {
         let seg = self.active_segment();
-        let name = segment_name(seg);
         if self.cfg.fsync_barriers {
-            match medium.sync(&name) {
+            match medium.sync(&self.active_name) {
                 Ok(()) => {}
                 Err(IoFault::Crashed) => return Err(WalError::MediumCrashed),
                 Err(IoFault::NoSpace) => return Err(WalError::NoSpace { attempts: 1 }),
@@ -665,13 +723,9 @@ impl Wal {
                 // just the valid prefix so future frames butt against
                 // whole frames.
                 if torn_tail {
-                    let valid: usize = {
-                        let mut at = 0usize;
-                        for r in &recs {
-                            at += FRAME_HEADER + r.encode().len();
-                        }
-                        at
-                    };
+                    let mut payload = [0u8; MAX_RECORD_PAYLOAD];
+                    let valid: usize =
+                        recs.iter().map(|r| FRAME_HEADER + r.encode_into(&mut payload)).sum();
                     let name = segment_name(id);
                     Self::retry_read_io(&cfg, &mut backoff, medium, |m| m.create(&name))?;
                     Self::retry_read_io(&cfg, &mut backoff, medium, |m| {
@@ -687,6 +741,7 @@ impl Wal {
         let next_seq = records.iter().map(|r| r.seq() + 1).max().unwrap_or(1);
         let wal = Self {
             cfg,
+            active_name: segment_name(*seg_ids.last().expect("non-empty checked above")),
             segments: seg_ids.clone(),
             active_bytes,
             next_seq,
@@ -725,6 +780,61 @@ mod tests {
             assert_eq!(stop, FrameStop::End);
             assert_eq!(got, vec![rec]);
         }
+    }
+
+    /// The byte-at-a-time CRC32 the slicing kernel replaced.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn crc32_known_answers() {
+        assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+    }
+
+    #[test]
+    fn crc32_slicing_equals_bytewise_at_every_length_and_alignment() {
+        let buf: Vec<u8> = (0..80u32).map(|i| (i.wrapping_mul(0x9E37_79B9) >> 24) as u8).collect();
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let data = &buf[offset..offset + len];
+                assert_eq!(crc32(data), crc32_bytewise(data), "offset {offset}, length {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn frame_encoding_is_pinned_byte_for_byte() {
+        // The log format older stores wrote and newer ones must replay.
+        let put = WalRecord::Put { seq: 7, key: 42, value: 99 };
+        #[rustfmt::skip]
+        let want_put: [u8; 33] = [
+            25, 0, 0, 0,  0xFF, 0xCF, 0xB4, 0xC0,
+            1,  7, 0, 0, 0, 0, 0, 0, 0,  42, 0, 0, 0, 0, 0, 0, 0,  99, 0, 0, 0, 0, 0, 0, 0,
+        ];
+        assert_eq!(encode_frame(&put.encode()), want_put);
+        let checkpoint = WalRecord::Checkpoint { seq: 10, run_id: 3, flushed_through: 9 };
+        #[rustfmt::skip]
+        let want_checkpoint: [u8; 29] = [
+            21, 0, 0, 0,  0xD5, 0xA8, 0x39, 0x6C,
+            4,  10, 0, 0, 0, 0, 0, 0, 0,  3, 0, 0, 0,  9, 0, 0, 0, 0, 0, 0, 0,
+        ];
+        assert_eq!(encode_frame(&checkpoint.encode()), want_checkpoint);
+        assert_eq!(WalRecord::Delete { seq: 8, key: 42 }.encode().len(), 17);
+        assert_eq!(WalRecord::Commit { seq: 9 }.encode().len(), 9);
+
+        // The append path's stack-built frame is those same bytes.
+        let mut disk = SimDisk::new();
+        let mut wal = Wal::create(&mut disk, WalConfig::default()).unwrap();
+        assert_eq!(wal.append(&mut disk, &put), Ok(33));
+        assert_eq!(wal.append(&mut disk, &checkpoint), Ok(29));
+        assert_eq!(disk.read("wal-00000000.seg").unwrap(), [&want_put[..], &want_checkpoint].concat());
     }
 
     #[test]

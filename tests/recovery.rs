@@ -7,9 +7,11 @@
 //! fingerprint that must agree bit for bit.
 //!
 //! Scale note: the full matrix (stride 1) crashes and recovers the
-//! store at every medium operation of every scenario — about 170 crash
-//! points per fault family — and completes in well under a second, so
-//! this suite runs at full resolution rather than smoke stride.
+//! store at every medium operation of every scenario — about 1 180
+//! crash points per fault family, long enough a workload to cross four
+//! compactions (merged-run append, its fsync, every input delete) — and
+//! completes in about three seconds, so this suite runs at full
+//! resolution rather than smoke stride.
 
 use ml4db_guard::diskchaos::{run_all, run_scenario, DiskFault, DiskScenarioReport};
 
@@ -34,9 +36,10 @@ fn every_protected_scenario_passes_full_matrix() {
 }
 
 /// The matrix actually sweeps: every crash-family scenario visits a
-/// three-digit number of crash points and recovers at each one, and the
-/// index oracle runs thousands of probes. Guards against the harness
-/// silently shrinking into a no-op.
+/// three-digit number of crash points and recovers at each one, the
+/// index oracle runs thousands of probes, and the swept range holds at
+/// least three compactions. Guards against the harness silently
+/// shrinking into a no-op.
 #[test]
 fn protected_matrix_has_real_coverage() {
     let reports = run_all(true, SEED);
@@ -45,6 +48,7 @@ fn protected_matrix_has_real_coverage() {
         assert!(r.crash_points >= 100, "{name}: only {} crash points", r.crash_points);
         assert_eq!(r.recoveries, r.crash_points, "{name}: a recovery was skipped");
         assert!(r.index_probes >= 1_000, "{name}: only {} index probes", r.index_probes);
+        assert!(r.compactions >= 3, "{name}: the sweep crossed only {} compactions", r.compactions);
     }
     assert!(
         by_name(&reports, "enospc-breaker").breaker_tripped,
