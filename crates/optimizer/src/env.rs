@@ -27,8 +27,8 @@ use std::sync::Mutex;
 
 use ml4db_plan::{
     cache::{epoch_of, CacheKey, PlanCache},
-    execute, execute_with_timeout, CardEstimator, ClassicEstimator, CostModel, ExecOutcome,
-    HintSet, JoinAlgo, PlanNode, PlanOp, Planner, Query, ScanAlgo,
+    execute_columnar_with_timeout, CardEstimator, ClassicEstimator, CostModel, HintSet, JoinAlgo,
+    PlanNode, PlanOp, Planner, Query, ScanAlgo,
 };
 use ml4db_storage::Database;
 
@@ -306,28 +306,19 @@ impl<'a> Env<'a> {
     /// Panics if the plan references unknown tables (plans produced through
     /// this environment never do).
     pub fn run(&self, query: &Query, plan: &PlanNode) -> f64 {
-        let r = execute(self.db, query, plan).expect("valid plan");
-        ml4db_obs::emit_with(|| ml4db_obs::Event::Executed {
-            latency_us: r.latency_us,
-            rows: r.rows.len() as u64,
-        });
-        ml4db_obs::histogram_observe("executor.latency_us", r.latency_us);
-        r.latency_us
+        self.run_with_timeout(query, plan, f64::INFINITY).expect("infinite budget cannot time out")
     }
 
     /// Executes with a latency budget; `None` means timed out.
     pub fn run_with_timeout(&self, query: &Query, plan: &PlanNode, budget_us: f64) -> Option<f64> {
-        match execute_with_timeout(self.db, query, plan, budget_us).expect("valid plan") {
-            ExecOutcome::Done(r) => {
-                ml4db_obs::emit_with(|| ml4db_obs::Event::Executed {
-                    latency_us: r.latency_us,
-                    rows: r.rows.len() as u64,
-                });
-                ml4db_obs::histogram_observe("executor.latency_us", r.latency_us);
-                Some(r.latency_us)
-            }
-            ExecOutcome::TimedOut { .. } => None,
-        }
+        let r = execute_columnar_with_timeout(self.db, query, plan, budget_us)
+            .expect("valid plan")?;
+        ml4db_obs::emit_with(|| ml4db_obs::Event::Executed {
+            latency_us: r.latency_us,
+            rows: r.num_rows as u64,
+        });
+        ml4db_obs::histogram_observe("executor.latency_us", r.latency_us);
+        Some(r.latency_us)
     }
 
     /// Annotates an arbitrary plan with the expert's estimates (needed

@@ -29,9 +29,9 @@ use ml4db_plan::cost::CostModel;
 use ml4db_plan::executor::execute;
 use ml4db_plan::plan::{JoinAlgo, PlanNode, PlanOp, ScanAlgo};
 use ml4db_plan::Query;
-use ml4db_storage::exec;
+use ml4db_storage::exec::{self, ColRef};
 use ml4db_storage::stats::Histogram;
-use ml4db_storage::{Database, Predicate, Row, Table, TRUE_WEIGHTS};
+use ml4db_storage::{Database, Predicate, Table, TRUE_WEIGHTS};
 
 use crate::Discrepancy;
 
@@ -45,9 +45,9 @@ pub fn check_seq_scan_cost(table: &Table, predicates: &[Predicate]) -> Vec<Discr
     let w = TRUE_WEIGHTS;
     let model = CostModel::new(w);
     let n = table.num_rows() as f64;
-    let (rows, stats) = exec::seq_scan(table, predicates);
+    let (out, stats) = exec::seq_scan(table, predicates);
     let latency = stats.latency_us(&w);
-    let cost = model.scan_cost(ScanAlgo::Seq, n, predicates.len() as f64, rows.len() as f64);
+    let cost = model.scan_cost(ScanAlgo::Seq, n, predicates.len() as f64, out.num_rows() as f64);
     let mut found = Vec::new();
     let ctx = || format!("seq scan n={n} npreds={}", predicates.len());
     if predicates.len() <= 1 {
@@ -86,7 +86,7 @@ pub fn check_index_scan_cost(
     let w = TRUE_WEIGHTS;
     let model = CostModel::new(w);
     let n = table.num_rows() as f64;
-    let (_, stats) = exec::index_scan(table, column, lo, hi, residual);
+    let (_, stats) = exec::index_scan(table, column, lo, hi, residual, None);
     let latency = stats.latency_us(&w);
     // npreds counts the driving range plus residuals; the formula charges
     // comparisons only for the (npreds - 1) residuals.
@@ -119,21 +119,28 @@ pub fn check_index_scan_cost(
 }
 
 /// Checks one join algorithm's formula cost against its executed latency
-/// on concrete inputs: exact for nested-loop and hash, bounded for
+/// on concrete inputs — every row of `left` joined to every row of `right`
+/// on their first columns: exact for nested-loop and hash, bounded for
 /// sort-merge (ceil rounding of `n log n`, merge comparisons ≤ `l + r`).
-pub fn check_join_cost(left: &[Row], right: &[Row], algo: JoinAlgo) -> Vec<Discrepancy> {
+pub fn check_join_cost(left: &Table, right: &Table, algo: JoinAlgo) -> Vec<Discrepancy> {
     let w = TRUE_WEIGHTS;
     let model = CostModel::new(w);
-    let (out, stats) = match algo {
-        JoinAlgo::NestedLoop => exec::nested_loop_join(left, right, 0, 0),
-        JoinAlgo::Hash => exec::hash_join(left, right, 0, 0),
-        JoinAlgo::SortMerge => exec::sort_merge_join(left, right, 0, 0),
+    let (lb, rb) = (exec::seq_scan(left, &[]).0, exec::seq_scan(right, &[]).0);
+    let key = ColRef { slot: 0, column: 0 };
+    let joined = match algo {
+        JoinAlgo::NestedLoop => exec::nested_loop_join(&lb, &rb, key, key),
+        JoinAlgo::Hash => exec::hash_join(&lb, &rb, key, key),
+        JoinAlgo::SortMerge => exec::sort_merge_join(&lb, &rb, key, key),
+    };
+    let (out, stats) = match joined {
+        Ok(r) => r,
+        Err(e) => return vec![Discrepancy::new("cost-vs-exec", e)],
     };
     let latency = stats.latency_us(&w);
-    let (l, r) = (left.len() as f64, right.len() as f64);
-    let cost = model.join_cost(algo, l, r, out.len() as f64);
+    let (l, r) = (left.num_rows() as f64, right.num_rows() as f64);
+    let cost = model.join_cost(algo, l, r, out.num_rows() as f64);
     let mut found = Vec::new();
-    let ctx = || format!("{algo:?} join l={l} r={r} out={}", out.len());
+    let ctx = || format!("{algo:?} join l={l} r={r} out={}", out.num_rows());
     match algo {
         JoinAlgo::NestedLoop | JoinAlgo::Hash => {
             if (cost - latency).abs() > EXACT_EPS {
@@ -296,7 +303,7 @@ mod tests {
         joblite_db, sample_query, tpchlite_db, JOBLITE_EDGES, TPCHLITE_EDGES,
     };
     use ml4db_plan::{ClassicEstimator, Planner, TrueCardinality};
-    use ml4db_storage::{CmpOp, ColumnData, DataType, Schema, Value};
+    use ml4db_storage::{CmpOp, ColumnData, DataType, Schema};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -309,6 +316,16 @@ mod tests {
                 ColumnData::Int((0..n).collect()),
                 ColumnData::Int((0..n).map(|i| i % modulo.max(1)).collect()),
             ],
+        )
+    }
+
+    /// A `(key, row number)` table.
+    fn keyed_table(keys: Vec<i64>) -> Table {
+        let n = keys.len() as i64;
+        Table::new(
+            "k",
+            Schema::new(&[("key", DataType::Int), ("n", DataType::Int)]),
+            vec![ColumnData::Int(keys), ColumnData::Int((0..n).collect())],
         )
     }
 
@@ -357,12 +374,9 @@ mod tests {
 
     #[test]
     fn join_costs_match_execution() {
-        let rows = |n: i64, m: i64| -> Vec<Row> {
-            (0..n).map(|i| vec![Value::Int(i % m.max(1)), Value::Int(i)]).collect()
-        };
         for (l, r) in [(0, 0), (0, 50), (50, 0), (1, 1), (40, 60), (300, 200)] {
-            let left = rows(l, 13);
-            let right = rows(r, 11);
+            let left = keyed_table((0..l).map(|i| i % 13).collect());
+            let right = keyed_table((0..r).map(|i| i % 11).collect());
             for algo in [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::SortMerge] {
                 crate::assert_no_discrepancies(&check_join_cost(&left, &right, algo));
             }
@@ -464,8 +478,7 @@ mod tests {
             lkeys in proptest::collection::vec(0i64..25, 0..80),
             rkeys in proptest::collection::vec(0i64..25, 0..80),
         ) {
-            let left: Vec<Row> = lkeys.iter().map(|&k| vec![Value::Int(k)]).collect();
-            let right: Vec<Row> = rkeys.iter().map(|&k| vec![Value::Int(k)]).collect();
+            let (left, right) = (keyed_table(lkeys), keyed_table(rkeys));
             for algo in [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::SortMerge] {
                 let found = check_join_cost(&left, &right, algo);
                 prop_assert!(found.is_empty(), "{:?}", found);

@@ -214,10 +214,8 @@ impl CardEstimator for TrueCardinality {
         }
         let rows = match plan {
             None => 0.0,
-            Some(p) => match crate::executor::execute(db, query, &p) {
-                Ok(r) => r.rows.len() as f64,
-                Err(_) => 0.0,
-            },
+            Some(p) => crate::executor::execute_columnar(db, query, &p)
+                .map_or(0.0, |r| r.num_rows as f64),
         };
         let rows = rows.max(1.0);
         self.cache.borrow_mut().insert(key, rows);

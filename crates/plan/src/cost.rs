@@ -120,7 +120,7 @@ impl CostModel {
 mod tests {
     use super::*;
     use crate::card::TrueCardinality;
-    use crate::executor::execute;
+    use crate::executor::execute_columnar;
     use ml4db_storage::datasets::{joblite, DatasetConfig};
     use ml4db_storage::{CmpOp, TRUE_WEIGHTS};
     use rand::rngs::StdRng;
@@ -152,7 +152,7 @@ mod tests {
                 PlanNode::scan(&q, 1, crate::plan::ScanAlgo::Seq, None),
             );
             let cost = model.cost_plan(&db, &q, &mut p, &oracle);
-            let actual = execute(&db, &q, &p).unwrap().latency_us;
+            let actual = execute_columnar(&db, &q, &p).unwrap().latency_us;
             let ratio = cost / actual;
             assert!(
                 (0.5..2.0).contains(&ratio),

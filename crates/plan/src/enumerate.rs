@@ -269,7 +269,7 @@ impl Planner {
 mod tests {
     use super::*;
     use crate::card::{ClassicEstimator, TrueCardinality};
-    use crate::executor::execute;
+    use crate::executor::execute_columnar;
     use ml4db_storage::datasets::{joblite, DatasetConfig};
     use ml4db_storage::{CmpOp, TRUE_WEIGHTS};
     use rand::rngs::StdRng;
@@ -298,7 +298,7 @@ mod tests {
         plan.validate().unwrap();
         assert_eq!(plan.mask, q.full_mask());
         // And it executes.
-        execute(&db, &q, &plan).unwrap();
+        execute_columnar(&db, &q, &plan).unwrap();
     }
 
     #[test]
@@ -311,11 +311,11 @@ mod tests {
             ..Default::default()
         };
         let best = planner.best_plan(&db, &q, &oracle).unwrap();
-        let best_latency = execute(&db, &q, &best).unwrap().latency_us;
+        let best_latency = execute_columnar(&db, &q, &best).unwrap().latency_us;
         // Sample random plans: none should beat the DP plan by much.
         let mut rng = StdRng::seed_from_u64(1);
         for p in planner.random_plans(&db, &q, &oracle, 20, &mut rng) {
-            let lat = execute(&db, &q, &p).unwrap().latency_us;
+            let lat = execute_columnar(&db, &q, &p).unwrap().latency_us;
             assert!(
                 best_latency <= lat * 1.3,
                 "random plan ({lat}) much better than DP plan ({best_latency})\n{}",
@@ -374,7 +374,7 @@ mod tests {
         let plan = Planner::default().greedy_plan(&db, &q, &ClassicEstimator).unwrap();
         plan.validate().unwrap();
         assert_eq!(plan.mask, q.full_mask());
-        execute(&db, &q, &plan).unwrap();
+        execute_columnar(&db, &q, &plan).unwrap();
     }
 
     /// An estimator gone wrong: NaN on every join, -∞ on scans — the raw
@@ -414,7 +414,7 @@ mod tests {
                 );
                 assert!(n.est_cost.is_finite(), "non-finite est_cost escaped");
             });
-            execute(&db, &q, &plan).unwrap();
+            execute_columnar(&db, &q, &plan).unwrap();
         }
     }
 

@@ -1,11 +1,14 @@
-//! Lowers a physical plan onto the storage engine and returns rows plus
-//! instrumented statistics and simulated latency. Supports the simulated
-//! timeout that Balsa's safe-execution framework \[51\] relies on.
+//! Lowers a physical plan onto the storage engine and returns the answer
+//! plus instrumented statistics and simulated latency. Supports the
+//! simulated timeout that Balsa's safe-execution framework \[51\] relies on.
+//!
+//! There is one executor: [`execute_columnar`] runs the plan over
+//! [`Batch`]es of row ids and copies values out once, column-wise, at the
+//! result boundary. [`execute`] is that run followed by a conversion to
+//! heap rows, for callers that compare answers.
 
-use ml4db_storage::exec::{
-    self, ExecStats, Predicate, TRUE_WEIGHTS,
-};
-use ml4db_storage::{CmpOp, Database, Row};
+use ml4db_storage::exec::{self, Batch, ColRef, ExecStats, Predicate, TRUE_WEIGHTS};
+use ml4db_storage::{rows_of, CmpOp, ColumnData, Database, Row};
 
 use crate::plan::{JoinAlgo, PlanNode, PlanOp, ScanAlgo};
 use crate::query::Query;
@@ -41,7 +44,7 @@ fn next_down(x: f64) -> f64 {
     }
 }
 
-/// Result of executing a plan to completion.
+/// Result of executing a plan to completion, as heap rows.
 #[derive(Clone, Debug)]
 pub struct ExecResult {
     /// Output rows.
@@ -52,6 +55,35 @@ pub struct ExecResult {
     pub latency_us: f64,
     /// Column layout: table positions in output order.
     pub layout: Vec<usize>,
+}
+
+/// Result of executing a plan to completion, as columns: the form the
+/// executor produces and the serving path consumes.
+#[derive(Clone, Debug)]
+pub struct ColumnarResult {
+    /// One typed vector per output column: the tables of `layout` in
+    /// order, each table's columns in schema order.
+    pub columns: Vec<ColumnData>,
+    /// Output rows (the length of every column).
+    pub num_rows: usize,
+    /// Accumulated work counters.
+    pub stats: ExecStats,
+    /// Simulated latency in microseconds under the engine's true weights.
+    pub latency_us: f64,
+    /// Column layout: table positions in output order.
+    pub layout: Vec<usize>,
+}
+
+impl ColumnarResult {
+    /// The same result as heap rows, in the same order.
+    pub fn into_rows(self) -> ExecResult {
+        ExecResult {
+            rows: rows_of(&self.columns),
+            stats: self.stats,
+            latency_us: self.latency_us,
+            layout: self.layout,
+        }
+    }
 }
 
 /// Outcome of a timeout-guarded execution.
@@ -66,48 +98,69 @@ pub enum ExecOutcome {
     },
 }
 
-/// Executes `plan` against `db`.
+/// Executes `plan` against `db`, returning heap rows.
 ///
 /// # Errors
-/// Returns a message if the plan references unknown tables/columns.
+/// Returns a message if the plan references unknown tables/columns or joins
+/// columns of different types.
 pub fn execute(db: &Database, query: &Query, plan: &PlanNode) -> Result<ExecResult, String> {
-    match execute_inner(db, query, plan, f64::INFINITY)? {
-        ExecOutcome::Done(r) => Ok(r),
-        ExecOutcome::TimedOut { .. } => unreachable!("infinite budget cannot time out"),
-    }
+    execute_columnar(db, query, plan).map(ColumnarResult::into_rows)
 }
 
 /// Executes with a simulated latency budget in microseconds; aborts once the
-/// accumulated simulated cost exceeds it.
+/// accumulated simulated cost exceeds it. Returns heap rows.
 ///
 /// # Errors
-/// Returns a message if the plan references unknown tables/columns.
+/// As [`execute`].
 pub fn execute_with_timeout(
     db: &Database,
     query: &Query,
     plan: &PlanNode,
     budget_us: f64,
 ) -> Result<ExecOutcome, String> {
-    execute_inner(db, query, plan, budget_us)
+    Ok(match execute_columnar_with_timeout(db, query, plan, budget_us)? {
+        Some(r) => ExecOutcome::Done(r.into_rows()),
+        None => ExecOutcome::TimedOut { budget_us },
+    })
 }
 
-fn execute_inner(
+/// Executes `plan` against `db`, returning columns.
+///
+/// # Errors
+/// As [`execute`].
+pub fn execute_columnar(
+    db: &Database,
+    query: &Query,
+    plan: &PlanNode,
+) -> Result<ColumnarResult, String> {
+    Ok(execute_columnar_with_timeout(db, query, plan, f64::INFINITY)?
+        .expect("infinite budget cannot time out"))
+}
+
+/// [`execute_columnar`] under a simulated latency budget in microseconds;
+/// `None` means the accumulated simulated cost exceeded it.
+///
+/// # Errors
+/// As [`execute`].
+pub fn execute_columnar_with_timeout(
     db: &Database,
     query: &Query,
     plan: &PlanNode,
     budget_us: f64,
-) -> Result<ExecOutcome, String> {
+) -> Result<Option<ColumnarResult>, String> {
     let mut total = ExecStats::default();
-    let result = run_node(db, query, plan, &mut total, budget_us)?;
-    match result {
-        Some((rows, layout)) => {
-            let latency_us = total.latency_us(&TRUE_WEIGHTS);
-            Ok(ExecOutcome::Done(ExecResult { rows, stats: total, latency_us, layout }))
-        }
+    match run_node(db, query, plan, &mut total, budget_us)? {
+        Some((batch, layout)) => Ok(Some(ColumnarResult {
+            columns: batch.columns(),
+            num_rows: batch.num_rows(),
+            stats: total,
+            latency_us: total.latency_us(&TRUE_WEIGHTS),
+            layout,
+        })),
         None => {
             ml4db_obs::emit_with(|| ml4db_obs::Event::ExecTimeout { budget_us });
             ml4db_obs::counter_add("executor.timeout", 1);
-            Ok(ExecOutcome::TimedOut { budget_us })
+            Ok(None)
         }
     }
 }
@@ -127,15 +180,27 @@ fn observe_operator(op: &'static str, node: &PlanNode, own: &ExecStats) {
     ml4db_obs::counter_add("executor.operators", 1);
 }
 
-/// Returns `None` on timeout.
-#[allow(clippy::type_complexity)]
-fn run_node(
-    db: &Database,
+/// Column `col` of query table `table` within a batch whose slots hold the
+/// tables of `layout`.
+fn col_ref(batch: &Batch, layout: &[usize], table: usize, col: &str) -> Result<ColRef, String> {
+    let slot = layout
+        .iter()
+        .position(|&t| t == table)
+        .ok_or(format!("table {table} not in layout"))?;
+    let column =
+        batch.table(slot).schema.column_index(col).ok_or(format!("unknown column {col}"))?;
+    Ok(ColRef { slot, column })
+}
+
+/// Runs the subtree at `node`; the batch's slots hold the query tables of
+/// the returned layout. Returns `None` on timeout.
+fn run_node<'a>(
+    db: &'a Database,
     query: &Query,
     node: &PlanNode,
     total: &mut ExecStats,
     budget_us: f64,
-) -> Result<Option<(Vec<Row>, Vec<usize>)>, String> {
+) -> Result<Option<(Batch<'a>, Vec<usize>)>, String> {
     match &node.op {
         PlanOp::Scan { table, algo, predicates, index_column } => {
             let tref = &query.tables[*table];
@@ -150,12 +215,12 @@ fn run_node(
                     .ok_or(format!("unknown column {}.{}", tref.table, p.column))?;
                 Ok(Predicate { column: col, op: p.op, value: p.value })
             };
-            let (rows, stats, op_name) = match algo {
+            let (batch, stats, op_name) = match algo {
                 ScanAlgo::Seq => {
                     let preds: Vec<Predicate> =
                         predicates.iter().map(to_local).collect::<Result<_, _>>()?;
-                    let (rows, stats) = exec::seq_scan(t, &preds);
-                    (rows, stats, "seq_scan")
+                    let (batch, stats) = exec::seq_scan(t, &preds);
+                    (batch, stats, "seq_scan")
                 }
                 ScanAlgo::Index => {
                     let icol_name = index_column
@@ -185,13 +250,11 @@ fn run_node(
                             residual.push(to_local(p)?);
                         }
                     }
-                    // Learned fast path when the index is materialized;
-                    // both produce identical rows and stats.
-                    let (rows, stats) = match db.secondary_index(&tref.table, icol_name) {
-                        Some(sidx) => exec::index_scan_learned(t, lo, hi, &residual, sidx),
-                        None => exec::index_scan(t, icol, lo, hi, &residual),
-                    };
-                    (rows, stats, "index_scan")
+                    // Probed through the learned index when it is
+                    // materialized, swept otherwise; same rows and stats.
+                    let sidx = db.secondary_index(&tref.table, icol_name);
+                    let (batch, stats) = exec::index_scan(t, icol, lo, hi, &residual, sidx);
+                    (batch, stats, "index_scan")
                 }
             };
             observe_operator(op_name, node, &stats);
@@ -199,65 +262,39 @@ fn run_node(
             if total.latency_us(&TRUE_WEIGHTS) > budget_us {
                 return Ok(None);
             }
-            Ok(Some((rows, vec![*table])))
+            Ok(Some((batch, vec![*table])))
         }
         PlanOp::Join { algo, conditions } => {
-            let Some((left_rows, left_layout)) =
+            let Some((left, left_layout)) =
                 run_node(db, query, &node.children[0], total, budget_us)?
             else {
                 return Ok(None);
             };
-            let Some((right_rows, right_layout)) =
+            let Some((right, right_layout)) =
                 run_node(db, query, &node.children[1], total, budget_us)?
             else {
                 return Ok(None);
             };
-            let offset_of = |layout: &[usize], table: usize, col: &str| -> Result<usize, String> {
-                let mut at = 0usize;
-                for &t in layout {
-                    let table_def = db
-                        .catalog
-                        .table(&query.tables[t].table)
-                        .ok_or("unknown table in layout")?;
-                    if t == table {
-                        return table_def
-                            .schema
-                            .column_index(col)
-                            .map(|c| at + c)
-                            .ok_or(format!("unknown column {col}"));
-                    }
-                    at += table_def.schema.arity();
-                }
-                Err(format!("table {table} not in layout"))
-            };
             let first = conditions.first().ok_or("join without condition")?;
-            let lcol = offset_of(&left_layout, first.0, &first.1)?;
-            let rcol = offset_of(&right_layout, first.2, &first.3)?;
-            let (mut rows, stats) = match algo {
-                JoinAlgo::NestedLoop => exec::nested_loop_join(&left_rows, &right_rows, lcol, rcol),
-                JoinAlgo::Hash => exec::hash_join(&left_rows, &right_rows, lcol, rcol),
-                JoinAlgo::SortMerge => exec::sort_merge_join(&left_rows, &right_rows, lcol, rcol),
-            };
-            // This node's own work: the join itself plus any residual
-            // post-filters below — accumulated separately from `total`
-            // (which already holds the children) so the per-operator
-            // trace line can attribute latency to just this operator.
-            let mut own = stats;
+            let lkey = col_ref(&left, &left_layout, first.0, &first.1)?;
+            let rkey = col_ref(&right, &right_layout, first.2, &first.3)?;
+            // `own` is this node's work alone — the join plus any residual
+            // post-filters below — kept apart from `total` (which already
+            // holds the children) so the per-operator trace line can
+            // attribute latency to just this operator.
+            let (mut batch, mut own) = match algo {
+                JoinAlgo::NestedLoop => exec::nested_loop_join(&left, &right, lkey, rkey),
+                JoinAlgo::Hash => exec::hash_join(&left, &right, lkey, rkey),
+                JoinAlgo::SortMerge => exec::sort_merge_join(&left, &right, lkey, rkey),
+            }?;
             // Residual join conditions apply as post-filters over the
             // combined layout.
             let mut layout = left_layout;
             layout.extend_from_slice(&right_layout);
             for cond in &conditions[1..] {
-                let l = offset_of(&layout, cond.0, &cond.1)?;
-                let r = offset_of(&layout, cond.2, &cond.3)?;
-                let before = rows.len() as u64;
-                rows.retain(|row| row[l].hash_key() == row[r].hash_key());
-                let post = ExecStats {
-                    comparisons: before,
-                    rows_out: rows.len() as u64,
-                    ..Default::default()
-                };
-                own.merge(&post);
+                let l = col_ref(&batch, &layout, cond.0, &cond.1)?;
+                let r = col_ref(&batch, &layout, cond.2, &cond.3)?;
+                own.merge(&batch.retain_equal(l, r)?);
             }
             let op_name = match algo {
                 JoinAlgo::NestedLoop => "nested_loop_join",
@@ -269,7 +306,7 @@ fn run_node(
             if total.latency_us(&TRUE_WEIGHTS) > budget_us {
                 return Ok(None);
             }
-            Ok(Some((rows, layout)))
+            Ok(Some((batch, layout)))
         }
     }
 }
@@ -295,7 +332,14 @@ pub fn naive_execute(db: &Database, query: &Query) -> Result<Vec<Row>, String> {
                     .ok_or("unknown column".to_string())
             })
             .collect::<Result<_, _>>()?;
-        let (t_rows, _) = exec::seq_scan(t, &preds);
+        let t_rows: Vec<Row> = (0..t.num_rows())
+            .map(|i| t.row(i))
+            .filter(|row| preds.iter().all(|p| p.eval(row)))
+            .collect();
+        // A sequential scan all the same: traces count it with the engine's,
+        // as they did when this called `exec::seq_scan`.
+        ml4db_obs::counter_add("exec.seq_scan.calls", 1);
+        ml4db_obs::histogram_observe("exec.rows_out", t_rows.len() as f64);
         if pos == 0 {
             rows = t_rows;
             layout.push(0);

@@ -27,7 +27,10 @@ pub use cache::{epoch_of, CacheKey, PlanCache};
 pub use card::{sanitize_card, CardEstimator, ClassicEstimator, TrueCardinality, MAX_CARD};
 pub use cost::CostModel;
 pub use enumerate::{PlanShape, Planner};
-pub use executor::{execute, execute_with_timeout, ExecOutcome, ExecResult};
+pub use executor::{
+    execute, execute_columnar, execute_columnar_with_timeout, execute_with_timeout, ColumnarResult,
+    ExecOutcome, ExecResult,
+};
 pub use hints::{all_hint_sets, bao_arms, HintSet};
 pub use plan::{JoinAlgo, PlanNode, PlanOp, ScanAlgo};
 pub use query::{JoinEdge, Query, TablePredicate, TableRef};

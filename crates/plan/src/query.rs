@@ -5,7 +5,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use ml4db_storage::{CmpOp, Database};
+use ml4db_storage::{CmpOp, ColumnData, DataType, Database};
 
 /// A base-table occurrence in a query. `id` is the position in
 /// [`Query::tables`], used by joins and predicates (so self-joins work).
@@ -143,7 +143,8 @@ impl Query {
     }
 
     /// Checks the query is well-formed against a database: tables exist,
-    /// join/predicate columns exist, the join graph is connected.
+    /// join/predicate columns exist, every join edge compares columns of one
+    /// type, the join graph is connected.
     pub fn validate(&self, db: &Database) -> Result<(), String> {
         if self.tables.is_empty() {
             return Err("query has no tables".into());
@@ -156,24 +157,30 @@ impl Query {
                 db.catalog.table(&t.table).ok_or(format!("table {} not found", t.table))?;
             let _ = (i, table);
         }
-        let col_ok = |pos: usize, col: &str| -> Result<(), String> {
+        let col_type = |pos: usize, col: &str| -> Result<DataType, String> {
             let tref = self.tables.get(pos).ok_or(format!("table position {pos} out of range"))?;
             let table = db.catalog.table(&tref.table).ok_or("missing table")?;
             table
-                .schema
-                .column_index(col)
-                .map(|_| ())
+                .column(col)
+                .map(ColumnData::dtype)
                 .ok_or(format!("column {col} not on table {}", tref.table))
         };
         for e in &self.joins {
-            col_ok(e.left, &e.left_col)?;
-            col_ok(e.right, &e.right_col)?;
+            let (lt, rt) = (col_type(e.left, &e.left_col)?, col_type(e.right, &e.right_col)?);
             if e.left == e.right {
                 return Err("self-edge in join graph".into());
             }
+            // `Int(2)` and `Float(2.0)` are equal as numbers and unequal as
+            // hash keys: the answer would depend on the join algorithm.
+            if lt != rt {
+                return Err(format!(
+                    "join columns {}.{} ({lt:?}) and {}.{} ({rt:?}) differ in type",
+                    self.tables[e.left].table, e.left_col, self.tables[e.right].table, e.right_col
+                ));
+            }
         }
         for p in &self.predicates {
-            col_ok(p.table, &p.column)?;
+            col_type(p.table, &p.column)?;
         }
         if !self.is_connected(self.full_mask()) {
             return Err("join graph is not connected".into());

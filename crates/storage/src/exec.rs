@@ -1,6 +1,14 @@
 //! Physical operators with instrumented execution statistics and a
 //! deterministic simulated-latency model.
 //!
+//! Operators hold tuples **by reference**: a scan produces a selection
+//! vector of row ids, a join a pair of them, and a [`Batch`] is one row-id
+//! column per base table joined so far. Values are read in place from the
+//! typed [`ColumnData`] and copied once, at the result boundary
+//! ([`Batch::columns`]). [`ExecStats`] count cardinalities — rows in, rows
+//! out, pairs compared — never anything about the representation, so the
+//! simulated clock is the one a row-at-a-time engine would read.
+//!
 //! Substitution note (see DESIGN.md): the surveyed systems observe real
 //! query latencies from PostgreSQL or production engines. Here every
 //! operator counts the work it does (tuples, comparisons, hash builds and
@@ -12,7 +20,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::table::{Row, Table, Value};
+use crate::lindex::SecondaryIndex;
+use crate::table::{ColumnData, Table, Value};
 
 /// Rows per simulated disk page.
 pub const ROWS_PER_PAGE: u64 = 64;
@@ -168,6 +177,192 @@ impl Predicate {
             CmpOp::Ge => v >= self.value,
         }
     }
+
+    /// Narrows `sel` (row ids into `col`) to the rows satisfying the
+    /// predicate, keeping their order. Same comparison as [`Predicate::eval`]
+    /// — ints widen to `f64` — read straight from the typed column.
+    fn narrow(&self, col: &ColumnData, sel: &mut Vec<u32>) {
+        match col {
+            ColumnData::Int(v) => retain_cmp(sel, self.op, self.value, |i| v[i as usize] as f64),
+            ColumnData::Float(v) => retain_cmp(sel, self.op, self.value, |i| v[i as usize]),
+        }
+    }
+}
+
+/// `sel.retain(get(i) <op> value)` with the operator chosen outside the loop.
+fn retain_cmp(sel: &mut Vec<u32>, op: CmpOp, value: f64, get: impl Fn(u32) -> f64) {
+    match op {
+        CmpOp::Eq => sel.retain(|&i| get(i) == value),
+        CmpOp::Lt => sel.retain(|&i| get(i) < value),
+        CmpOp::Le => sel.retain(|&i| get(i) <= value),
+        CmpOp::Gt => sel.retain(|&i| get(i) > value),
+        CmpOp::Ge => sel.retain(|&i| get(i) >= value),
+    }
+}
+
+/// Narrows `sel` by each predicate in turn and returns the comparisons a
+/// row-at-a-time evaluation that stops at a row's first failing predicate
+/// performs: each predicate sees exactly the rows that passed the ones
+/// before it, so the count is `Σ |sel|` over the predicates.
+fn narrow_all(table: &Table, sel: &mut Vec<u32>, predicates: &[Predicate]) -> u64 {
+    let mut comparisons = 0;
+    for p in predicates {
+        comparisons += sel.len() as u64;
+        p.narrow(&table.columns[p.column], sel);
+    }
+    comparisons
+}
+
+/// One base table's part of a [`Batch`]: the table and, per batch row, the
+/// id of the table row that batch row holds.
+#[derive(Debug)]
+struct Slot<'a> {
+    table: &'a Table,
+    ids: Vec<u32>,
+}
+
+impl<'a> Slot<'a> {
+    /// The slot's rows at positions `sel`, in that order.
+    fn take(&self, sel: &[u32]) -> Slot<'a> {
+        Slot { table: self.table, ids: sel.iter().map(|&i| self.ids[i as usize]).collect() }
+    }
+}
+
+/// A column of a [`Batch`]: column `column` of the table in slot `slot`.
+/// Operators index with it and panic if it names no such column.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ColRef {
+    /// Slot position within the batch.
+    pub slot: usize,
+    /// Column position within that slot's table.
+    pub column: usize,
+}
+
+/// An intermediate result held by reference: one slot per base table joined
+/// so far, each a column of row ids into its table, all the same length.
+/// Batch row `r` is the concatenation, in slot order, of table row
+/// `ids[r]` of every slot. No value is copied until [`Batch::columns`].
+#[derive(Debug)]
+pub struct Batch<'a> {
+    /// Never empty.
+    slots: Vec<Slot<'a>>,
+}
+
+impl<'a> Batch<'a> {
+    /// Number of rows.
+    pub fn num_rows(&self) -> usize {
+        self.slots[0].ids.len()
+    }
+
+    /// The table behind slot `slot`.
+    pub fn table(&self, slot: usize) -> &'a Table {
+        self.slots[slot].table
+    }
+
+    /// The result boundary: copies the batch out column-wise, one typed
+    /// vector per output column, slots in order and each table's columns in
+    /// schema order.
+    pub fn columns(&self) -> Vec<ColumnData> {
+        self.slots
+            .iter()
+            .flat_map(|s| s.table.columns.iter().map(|c| c.gather(&s.ids)))
+            .collect()
+    }
+
+    /// Keeps the rows on which columns `a` and `b` are equal (`hash_key`
+    /// equality) — a residual join condition applied after the join. Charges
+    /// one comparison per input row.
+    ///
+    /// # Errors
+    /// Returns a message if the two columns differ in type.
+    pub fn retain_equal(&mut self, a: ColRef, b: ColRef) -> Result<ExecStats, String> {
+        let (ka, kb) = hash_key_pair(self, a, self, b)?;
+        let before = self.num_rows() as u64;
+        for slot in &mut self.slots {
+            // `retain` visits the rows once each, in order.
+            let mut keys = ka.iter().zip(&kb);
+            slot.ids.retain(|_| keys.next().is_some_and(|(x, y)| x == y));
+        }
+        Ok(ExecStats { comparisons: before, rows_out: self.num_rows() as u64, ..Default::default() })
+    }
+
+    fn of(table: &'a Table, ids: Vec<u32>) -> Self {
+        Batch { slots: vec![Slot { table, ids }] }
+    }
+
+    /// The join output for matched pairs `(lsel[k], rsel[k])` of row
+    /// positions: left slots then right slots, gathered through the pairs.
+    fn joined(left: &Batch<'a>, lsel: &[u32], right: &Batch<'a>, rsel: &[u32]) -> Self {
+        let slots = left
+            .slots
+            .iter()
+            .map(|s| s.take(lsel))
+            .chain(right.slots.iter().map(|s| s.take(rsel)))
+            .collect();
+        Batch { slots }
+    }
+
+    fn column(&self, c: ColRef) -> (&'a ColumnData, &[u32]) {
+        let slot = &self.slots[c.slot];
+        (&slot.table.columns[c.column], &slot.ids)
+    }
+
+    /// Column `c` as join keys under [`Value::hash_key`] semantics.
+    fn hash_keys(&self, c: ColRef) -> Vec<u64> {
+        match self.column(c) {
+            (ColumnData::Int(v), ids) => ids.iter().map(|&i| v[i as usize] as u64).collect(),
+            (ColumnData::Float(v), ids) => {
+                ids.iter().map(|&i| Value::Float(v[i as usize]).hash_key()).collect()
+            }
+        }
+    }
+
+    /// Column `c` as join keys under [`Value::as_f64`] semantics.
+    fn f64_keys(&self, c: ColRef) -> Vec<f64> {
+        match self.column(c) {
+            (ColumnData::Int(v), ids) => ids.iter().map(|&i| v[i as usize] as f64).collect(),
+            (ColumnData::Float(v), ids) => ids.iter().map(|&i| v[i as usize]).collect(),
+        }
+    }
+}
+
+/// Rejects an equi-join between columns of different types: `hash_key`
+/// never matches an `Int` with a `Float` while `as_f64` does, so the answer
+/// would depend on the join algorithm.
+fn same_key_type(left: &Batch, l: ColRef, right: &Batch, r: ColRef) -> Result<(), String> {
+    let (lt, rt) = (left.table(l.slot), right.table(r.slot));
+    let (ld, rd) = (&lt.schema.columns[l.column], &rt.schema.columns[r.column]);
+    if ld.dtype == rd.dtype {
+        Ok(())
+    } else {
+        Err(format!(
+            "join key types differ: {}.{} is {:?}, {}.{} is {:?}",
+            lt.name, ld.name, ld.dtype, rt.name, rd.name, rd.dtype
+        ))
+    }
+}
+
+fn hash_key_pair(
+    left: &Batch,
+    l: ColRef,
+    right: &Batch,
+    r: ColRef,
+) -> Result<(Vec<u64>, Vec<u64>), String> {
+    same_key_type(left, l, right, r)?;
+    Ok((left.hash_keys(l), right.hash_keys(r)))
+}
+
+/// Empty selection vectors for a join's matched pairs. A foreign-key join
+/// emits about as many rows as its larger input, so starting at that
+/// capacity leaves only the doublings of a many-to-many result.
+fn pair_vectors(left_rows: usize, right_rows: usize) -> (Vec<u32>, Vec<u32>) {
+    let cap = left_rows.max(right_rows);
+    (Vec::with_capacity(cap), Vec::with_capacity(cap))
+}
+
+/// All row ids of `table`, ascending.
+fn row_ids(table: &Table) -> std::ops::Range<u32> {
+    0..u32::try_from(table.num_rows()).expect("a table holds at most u32::MAX rows")
 }
 
 /// Reports one physical-operator invocation to the observability sink:
@@ -178,209 +373,173 @@ fn observe_op(op: &'static str, rows_out: u64) {
     ml4db_obs::histogram_observe("exec.rows_out", rows_out as f64);
 }
 
-/// Sequential scan with pushed-down predicates.
-pub fn seq_scan(table: &Table, predicates: &[Predicate]) -> (Vec<Row>, ExecStats) {
-    let n = table.num_rows();
-    let mut out = Vec::new();
-    let mut stats = ExecStats {
-        tuples: n as u64,
-        pages_read: (n as u64).div_ceil(ROWS_PER_PAGE),
-        comparisons: 0,
+/// Sequential scan with pushed-down predicates; rows in ascending row-id
+/// order.
+pub fn seq_scan<'a>(table: &'a Table, predicates: &[Predicate]) -> (Batch<'a>, ExecStats) {
+    let mut sel: Vec<u32> = row_ids(table).collect();
+    let n = sel.len() as u64;
+    let comparisons = narrow_all(table, &mut sel, predicates);
+    let stats = ExecStats {
+        tuples: n,
+        pages_read: n.div_ceil(ROWS_PER_PAGE),
+        comparisons,
+        rows_out: sel.len() as u64,
         ..Default::default()
     };
-    for i in 0..n {
-        let row = table.row(i);
-        let mut keep = true;
-        for p in predicates {
-            stats.comparisons += 1;
-            if !p.eval(&row) {
-                keep = false;
-                break;
-            }
-        }
-        if keep {
-            out.push(row);
-        }
-    }
-    stats.rows_out = out.len() as u64;
     observe_op("exec.seq_scan.calls", stats.rows_out);
-    (out, stats)
+    (Batch::of(table, sel), stats)
 }
 
-/// Index scan: returns rows whose `column` value lies in `[lo, hi]`,
-/// assuming an ordered auxiliary index exists (the caller guarantees it).
+/// Index scan: returns rows whose `column` value lies in `[lo, hi]` and that
+/// pass `residual`, in ascending row-id order, assuming an ordered auxiliary
+/// index exists (the caller guarantees it).
 ///
 /// Cost model: one random page per index level plus one random page per
 /// matching `ROWS_PER_PAGE` rows (unclustered access), plus per-tuple CPU
 /// for the matches and residual predicate evaluation.
-pub fn index_scan(
-    table: &Table,
+///
+/// The matching row ids come from `sidx` — a learned
+/// [`SecondaryIndex`] over `column` — when one is built, and from a sweep of
+/// the column otherwise. Both give the same selection, so `(rows, stats)`
+/// are byte-identical either way: the simulated cost describes the
+/// *physical plan*, which is unchanged; only the in-process probe work
+/// differs.
+pub fn index_scan<'a>(
+    table: &'a Table,
     column: usize,
     lo: f64,
     hi: f64,
     residual: &[Predicate],
-) -> (Vec<Row>, ExecStats) {
-    let n = table.num_rows();
-    let col = &table.columns[column];
-    let mut out = Vec::new();
-    let mut stats = ExecStats::default();
-    // Simulated B+Tree descent.
-    stats.random_pages += index_descent_pages(n as u64);
-    for i in 0..n {
-        let v = col.get_f64(i);
-        if v >= lo && v <= hi {
-            stats.tuples += 1;
-            let row = table.row(i);
-            let mut keep = true;
-            for p in residual {
-                stats.comparisons += 1;
-                if !p.eval(&row) {
-                    keep = false;
-                    break;
-                }
-            }
-            if keep {
-                out.push(row);
-            }
+    sidx: Option<&SecondaryIndex>,
+) -> (Batch<'a>, ExecStats) {
+    let mut sel = match sidx {
+        // An equality probe is one borrowed, already-ascending run.
+        Some(sidx) if lo == hi => sidx.probe_eq(lo).to_vec(),
+        Some(sidx) => {
+            // The run is grouped by key; one copy + sort restores row-id order.
+            let mut rids = sidx.range_rows(lo, hi).to_vec();
+            rids.sort_unstable();
+            rids
         }
-    }
-    stats.random_pages += (stats.tuples).div_ceil(ROWS_PER_PAGE);
-    stats.rows_out = out.len() as u64;
-    observe_op("exec.index_scan.calls", stats.rows_out);
-    (out, stats)
-}
-
-/// Index scan served by a learned [`SecondaryIndex`](crate::lindex::SecondaryIndex)
-/// instead of the full-column sweep in [`index_scan`].
-///
-/// Produces byte-identical `(rows, stats)` to [`index_scan`] on the same
-/// inputs — the simulated cost model (descent pages, matching-tuple pages,
-/// residual comparisons) describes the *physical plan*, which is unchanged;
-/// only the in-process probe work differs. Rows come out in ascending
-/// row-id order, same as the sweep.
-///
-/// Equality probes (`lo == hi`) run allocation-free: the index returns a
-/// borrowed, already-ascending row-id run. Range probes copy the matching
-/// run once to restore row-id order (the postings are grouped by key).
-pub fn index_scan_learned(
-    table: &Table,
-    lo: f64,
-    hi: f64,
-    residual: &[Predicate],
-    sidx: &crate::lindex::SecondaryIndex,
-) -> (Vec<Row>, ExecStats) {
-    let n = table.num_rows();
-    let mut out = Vec::new();
-    let mut stats = ExecStats::default();
-    // Same simulated B+Tree descent as the sweep path.
-    stats.random_pages += index_descent_pages(n as u64);
-
-    let mut emit = |i: usize, stats: &mut ExecStats| {
-        stats.tuples += 1;
-        let row = table.row(i);
-        let mut keep = true;
-        for p in residual {
-            stats.comparisons += 1;
-            if !p.eval(&row) {
-                keep = false;
-                break;
-            }
-        }
-        if keep {
-            out.push(row);
+        None => {
+            let col = &table.columns[column];
+            let in_range = |&i: &u32| {
+                let v = col.get_f64(i as usize);
+                v >= lo && v <= hi
+            };
+            row_ids(table).filter(in_range).collect()
         }
     };
-
-    if lo == hi {
-        // Equality fast path: borrowed ascending run, no allocation.
-        for &rid in sidx.probe_eq(lo) {
-            emit(rid as usize, &mut stats);
-        }
-    } else {
-        let matched = sidx.range_rows(lo, hi);
-        // The run is grouped by key; one copy + sort restores row-id order.
-        let mut rids: Vec<u32> = matched.to_vec();
-        rids.sort_unstable();
-        for &rid in &rids {
-            emit(rid as usize, &mut stats);
-        }
-    }
-
-    stats.random_pages += (stats.tuples).div_ceil(ROWS_PER_PAGE);
-    stats.rows_out = out.len() as u64;
-    ml4db_obs::counter_add("exec.index_scan.learned", 1);
-    observe_op("exec.index_scan.calls", stats.rows_out);
-    (out, stats)
-}
-
-/// Nested-loop equi-join: compares every pair.
-pub fn nested_loop_join(
-    left: &[Row],
-    right: &[Row],
-    left_col: usize,
-    right_col: usize,
-) -> (Vec<Row>, ExecStats) {
-    let mut out = Vec::new();
-    let mut stats = ExecStats {
-        comparisons: (left.len() * right.len()) as u64,
-        tuples: (left.len() + right.len()) as u64,
+    let matched = sel.len() as u64;
+    let comparisons = narrow_all(table, &mut sel, residual);
+    let stats = ExecStats {
+        tuples: matched,
+        comparisons,
+        // Simulated B+Tree descent, then the matching tuples' pages.
+        random_pages: index_descent_pages(table.num_rows() as u64)
+            + matched.div_ceil(ROWS_PER_PAGE),
+        rows_out: sel.len() as u64,
         ..Default::default()
     };
-    for l in left {
-        let lk = l[left_col].hash_key();
-        for r in right {
-            if lk == r[right_col].hash_key() {
-                let mut row = l.clone();
-                row.extend_from_slice(r);
-                out.push(row);
-            }
-        }
+    if sidx.is_some() {
+        ml4db_obs::counter_add("exec.index_scan.learned", 1);
     }
-    stats.rows_out = out.len() as u64;
-    stats.tuples += out.len() as u64;
-    observe_op("exec.nested_loop_join.calls", stats.rows_out);
-    (out, stats)
+    observe_op("exec.index_scan.calls", stats.rows_out);
+    (Batch::of(table, sel), stats)
 }
 
-/// Hash equi-join: builds on the right input, probes with the left.
-pub fn hash_join(
-    left: &[Row],
-    right: &[Row],
-    left_col: usize,
-    right_col: usize,
-) -> (Vec<Row>, ExecStats) {
-    let mut table: std::collections::HashMap<u64, Vec<usize>> = std::collections::HashMap::new();
-    for (i, r) in right.iter().enumerate() {
-        table.entry(r[right_col].hash_key()).or_default().push(i);
-    }
-    let mut out = Vec::new();
-    for l in left {
-        if let Some(matches) = table.get(&l[left_col].hash_key()) {
-            for &ri in matches {
-                let mut row = l.clone();
-                row.extend_from_slice(&right[ri]);
-                out.push(row);
+/// Nested-loop equi-join: compares every pair. Output is left-major, each
+/// left row's matches in ascending right order.
+///
+/// # Errors
+/// Returns a message if the key columns differ in type.
+pub fn nested_loop_join<'a>(
+    left: &Batch<'a>,
+    right: &Batch<'a>,
+    left_key: ColRef,
+    right_key: ColRef,
+) -> Result<(Batch<'a>, ExecStats), String> {
+    let (lk, rk) = hash_key_pair(left, left_key, right, right_key)?;
+    let (mut lsel, mut rsel) = pair_vectors(lk.len(), rk.len());
+    for (i, l) in lk.iter().enumerate() {
+        for (j, r) in rk.iter().enumerate() {
+            if l == r {
+                lsel.push(i as u32);
+                rsel.push(j as u32);
             }
         }
     }
     let stats = ExecStats {
-        hash_builds: right.len() as u64,
-        hash_probes: left.len() as u64,
-        tuples: (left.len() + right.len() + out.len()) as u64,
-        rows_out: out.len() as u64,
+        comparisons: (lk.len() * rk.len()) as u64,
+        tuples: (lk.len() + rk.len() + lsel.len()) as u64,
+        rows_out: lsel.len() as u64,
+        ..Default::default()
+    };
+    observe_op("exec.nested_loop_join.calls", stats.rows_out);
+    Ok((Batch::joined(left, &lsel, right, &rsel), stats))
+}
+
+/// Hash equi-join: builds on the right input, probes with the left. Output
+/// order is the nested loop's.
+///
+/// # Errors
+/// Returns a message if the key columns differ in type.
+pub fn hash_join<'a>(
+    left: &Batch<'a>,
+    right: &Batch<'a>,
+    left_key: ColRef,
+    right_key: ColRef,
+) -> Result<(Batch<'a>, ExecStats), String> {
+    const NIL: u32 = u32::MAX;
+    let (lk, rk) = hash_key_pair(left, left_key, right, right_key)?;
+    // Chained table in two flat arrays: `head[b]` is the first right row of
+    // bucket `b`, `next[j]` the row after `j` in its bucket. Inserting in
+    // reverse makes every chain read in ascending right order, which is the
+    // output order. At least two buckets keeps `shift` below 64.
+    let buckets = (rk.len() * 2).next_power_of_two().max(2);
+    let shift = 64 - buckets.trailing_zeros();
+    let bucket = |key: u64| (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+    let mut head = vec![NIL; buckets];
+    let mut next = vec![NIL; rk.len()];
+    for (j, &key) in rk.iter().enumerate().rev() {
+        let b = bucket(key);
+        next[j] = head[b];
+        head[b] = j as u32;
+    }
+    let (mut lsel, mut rsel) = pair_vectors(lk.len(), rk.len());
+    for (i, &key) in lk.iter().enumerate() {
+        let mut j = head[bucket(key)];
+        while j != NIL {
+            if rk[j as usize] == key {
+                lsel.push(i as u32);
+                rsel.push(j);
+            }
+            j = next[j as usize];
+        }
+    }
+    let stats = ExecStats {
+        hash_builds: rk.len() as u64,
+        hash_probes: lk.len() as u64,
+        tuples: (lk.len() + rk.len() + lsel.len()) as u64,
+        rows_out: lsel.len() as u64,
         ..Default::default()
     };
     observe_op("exec.hash_join.calls", stats.rows_out);
-    (out, stats)
+    Ok((Batch::joined(left, &lsel, right, &rsel), stats))
 }
 
-/// Sort-merge equi-join.
-pub fn sort_merge_join(
-    left: &[Row],
-    right: &[Row],
-    left_col: usize,
-    right_col: usize,
-) -> (Vec<Row>, ExecStats) {
+/// Sort-merge equi-join: both inputs stably sorted by key, equal runs
+/// emitted as their cross product, left-major.
+///
+/// # Errors
+/// Returns a message if the key columns differ in type.
+pub fn sort_merge_join<'a>(
+    left: &Batch<'a>,
+    right: &Batch<'a>,
+    left_key: ColRef,
+    right_key: ColRef,
+) -> Result<(Batch<'a>, ExecStats), String> {
+    same_key_type(left, left_key, right, right_key)?;
     let nlogn = |n: usize| -> u64 {
         if n <= 1 {
             n as u64
@@ -388,105 +547,60 @@ pub fn sort_merge_join(
             (n as f64 * (n as f64).log2()).ceil() as u64
         }
     };
-    let mut l_sorted: Vec<&Row> = left.iter().collect();
-    let mut r_sorted: Vec<&Row> = right.iter().collect();
-    l_sorted.sort_by(|a, b| {
-        a[left_col]
-            .as_f64()
-            .partial_cmp(&b[left_col].as_f64())
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    r_sorted.sort_by(|a, b| {
-        a[right_col]
-            .as_f64()
-            .partial_cmp(&b[right_col].as_f64())
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut out = Vec::new();
+    // Row positions in stable key order, and the keys in that order.
+    let sorted = |keys: Vec<f64>| -> (Vec<u32>, Vec<f64>) {
+        let mut order: Vec<u32> = (0..keys.len() as u32).collect();
+        order.sort_by(|&a, &b| {
+            keys[a as usize]
+                .partial_cmp(&keys[b as usize])
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        let keys = order.iter().map(|&i| keys[i as usize]).collect();
+        (order, keys)
+    };
+    let (l_order, lk) = sorted(left.f64_keys(left_key));
+    let (r_order, rk) = sorted(right.f64_keys(right_key));
+    let (mut lsel, mut rsel) = pair_vectors(lk.len(), rk.len());
     let mut comparisons = 0u64;
     let (mut i, mut j) = (0usize, 0usize);
-    while i < l_sorted.len() && j < r_sorted.len() {
+    while i < lk.len() && j < rk.len() {
         comparisons += 1;
-        let lk = l_sorted[i][left_col].as_f64();
-        let rk = r_sorted[j][right_col].as_f64();
-        if lk < rk {
+        let key = lk[i];
+        if key < rk[j] {
             i += 1;
-        } else if lk > rk {
+        } else if key > rk[j] {
             j += 1;
         } else {
             // Emit the cross product of the equal runs.
             let mut j_end = j;
-            while j_end < r_sorted.len() && r_sorted[j_end][right_col].as_f64() == lk {
+            while j_end < rk.len() && rk[j_end] == key {
                 j_end += 1;
             }
-            let mut i_run = i;
-            while i_run < l_sorted.len() && l_sorted[i_run][left_col].as_f64() == lk {
-                for r in &r_sorted[j..j_end] {
-                    let mut row = l_sorted[i_run].clone();
-                    row.extend_from_slice(r);
-                    out.push(row);
+            while i < lk.len() && lk[i] == key {
+                for &r in &r_order[j..j_end] {
+                    lsel.push(l_order[i]);
+                    rsel.push(r);
                 }
-                i_run += 1;
+                i += 1;
             }
-            i = i_run;
             j = j_end;
         }
     }
     let stats = ExecStats {
-        sort_ops: nlogn(left.len()) + nlogn(right.len()),
+        sort_ops: nlogn(lk.len()) + nlogn(rk.len()),
         comparisons,
-        tuples: (left.len() + right.len() + out.len()) as u64,
-        rows_out: out.len() as u64,
+        tuples: (lk.len() + rk.len() + lsel.len()) as u64,
+        rows_out: lsel.len() as u64,
         ..Default::default()
     };
     observe_op("exec.sort_merge_join.calls", stats.rows_out);
-    (out, stats)
-}
-
-/// Filters materialized rows.
-pub fn filter(rows: Vec<Row>, predicates: &[Predicate]) -> (Vec<Row>, ExecStats) {
-    let mut stats = ExecStats { tuples: rows.len() as u64, ..Default::default() };
-    let out: Vec<Row> = rows
-        .into_iter()
-        .filter(|row| {
-            predicates.iter().all(|p| {
-                stats.comparisons += 1;
-                p.eval(row)
-            })
-        })
-        .collect();
-    stats.rows_out = out.len() as u64;
-    (out, stats)
-}
-
-/// Hash aggregation: COUNT(*) per group key (or global count when
-/// `group_col` is `None`). Returns `[group_key?, count]` rows.
-pub fn hash_aggregate(rows: &[Row], group_col: Option<usize>) -> (Vec<Row>, ExecStats) {
-    let mut stats = ExecStats {
-        tuples: rows.len() as u64,
-        hash_builds: rows.len() as u64,
-        ..Default::default()
-    };
-    let out = match group_col {
-        None => vec![vec![Value::Int(rows.len() as i64)]],
-        Some(c) => {
-            let mut groups: std::collections::BTreeMap<u64, (Value, i64)> =
-                std::collections::BTreeMap::new();
-            for r in rows {
-                let e = groups.entry(r[c].hash_key()).or_insert((r[c], 0));
-                e.1 += 1;
-            }
-            groups.into_values().map(|(v, c)| vec![v, Value::Int(c)]).collect()
-        }
-    };
-    stats.rows_out = out.len() as u64;
-    (out, stats)
+    Ok((Batch::joined(left, &lsel, right, &rsel), stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::{ColumnData, DataType, Schema};
+    use crate::table::{rows_of, DataType, Row, Schema};
     use proptest::prelude::*;
 
     fn table_ab() -> Table {
@@ -500,17 +614,56 @@ mod tests {
         )
     }
 
+    /// A `(key, tag)` table: row `i` is `(keys[i], first_tag + i)`.
+    fn keyed(keys: Vec<i64>, first_tag: i64) -> Table {
+        let tags = (0..keys.len() as i64).map(|i| first_tag + i).collect();
+        Table::new(
+            "k",
+            Schema::new(&[("key", DataType::Int), ("tag", DataType::Int)]),
+            vec![ColumnData::Int(keys), ColumnData::Int(tags)],
+        )
+    }
+
+    const KEY: ColRef = ColRef { slot: 0, column: 0 };
+
+    /// Every join algorithm's output over two whole tables joined on their
+    /// first columns, as `[nested loop, hash, sort-merge]`.
+    fn all_joins(left: &Table, right: &Table) -> [(Vec<Row>, ExecStats); 3] {
+        let (l, r) = (seq_scan(left, &[]).0, seq_scan(right, &[]).0);
+        [nested_loop_join, hash_join, sort_merge_join].map(|join| {
+            let (out, stats) = join(&l, &r, KEY, KEY).unwrap();
+            (rows_of(&out.columns()), stats)
+        })
+    }
+
     #[test]
     fn seq_scan_filters() {
         let t = table_ab();
-        let (rows, stats) = seq_scan(
+        let (batch, stats) = seq_scan(
             &t,
             &[Predicate { column: 1, op: CmpOp::Eq, value: 3.0 }],
         );
-        assert_eq!(rows.len(), 10);
+        assert_eq!(batch.num_rows(), 10);
         assert_eq!(stats.rows_out, 10);
         assert_eq!(stats.tuples, 100);
         assert!(stats.pages_read >= 1);
+    }
+
+    #[test]
+    fn comparisons_count_the_short_circuit() {
+        // 100 rows meet the first predicate, the 10 that pass meet the
+        // second, the 5 that pass both meet the third.
+        let t = table_ab();
+        let (batch, stats) = seq_scan(
+            &t,
+            &[
+                Predicate { column: 1, op: CmpOp::Eq, value: 3.0 },
+                Predicate { column: 0, op: CmpOp::Lt, value: 50.0 },
+                Predicate { column: 0, op: CmpOp::Ge, value: 20.0 },
+            ],
+        );
+        assert_eq!(stats.comparisons, 100 + 10 + 5);
+        assert_eq!(rows_of(&batch.columns()), vec![t.row(23), t.row(33), t.row(43)]);
     }
 
     #[test]
@@ -521,15 +674,15 @@ mod tests {
             Schema::new(&[("a", DataType::Int)]),
             vec![ColumnData::Int((0..20_000).collect())],
         );
-        let (idx_rows, idx_stats) = index_scan(&t, 0, 20.0, 30.0, &[]);
-        let (seq_rows, seq_stats) = seq_scan(
+        let (idx, idx_stats) = index_scan(&t, 0, 20.0, 30.0, &[], None);
+        let (seq, seq_stats) = seq_scan(
             &t,
             &[
                 Predicate { column: 0, op: CmpOp::Ge, value: 20.0 },
                 Predicate { column: 0, op: CmpOp::Le, value: 30.0 },
             ],
         );
-        assert_eq!(idx_rows, seq_rows);
+        assert_eq!(idx.columns(), seq.columns());
         // Selective index scan should cost less than the full scan under
         // the true weights.
         assert!(
@@ -552,7 +705,7 @@ mod tests {
                 ColumnData::Int((0..10_000).map(|i| i % 10).collect()),
             ],
         );
-        let sidx = crate::lindex::SecondaryIndex::build(&t.columns[0]);
+        let sidx = SecondaryIndex::build(&t.columns[0]);
         let residuals: [&[Predicate]; 2] = [
             &[],
             &[
@@ -569,22 +722,20 @@ mod tests {
         ];
         for residual in residuals {
             for (lo, hi) in ranges {
-                let (sweep_rows, sweep_stats) = index_scan(&t, 0, lo, hi, residual);
-                let (learn_rows, learn_stats) =
-                    index_scan_learned(&t, lo, hi, residual, &sidx);
-                assert_eq!(learn_rows, sweep_rows, "rows differ for [{lo}, {hi}]");
-                assert_eq!(learn_stats, sweep_stats, "stats differ for [{lo}, {hi}]");
+                let (sweep, sweep_stats) = index_scan(&t, 0, lo, hi, residual, None);
+                let (learned, learned_stats) = index_scan(&t, 0, lo, hi, residual, Some(&sidx));
+                assert_eq!(learned.columns(), sweep.columns(), "rows differ for [{lo}, {hi}]");
+                assert_eq!(learned_stats, sweep_stats, "stats differ for [{lo}, {hi}]");
             }
         }
     }
 
     #[test]
     fn joins_agree() {
-        let left: Vec<Row> = (0..50).map(|i| vec![Value::Int(i % 7), Value::Int(i)]).collect();
-        let right: Vec<Row> = (0..30).map(|i| vec![Value::Int(i % 5), Value::Int(i)]).collect();
-        let (nl, _) = nested_loop_join(&left, &right, 0, 0);
-        let (mut hj, _) = hash_join(&left, &right, 0, 0);
-        let (mut smj, _) = sort_merge_join(&left, &right, 0, 0);
+        let left = keyed((0..50).map(|i| i % 7).collect(), 0);
+        let right = keyed((0..30).map(|i| i % 5).collect(), 0);
+        let [(nl, _), (mut hj, _), (mut smj, _)] = all_joins(&left, &right);
+        assert_eq!(nl, hj, "hash join keeps the nested loop's row order");
         let key = |r: &Row| (r[1].as_i64(), r[3].as_i64());
         let mut nl_sorted = nl.clone();
         nl_sorted.sort_by_key(|r| key(r));
@@ -597,28 +748,41 @@ mod tests {
     #[test]
     fn join_cost_shapes() {
         // Large x large: nested loop must be far more expensive than hash.
-        let left: Vec<Row> = (0..500).map(|i| vec![Value::Int(i % 50)]).collect();
-        let right: Vec<Row> = (0..500).map(|i| vec![Value::Int(i % 50)]).collect();
-        let (_, nl) = nested_loop_join(&left, &right, 0, 0);
-        let (_, hj) = hash_join(&left, &right, 0, 0);
+        let big = keyed((0..500).map(|i| i % 50).collect(), 0);
+        let [(_, nl), (_, hj), _] = all_joins(&big, &big);
         assert!(nl.latency_us(&TRUE_WEIGHTS) > 5.0 * hj.latency_us(&TRUE_WEIGHTS));
         // Tiny inner: nested loop can win (no build cost).
-        let tiny: Vec<Row> = vec![vec![Value::Int(1)]];
-        let (_, nl2) = nested_loop_join(&tiny, &tiny, 0, 0);
-        let (_, hj2) = hash_join(&tiny, &tiny, 0, 0);
+        let tiny = keyed(vec![1], 0);
+        let [(_, nl2), (_, hj2), _] = all_joins(&tiny, &tiny);
         assert!(nl2.latency_us(&TRUE_WEIGHTS) <= hj2.latency_us(&TRUE_WEIGHTS));
     }
 
     #[test]
-    fn aggregate_counts() {
-        let rows: Vec<Row> = (0..20).map(|i| vec![Value::Int(i % 4)]).collect();
-        let (groups, _) = hash_aggregate(&rows, Some(0));
-        assert_eq!(groups.len(), 4);
-        for g in &groups {
-            assert_eq!(g[1], Value::Int(5));
+    fn residual_condition_compacts_every_slot() {
+        let left = keyed(vec![1, 2, 3], 10);
+        let right = keyed(vec![3, 1, 2], 12);
+        let (l, r) = (seq_scan(&left, &[]).0, seq_scan(&right, &[]).0);
+        let (mut out, _) = hash_join(&l, &r, KEY, KEY).unwrap();
+        // Keys 1, 2, 3 pair tags (10, 13), (11, 14), (12, 12).
+        let tag = |slot| ColRef { slot, column: 1 };
+        let stats = out.retain_equal(tag(0), tag(1)).unwrap();
+        assert_eq!((stats.comparisons, stats.rows_out), (3, 1));
+        assert_eq!(rows_of(&out.columns()), vec![[left.row(2), right.row(0)].concat()]);
+    }
+
+    #[test]
+    fn mixed_type_keys_are_an_error_under_every_algorithm() {
+        let ints = keyed(vec![1, 2, 3], 0);
+        let floats = Table::new(
+            "f",
+            Schema::new(&[("key", DataType::Float)]),
+            vec![ColumnData::Float(vec![2.0, 3.0, 4.5])],
+        );
+        let (l, r) = (seq_scan(&ints, &[]).0, seq_scan(&floats, &[]).0);
+        for join in [nested_loop_join, hash_join, sort_merge_join] {
+            let err = join(&l, &r, KEY, KEY).unwrap_err();
+            assert!(err.contains("join key types differ"), "{err}");
         }
-        let (global, _) = hash_aggregate(&rows, None);
-        assert_eq!(global, vec![vec![Value::Int(20)]]);
     }
 
     #[test]
@@ -640,14 +804,9 @@ mod tests {
             lkeys in proptest::collection::vec(0i64..20, 0..60),
             rkeys in proptest::collection::vec(0i64..20, 0..60),
         ) {
-            let left: Vec<Row> = lkeys.iter().enumerate()
-                .map(|(i, &k)| vec![Value::Int(k), Value::Int(i as i64)]).collect();
-            let right: Vec<Row> = rkeys.iter().enumerate()
-                .map(|(i, &k)| vec![Value::Int(k), Value::Int(1000 + i as i64)]).collect();
+            let [(mut nl, _), (mut hj, _), (mut smj, _)] =
+                all_joins(&keyed(lkeys, 0), &keyed(rkeys, 1000));
             let sort_key = |r: &Row| (r[1].as_i64(), r[3].as_i64());
-            let (mut nl, _) = nested_loop_join(&left, &right, 0, 0);
-            let (mut hj, _) = hash_join(&left, &right, 0, 0);
-            let (mut smj, _) = sort_merge_join(&left, &right, 0, 0);
             nl.sort_by_key(sort_key);
             hj.sort_by_key(sort_key);
             smj.sort_by_key(sort_key);

@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use rand::Rng;
 
 pub use exec::{CmpOp, CostWeights, ExecStats, Predicate, TRUE_WEIGHTS};
-pub use table::{Catalog, ColumnData, DataType, Row, Schema, Table, Value};
+pub use table::{rows_of, Catalog, ColumnData, DataType, Row, Schema, Table, Value};
 
 /// A catalog plus its statistics and declared secondary indexes — the
 /// "database instance" handed to planners and learned components.

@@ -3,7 +3,9 @@
 //!
 //! Columns are numeric (`Int` or `Float`): the surveyed ML4DB systems
 //! featurize predicates over numeric domains, and synthetic workloads never
-//! need more. Rows materialize as `Vec<Value>` during execution.
+//! need more. The executor holds tuples as row ids into these columns and
+//! copies values out column-wise ([`ColumnData::gather`]); a [`Row`] is the
+//! heap form the oracles and answer checks compare.
 
 use std::collections::BTreeMap;
 
@@ -63,6 +65,13 @@ impl Value {
 /// A materialized row.
 pub type Row = Vec<Value>;
 
+/// The heap rows of a set of equal-length columns: row `i` holds each
+/// column's value `i`.
+pub fn rows_of(columns: &[ColumnData]) -> Vec<Row> {
+    let n = columns.first().map_or(0, ColumnData::len);
+    (0..n).map(|i| columns.iter().map(|c| c.get(i)).collect()).collect()
+}
+
 /// Column definition inside a schema.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ColumnDef {
@@ -102,7 +111,7 @@ impl Schema {
 }
 
 /// Typed column storage.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum ColumnData {
     /// Integer column.
     Int(Vec<i64>),
@@ -139,6 +148,16 @@ impl ColumnData {
         match self {
             ColumnData::Int(v) => v[i] as f64,
             ColumnData::Float(v) => v[i],
+        }
+    }
+
+    /// The values at `ids`, in that order, as a column of the same type.
+    pub fn gather(&self, ids: &[u32]) -> ColumnData {
+        match self {
+            ColumnData::Int(v) => ColumnData::Int(ids.iter().map(|&i| v[i as usize]).collect()),
+            ColumnData::Float(v) => {
+                ColumnData::Float(ids.iter().map(|&i| v[i as usize]).collect())
+            }
         }
     }
 

@@ -20,10 +20,13 @@ use ml4db_oracle::workload::{
 };
 use ml4db_oracle::{assert_no_discrepancies, Discrepancy};
 use ml4db_plan::executor::{canonical_multiset, execute, execute_with_timeout, ExecOutcome};
-use ml4db_plan::{ClassicEstimator, Planner, TrueCardinality};
-use ml4db_storage::exec::{hash_join, nested_loop_join, sort_merge_join};
-use ml4db_storage::{Row, Value, TRUE_WEIGHTS};
-use ml4db_plan::CostModel;
+use ml4db_plan::hints::all_hint_sets;
+use ml4db_plan::plan::{JoinAlgo, PlanNode, ScanAlgo};
+use ml4db_plan::{ClassicEstimator, CostModel, Planner, Query, TrueCardinality};
+use ml4db_storage::exec::{hash_join, nested_loop_join, seq_scan, sort_merge_join, ColRef};
+use ml4db_storage::{
+    rows_of, Catalog, ColumnData, DataType, Database, Row, Schema, Table, TRUE_WEIGHTS,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -199,17 +202,28 @@ proptest! {
                 _ => k as f64 / 2.0,
             }
         };
-        let left: Vec<Row> = lkeys.iter().enumerate()
-            .map(|(i, &k)| vec![Value::Float(decode(k)), Value::Int(i as i64)]).collect();
-        let right: Vec<Row> = rkeys.iter().enumerate()
-            .map(|(i, &k)| vec![Value::Float(decode(k)), Value::Int(1000 + i as i64)]).collect();
-        let want = multiset(&reference_join(&left, &right, 0, 0));
-        let (nl, _) = nested_loop_join(&left, &right, 0, 0);
-        let (hj, _) = hash_join(&left, &right, 0, 0);
-        let (smj, _) = sort_merge_join(&left, &right, 0, 0);
-        prop_assert_eq!(&multiset(&nl), &want, "nested loop vs reference");
-        prop_assert_eq!(&multiset(&hj), &want, "hash join vs reference");
-        prop_assert_eq!(&multiset(&smj), &want, "sort-merge join vs reference");
+        // Two-column tables `(key: Float, tag: Int)`.
+        let table = |keys: &[i32], first_tag: i64| {
+            Table::new(
+                "t",
+                Schema::new(&[("key", DataType::Float), ("tag", DataType::Int)]),
+                vec![
+                    ColumnData::Float(keys.iter().map(|&k| decode(k)).collect()),
+                    ColumnData::Int((0..keys.len() as i64).map(|i| first_tag + i).collect()),
+                ],
+            )
+        };
+        let (left, right) = (table(&lkeys, 0), table(&rkeys, 1000));
+        let want =
+            multiset(&reference_join(&rows_of(&left.columns), &rows_of(&right.columns), 0, 0));
+        let (l, r) = (seq_scan(&left, &[]).0, seq_scan(&right, &[]).0);
+        let key = ColRef { slot: 0, column: 0 };
+        let (nl, _) = nested_loop_join(&l, &r, key, key).expect("same key type");
+        let (hj, _) = hash_join(&l, &r, key, key).expect("same key type");
+        let (smj, _) = sort_merge_join(&l, &r, key, key).expect("same key type");
+        prop_assert_eq!(&multiset(&rows_of(&nl.columns())), &want, "nested loop vs reference");
+        prop_assert_eq!(&multiset(&rows_of(&hj.columns())), &want, "hash join vs reference");
+        prop_assert_eq!(&multiset(&rows_of(&smj.columns())), &want, "sort-merge join vs reference");
     }
 
     /// `Histogram::cdf` equals the pure-f64 reference interpolation and
@@ -229,7 +243,6 @@ proptest! {
 /// evaluation all agree even on queries that return nothing.
 #[test]
 fn empty_results_agree_everywhere() {
-    use ml4db_plan::Query;
     use ml4db_storage::CmpOp;
 
     let db = joblite_db(90, 68);
@@ -244,4 +257,108 @@ fn empty_results_agree_everywhere() {
     assert!(result.rows.is_empty(), "year > 3000 must return nothing");
     let (ref_rows, ref_layout) = reference_execute(&db, &q, &plan).expect("reference");
     assert!(canonical_multiset(&db, &q, &ref_rows, &ref_layout).is_empty());
+}
+
+/// An equi-join between an `Int` and a `Float` column used to be answered
+/// differently per algorithm: `hash_key` never matches `Int(2)` with
+/// `Float(2.0)` (0 rows under hash and nested loop), `as_f64` does (2 rows
+/// under sort-merge). Such an edge is now refused at the door and, for a
+/// plan built anyway, by the executor — as an error under every algorithm.
+#[test]
+fn mixed_type_join_edge_is_rejected_not_answered_differently_per_algorithm() {
+    let mut catalog = Catalog::new();
+    catalog.add_table(Table::new(
+        "a",
+        Schema::new(&[("x", DataType::Int)]),
+        vec![ColumnData::Int(vec![1, 2, 3])],
+    ));
+    catalog.add_table(Table::new(
+        "b",
+        Schema::new(&[("y", DataType::Float)]),
+        vec![ColumnData::Float(vec![2.0, 3.0, 4.5])],
+    ));
+    let db = Database::analyze(catalog, &mut StdRng::seed_from_u64(1));
+    let q = Query::new(&["a", "b"]).join(0, "x", 1, "y");
+    let err = q.validate(&db).expect_err("a mixed-type join edge must not validate");
+    assert!(err.contains("differ in type"), "{err}");
+    for algo in [JoinAlgo::Hash, JoinAlgo::NestedLoop, JoinAlgo::SortMerge] {
+        let plan = PlanNode::join(
+            &q,
+            algo,
+            PlanNode::scan(&q, 0, ScanAlgo::Seq, None),
+            PlanNode::scan(&q, 1, ScanAlgo::Seq, None),
+        );
+        assert!(execute(&db, &q, &plan).is_err(), "{algo:?} must refuse, not answer");
+    }
+    // Same-type edges are untouched.
+    let same = Query::new(&["a", "a"]).join(0, "x", 1, "x");
+    same.validate(&db).expect("Int = Int validates");
+}
+
+/// Digest of everything a caller can observe of the executor — rows in
+/// output order, `ExecStats`, layout, latency bits, and whether a run under
+/// half the latency as budget times out — over a fixed seeded population of
+/// 16 sampled queries (plus three cyclic ones, for residual join
+/// conditions) on an unindexed and an indexed `joblite`, each planned under
+/// all 21 hint sets and by two random plans. Returns the digest and the
+/// number of plans run. Hashed the way the repo's other `bits()`
+/// fingerprints are: `DefaultHasher` over `Debug`.
+fn executor_digest() -> (u64, usize) {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    let (mut plans_run, mut wide_plans) = (0usize, 0usize);
+    let unindexed =
+        ml4db_storage::datasets::joblite_db(90, &[], &mut StdRng::seed_from_u64(71));
+    for (db, seed) in [(unindexed, 211), (joblite_db(90, 72), 223)] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut queries: Vec<Query> = (0..16)
+            .map(|i| sample_query(&db, JOBLITE_EDGES, 4, &mut rng, i % 4 != 0))
+            .collect();
+        for year in [1975.0, 1995.0, 2010.0] {
+            queries.push(
+                Query::new(&["title", "cast_info", "movie_info"])
+                    .join(0, "id", 1, "movie_id")
+                    .join(0, "id", 2, "movie_id")
+                    .join(1, "movie_id", 2, "movie_id")
+                    .filter(0, "year", ml4db_storage::CmpOp::Ge, year),
+            );
+        }
+        for q in &queries {
+            let mut plans = Vec::new();
+            for hint in all_hint_sets() {
+                let planner = Planner { hint, ..Default::default() };
+                plans.extend(planner.best_plan(&db, q, &ClassicEstimator));
+            }
+            plans.extend(Planner::default().random_plans(&db, q, &ClassicEstimator, 2, &mut rng));
+            for p in &plans {
+                let r = execute(&db, q, p).expect("plan executes");
+                let half = execute_with_timeout(&db, q, p, r.latency_us / 2.0).expect("executes");
+                let timed_out = matches!(half, ExecOutcome::TimedOut { .. });
+                format!(
+                    "{:?}",
+                    (&r.rows, &r.stats, &r.layout, r.latency_us.to_bits(), timed_out)
+                )
+                .hash(&mut h);
+                plans_run += 1;
+                wide_plans += (q.num_tables() >= 3) as usize;
+            }
+        }
+    }
+    assert!(wide_plans * 3 >= plans_run, "a third of the plans must join ≥ 3 tables");
+    (h.finish(), plans_run)
+}
+
+/// The differential pin: both constants were computed by `executor_digest`
+/// on the commit *before* the batch executor (row-at-a-time operators), so
+/// equality means the rewrite changed nothing observable — not even row
+/// order.
+#[test]
+fn executor_digest_is_pinned_to_the_row_at_a_time_executor() {
+    let (digest, plans) = executor_digest();
+    assert_eq!(plans, 608, "the plan population itself moved");
+    assert_eq!(
+        format!("{digest:016x}"),
+        "24c70a401a1f7d4a",
+        "rows, stats, layouts, latency bits or timeout verdicts differ from the parent commit"
+    );
 }
