@@ -101,8 +101,12 @@ impl Linear {
 
     /// Computes `x W + b`; `x` is `batch x in_dim`.
     pub fn forward(&self, x: &Matrix) -> (Matrix, LinearCache) {
-        let y = x.matmul(&self.w.value).add_row_broadcast(&self.b.value);
-        (y, LinearCache { x: x.clone() })
+        (self.apply(x), LinearCache { x: x.clone() })
+    }
+
+    /// [`Linear::forward`] without the backward cache.
+    pub fn apply(&self, x: &Matrix) -> Matrix {
+        x.matmul(&self.w.value).add_row_broadcast(&self.b.value)
     }
 
     /// Accumulates `dW`, `db`, and returns `dx`.
@@ -305,9 +309,15 @@ impl Mlp {
         (h, MlpCache { linear_caches, activations })
     }
 
-    /// Convenience inference-only forward.
+    /// Inference-only forward: [`Mlp::forward`]'s output, computed by the
+    /// same operations in the same order, without building its caches.
     pub fn predict(&self, x: &Matrix) -> Matrix {
-        self.forward(x).0
+        let (last, hidden) = self.layers.split_last().expect("mlp has layers");
+        let mut h: Option<Matrix> = None;
+        for layer in hidden {
+            h = Some(self.activation.forward(&layer.apply(h.as_ref().unwrap_or(x))));
+        }
+        last.apply(h.as_ref().unwrap_or(x))
     }
 
     /// Backward pass; accumulates all layer gradients and returns `dx`.
@@ -372,6 +382,28 @@ mod tests {
             |m, c, dy| m.backward(c, dy),
             1e-2,
         );
+    }
+
+    #[test]
+    fn predict_equals_forward_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let x = Matrix::uniform(3, 4, 2.0, &mut rng);
+        for activation in [
+            Activation::Identity,
+            Activation::Relu,
+            Activation::LeakyRelu,
+            Activation::Tanh,
+            Activation::Sigmoid,
+        ] {
+            for dims in [&[4, 2][..], &[4, 6, 5, 2]] {
+                let mlp = Mlp::new(dims, activation, &mut rng);
+                let bits =
+                    |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let (y, p) = (mlp.forward(&x).0, mlp.predict(&x));
+                assert_eq!((p.rows(), p.cols()), (3, 2));
+                assert_eq!(bits(&p), bits(&y), "{activation:?} over {dims:?}");
+            }
+        }
     }
 
     #[test]

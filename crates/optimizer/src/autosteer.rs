@@ -66,8 +66,9 @@ pub fn discover_hint_sets(env: &Env, query: &Query, cost_cap: f64) -> Discovery 
     // Probe every single toggle, in toggle order, on the calling thread.
     let mut kept: Vec<HintSet> = Vec::new();
     let mut effective = 0usize;
-    for h in single_toggles() {
-        if let Some(plan) = env.plan_with_hint(query, h) {
+    let toggles = single_toggles();
+    for (&h, plan) in toggles.iter().zip(env.plan_with_hints(query, &toggles)) {
+        if let Some(plan) = plan {
             if plan.signature() != base_sig {
                 effective += 1;
                 if plan.est_cost <= base_cost * cost_cap {
@@ -88,8 +89,8 @@ pub fn discover_hint_sets(env: &Env, query: &Query, cost_cap: f64) -> Discovery 
             }
         }
     }
-    for m in pairs {
-        if env.plan_with_hint(query, m).is_some_and(|plan| consider(&plan)) {
+    for (&m, plan) in pairs.iter().zip(env.plan_with_hints(query, &pairs)) {
+        if plan.is_some_and(|plan| consider(&plan)) {
             kept.push(m);
         }
     }

@@ -50,7 +50,8 @@ impl Bao {
         }
     }
 
-    /// Plans every arm in order on the calling thread, scores each plan
+    /// Plans every arm in order on the calling thread (one DP pass for all
+    /// the arms the plan cache does not already hold), scores each plan
     /// with `score`, and picks the minimum by `(score, arm index)` under
     /// `f64::total_cmp`. A decision never spawns threads: parallelism is
     /// across queries (the batch harnesses), and staying on the caller's
@@ -62,8 +63,8 @@ impl Bao {
         score: impl Fn(&PlanNode) -> f64,
     ) -> BaoChoice {
         let mut best: Option<(f64, usize, PlanNode)> = None;
-        for (i, &arm) in arms.iter().enumerate() {
-            let Some(plan) = env.plan_with_hint(query, arm) else {
+        for (i, plan) in env.plan_with_hints(query, arms).into_iter().enumerate() {
+            let Some(plan) = plan else {
                 continue;
             };
             let s = score(&plan);

@@ -19,6 +19,31 @@
 //! a session re-issuing its own templates never touches a shared lock
 //! at all. Views borrow the engine; creating one allocates a `HashMap`
 //! and nothing else.
+//!
+//! # Planning several hint sets at once
+//!
+//! A Bao decision, an AutoSteer probe round and LEON's candidate
+//! gathering each plan one query under several hint sets.
+//! [`Env::plan_with_hints`] serves the arms in order through the plan
+//! cache — per arm the same lookup, the same hit or miss, the same
+//! `CacheLookup` → `PlanChosen` events as one [`Env::plan_with_hint`]
+//! call each, so traces and counters cannot tell the two apart — but the
+//! first miss runs **one** [`Planner::best_plans`] pass for that arm and
+//! all arms after it, instead of one DP per missing arm.
+//!
+//! The plans it caches carry the DP's own `est_rows` / `est_cost`; no
+//! [`CostModel::cost_plan`] pass follows. That pass recomputes, node by
+//! node, what the DP already wrote — the same estimate of the same mask,
+//! `own + (left + right)` where the DP formed `(left + right) + own` —
+//! *provided the estimator answers a mask the same way every time*.
+//! [`Env::estimator`] is the stateless [`ClassicEstimator`], so here the
+//! two agree bit for bit (`tests/oracle.rs` checks every node against
+//! [`Env::plan_with_hint_uncached`], which keeps the separate pass as the
+//! reference). [`Env::plan_with_estimator`] takes an arbitrary, possibly
+//! stateful estimator — a guarded one may answer the DP's call and the
+//! annotation pass's call for one mask differently — so it keeps its
+//! `cost_plan`: dropping it there would change both the annotations and
+//! the number of calls the guard's breaker has seen.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -190,26 +215,52 @@ impl<'a> Env<'a> {
 
     /// The expert plan under a hint set, fully cost-annotated. Served
     /// from the plan cache when this (query, hints) pair has been
-    /// planned before under the current weights.
+    /// planned before under the current weights. The one-arm case of
+    /// [`Env::plan_with_hints`].
     pub fn plan_with_hint(&self, query: &Query, hint: HintSet) -> Option<PlanNode> {
-        let key = CacheKey::new(query, hint, self.epoch());
-        let plan =
-            self.plan_cache.get_or_insert_with(key, || self.plan_with_hint_uncached(query, hint));
-        if let Some(p) = &plan {
-            ml4db_obs::emit_with(|| ml4db_obs::Event::PlanChosen {
-                hint_bits: u32::from(hint.bits()),
-                est_cost: p.est_cost,
-                est_rows: p.est_rows,
-                num_joins: p.num_joins() as u32,
-                left_deep: p.is_left_deep(),
-            });
-        }
-        plan
+        self.plan_with_hints(query, &[hint]).pop().flatten()
     }
 
-    /// The expert plan under a hint set, always planned from scratch —
-    /// the reference implementation the cache memoizes, kept public so
-    /// tests and benchmarks can compare against it.
+    /// The expert plan under each of `hints`, in order, each served
+    /// through the plan cache exactly as [`Env::plan_with_hint`] would
+    /// serve it: one lookup, one hit or miss, one `PlanChosen` per arm.
+    /// The first miss enumerates **once** for that arm and every arm after
+    /// it ([`Planner::best_plans`]); later misses take their plan from
+    /// that pass. See the module docs for why no `cost_plan` pass follows.
+    pub fn plan_with_hints(&self, query: &Query, hints: &[HintSet]) -> Vec<Option<PlanNode>> {
+        let (fingerprint, epoch) = (query.fingerprint(), self.epoch());
+        // (index of the first missed arm, plans of the arms from there on)
+        let mut enumerated: Option<(usize, Vec<Option<PlanNode>>)> = None;
+        hints
+            .iter()
+            .enumerate()
+            .map(|(i, &hint)| {
+                let key = CacheKey::of_fingerprint(fingerprint, hint, epoch);
+                let plan = self.plan_cache.get_or_insert_with(key, || {
+                    let (first, plans) = enumerated.get_or_insert_with(|| {
+                        let planner = Planner { cost_model: self.cost_model, ..Default::default() };
+                        (i, planner.best_plans(self.db, query, &self.estimator, &hints[i..]))
+                    });
+                    plans[i - *first].take()
+                });
+                if let Some(p) = &plan {
+                    ml4db_obs::emit_with(|| ml4db_obs::Event::PlanChosen {
+                        hint_bits: u32::from(hint.bits()),
+                        est_cost: p.est_cost,
+                        est_rows: p.est_rows,
+                        num_joins: p.num_joins() as u32,
+                        left_deep: p.is_left_deep(),
+                    });
+                }
+                plan
+            })
+            .collect()
+    }
+
+    /// The expert plan under a hint set, always planned from scratch and
+    /// annotated by a separate [`CostModel::cost_plan`] pass — the
+    /// reference the cached path is tested against, kept public so tests
+    /// and benchmarks can compare against it.
     pub fn plan_with_hint_uncached(&self, query: &Query, hint: HintSet) -> Option<PlanNode> {
         let planner = Planner { cost_model: self.cost_model, hint, ..Default::default() };
         let mut plan = planner.best_plan(self.db, query, &self.estimator)?;

@@ -90,11 +90,11 @@ impl Leon {
     /// Returns `(plan, used_model)`.
     pub fn plan(&self, env: &Env, query: &Query) -> Option<(PlanNode, bool)> {
         let mut cands: Vec<PlanNode> = Vec::new();
-        for hint in ml4db_plan::bao_arms().into_iter().take(self.candidates) {
-            if let Some(p) = env.plan_with_hint(query, hint) {
-                if !cands.iter().any(|c| c.signature() == p.signature()) {
-                    cands.push(p);
-                }
+        let mut hints = ml4db_plan::bao_arms();
+        hints.truncate(self.candidates);
+        for p in env.plan_with_hints(query, &hints).into_iter().flatten() {
+            if !cands.iter().any(|c| c.signature() == p.signature()) {
+                cands.push(p);
             }
         }
         if cands.is_empty() {

@@ -74,10 +74,15 @@ pub struct CacheKey {
 impl CacheKey {
     /// Builds the key for planning `query` under `hints` at `epoch`.
     pub fn new(query: &Query, hints: HintSet, epoch: u64) -> Self {
+        Self::of_fingerprint(query.fingerprint(), hints, epoch)
+    }
+
+    /// [`CacheKey::new`] from an already computed [`Query::fingerprint`],
+    /// for callers that key several hint sets of one query.
+    pub fn of_fingerprint(fingerprint: u64, hints: HintSet, epoch: u64) -> Self {
         // Splitmix-style fold keeps hint variants of one query from
         // clustering in the same shard.
-        let folded = (query.fingerprint() ^ u64::from(hints.bits()))
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let folded = (fingerprint ^ u64::from(hints.bits())).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         Self { fingerprint: folded, epoch }
     }
 

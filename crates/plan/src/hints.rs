@@ -6,6 +6,11 @@ use serde::{Deserialize, Serialize};
 
 use crate::plan::{JoinAlgo, ScanAlgo};
 
+/// Join algorithms in the order every planner tries them. The planners
+/// keep a candidate only when it is strictly cheaper, so among equally
+/// cheap algorithms the earliest here wins.
+pub const JOIN_ORDER: [JoinAlgo; 3] = [JoinAlgo::Hash, JoinAlgo::NestedLoop, JoinAlgo::SortMerge];
+
 /// A hint set: which operator classes the planner may use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct HintSet {
@@ -46,31 +51,43 @@ impl HintSet {
             && (self.index_scan || self.seq_scan)
     }
 
-    /// Join algorithms this hint set allows.
+    /// Everything either hint set allows.
+    pub fn union(self, other: HintSet) -> HintSet {
+        HintSet {
+            hash_join: self.hash_join || other.hash_join,
+            nested_loop: self.nested_loop || other.nested_loop,
+            merge_join: self.merge_join || other.merge_join,
+            index_scan: self.index_scan || other.index_scan,
+            seq_scan: self.seq_scan || other.seq_scan,
+        }
+    }
+
+    /// Whether this hint set allows join algorithm `algo`.
+    pub fn allows_join(self, algo: JoinAlgo) -> bool {
+        match algo {
+            JoinAlgo::Hash => self.hash_join,
+            JoinAlgo::NestedLoop => self.nested_loop,
+            JoinAlgo::SortMerge => self.merge_join,
+        }
+    }
+
+    /// Whether this hint set allows scan algorithm `algo`.
+    pub fn allows_scan(self, algo: ScanAlgo) -> bool {
+        match algo {
+            ScanAlgo::Seq => self.seq_scan,
+            ScanAlgo::Index => self.index_scan,
+        }
+    }
+
+    /// Join algorithms this hint set allows, in [`JOIN_ORDER`].
     pub fn allowed_joins(self) -> Vec<JoinAlgo> {
-        let mut v = Vec::new();
-        if self.hash_join {
-            v.push(JoinAlgo::Hash);
-        }
-        if self.nested_loop {
-            v.push(JoinAlgo::NestedLoop);
-        }
-        if self.merge_join {
-            v.push(JoinAlgo::SortMerge);
-        }
-        v
+        JOIN_ORDER.into_iter().filter(|&algo| self.allows_join(algo)).collect()
     }
 
     /// Scan algorithms this hint set allows.
     pub fn allowed_scans(self) -> Vec<ScanAlgo> {
-        let mut v = Vec::new();
-        if self.seq_scan {
-            v.push(ScanAlgo::Seq);
-        }
-        if self.index_scan {
-            v.push(ScanAlgo::Index);
-        }
-        v
+        let scans = [ScanAlgo::Seq, ScanAlgo::Index];
+        scans.into_iter().filter(|&algo| self.allows_scan(algo)).collect()
     }
 
     /// A short stable label, e.g. `"hj+nl+mj/idx+seq"`.
@@ -137,9 +154,9 @@ pub fn all_hint_sets() -> Vec<HintSet> {
     out
 }
 
-/// The hand-crafted arm collection in the spirit of Bao's 5 hint sets:
-/// the default plus single-operator-class restrictions that commonly fix
-/// optimizer mistakes.
+/// The hand-crafted arm collection in the spirit of Bao's hint sets — six
+/// arms: the default, four single-operator-class restrictions that
+/// commonly fix optimizer mistakes, and hash-join-only.
 pub fn bao_arms() -> Vec<HintSet> {
     vec![
         HintSet::all(),

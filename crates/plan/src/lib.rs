@@ -26,7 +26,7 @@ pub mod query;
 pub use cache::{epoch_of, CacheKey, PlanCache};
 pub use card::{sanitize_card, CardEstimator, ClassicEstimator, TrueCardinality, MAX_CARD};
 pub use cost::CostModel;
-pub use enumerate::{PlanShape, Planner};
+pub use enumerate::{PlanShape, Planner, MAX_DP_TABLES};
 pub use executor::{
     execute, execute_columnar, execute_columnar_with_timeout, execute_with_timeout, ColumnarResult,
     ExecOutcome, ExecResult,

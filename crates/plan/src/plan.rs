@@ -81,8 +81,7 @@ impl PlanNode {
     /// connect the two sides.
     pub fn join(query: &Query, algo: JoinAlgo, left: PlanNode, right: PlanNode) -> Self {
         let conditions = query
-            .edges_between(left.mask, right.mask)
-            .into_iter()
+            .edges_across(left.mask, right.mask)
             .map(|e| {
                 // Normalize so the left side of the condition is in the left subtree.
                 if left.mask & (1 << e.left) != 0 {

@@ -7,6 +7,8 @@ use serde::{Deserialize, Serialize};
 
 use ml4db_storage::{CmpOp, ColumnData, DataType, Database};
 
+use crate::enumerate::MAX_DP_TABLES;
+
 /// A base-table occurrence in a query. `id` is the position in
 /// [`Query::tables`], used by joins and predicates (so self-joins work).
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -98,24 +100,31 @@ impl Query {
             .collect()
     }
 
+    /// Join edges connecting `a` to `b` (disjoint masks), in query order.
+    pub(crate) fn edges_across(&self, a: u64, b: u64) -> impl Iterator<Item = &JoinEdge> {
+        self.joins.iter().filter(move |e| {
+            let (l, r) = (1u64 << e.left, 1u64 << e.right);
+            (a & l != 0 && b & r != 0) || (a & r != 0 && b & l != 0)
+        })
+    }
+
     /// Join edges connecting `a` to `b` (disjoint masks).
     pub fn edges_between(&self, a: u64, b: u64) -> Vec<&JoinEdge> {
-        self.joins
-            .iter()
-            .filter(|e| {
-                let (l, r) = (1u64 << e.left, 1u64 << e.right);
-                (a & l != 0 && b & r != 0) || (a & r != 0 && b & l != 0)
-            })
-            .collect()
+        self.edges_across(a, b).collect()
+    }
+
+    /// `!edges_between(a, b).is_empty()` without building the list.
+    pub fn has_edge_between(&self, a: u64, b: u64) -> bool {
+        self.edges_across(a, b).next().is_some()
     }
 
     /// True when the join graph restricted to `mask` is connected.
     pub fn is_connected(&self, mask: u64) -> bool {
-        let members: Vec<usize> = (0..self.num_tables()).filter(|&i| mask & (1 << i) != 0).collect();
-        if members.len() <= 1 {
-            return !members.is_empty();
+        let members = mask & self.full_mask();
+        if members.count_ones() <= 1 {
+            return members != 0;
         }
-        let mut reached = 1u64 << members[0];
+        let mut reached = 1u64 << members.trailing_zeros();
         loop {
             let mut grew = false;
             for e in &self.joins {
@@ -137,20 +146,24 @@ impl Query {
         reached == mask
     }
 
-    /// Bitmask of all tables.
+    /// Bitmask of all tables (all 64 bits from 64 tables up).
     pub fn full_mask(&self) -> u64 {
-        (1u64 << self.num_tables()) - 1
+        1u64.checked_shl(self.num_tables() as u32).map_or(u64::MAX, |bit| bit - 1)
     }
 
     /// Checks the query is well-formed against a database: tables exist,
     /// join/predicate columns exist, every join edge compares columns of one
-    /// type, the join graph is connected.
+    /// type, the join graph is connected, and the query is no wider than
+    /// the DP enumerates ([`MAX_DP_TABLES`]; its table is `2^n` cells).
     pub fn validate(&self, db: &Database) -> Result<(), String> {
         if self.tables.is_empty() {
             return Err("query has no tables".into());
         }
-        if self.tables.len() > 64 {
-            return Err("more than 64 tables".into());
+        if self.tables.len() > MAX_DP_TABLES {
+            return Err(format!(
+                "{} tables: the planner enumerates at most {MAX_DP_TABLES}",
+                self.tables.len()
+            ));
         }
         for (i, t) in self.tables.iter().enumerate() {
             let table =

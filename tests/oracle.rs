@@ -22,7 +22,9 @@ use ml4db_oracle::{assert_no_discrepancies, Discrepancy};
 use ml4db_plan::executor::{canonical_multiset, execute, execute_with_timeout, ExecOutcome};
 use ml4db_plan::hints::all_hint_sets;
 use ml4db_plan::plan::{JoinAlgo, PlanNode, ScanAlgo};
-use ml4db_plan::{ClassicEstimator, CostModel, Planner, Query, TrueCardinality};
+use ml4db_plan::{
+    CardEstimator, ClassicEstimator, CostModel, PlanShape, Planner, Query, TrueCardinality,
+};
 use ml4db_storage::exec::{hash_join, nested_loop_join, seq_scan, sort_merge_join, ColRef};
 use ml4db_storage::{
     rows_of, Catalog, ColumnData, DataType, Database, Row, Schema, Table, TRUE_WEIGHTS,
@@ -361,4 +363,202 @@ fn executor_digest_is_pinned_to_the_row_at_a_time_executor() {
         "24c70a401a1f7d4a",
         "rows, stats, layouts, latency bits or timeout verdicts differ from the parent commit"
     );
+}
+
+// ---------------------------------------------------------------------------
+// One DP table for every hint-set arm: the pins against the clone-per-candidate
+// enumerator it replaced
+// ---------------------------------------------------------------------------
+
+/// The query population of the enumeration pins: generated 2–5-table
+/// queries plus hand-written one-table ones (`sample_query` starts at two),
+/// on an unindexed and an indexed `joblite`.
+fn enumeration_population() -> Vec<(Database, Vec<Query>)> {
+    use ml4db_storage::CmpOp;
+    let unindexed =
+        ml4db_storage::datasets::joblite_db(90, &[], &mut StdRng::seed_from_u64(81));
+    [(unindexed, 311), (joblite_db(90, 82), 313)]
+        .into_iter()
+        .map(|(db, seed)| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut queries: Vec<Query> = (0..24)
+                .map(|i| sample_query(&db, JOBLITE_EDGES, 5, &mut rng, i % 4 != 0))
+                .collect();
+            queries.push(Query::new(&["person"]));
+            queries.push(Query::new(&["title"]).filter(0, "year", CmpOp::Ge, 1990.0));
+            // Two index-scan candidates on the indexed database.
+            queries.push(
+                Query::new(&["title"])
+                    .filter(0, "votes", CmpOp::Lt, 500.0)
+                    .filter(0, "year", CmpOp::Ge, 2000.0),
+            );
+            (db, queries)
+        })
+        .collect()
+}
+
+const BOTH_SHAPES: [PlanShape; 2] = [PlanShape::Bushy, PlanShape::LeftDeep];
+
+/// Digest of the `Debug` form — operators, conditions, masks and the exact
+/// `est_rows` / `est_cost` — of every `best_plan` answer (`None`s included)
+/// over the population × both shapes × all 21 hint sets. Returns
+/// `(digest, answers, nones, answers over ≥ 3 tables)`.
+fn enumeration_digest() -> (u64, usize, usize, usize) {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    let (mut answers, mut nones, mut wide) = (0usize, 0usize, 0usize);
+    for (db, queries) in enumeration_population() {
+        for q in &queries {
+            for shape in BOTH_SHAPES {
+                for hint in all_hint_sets() {
+                    let plan = Planner { hint, shape, ..Default::default() }
+                        .best_plan(&db, q, &ClassicEstimator);
+                    format!("{plan:?}").hash(&mut h);
+                    answers += 1;
+                    nones += plan.is_none() as usize;
+                    wide += (q.num_tables() >= 3) as usize;
+                }
+            }
+        }
+    }
+    (h.finish(), answers, nones, wide)
+}
+
+/// A stateful estimator in the mould of `GuardedCardEstimator`: what it
+/// answers depends on how many calls came before, and it logs every mask
+/// it is asked for. A DP that drops, adds, reorders or memoises one call
+/// changes the log and every later answer, and so the plans.
+struct PerturbingEstimator {
+    log: std::cell::RefCell<Vec<u64>>,
+}
+
+impl CardEstimator for PerturbingEstimator {
+    fn estimate(&self, db: &Database, query: &Query, mask: u64) -> f64 {
+        let mut log = self.log.borrow_mut();
+        log.push(mask);
+        ClassicEstimator.estimate(db, query, mask) * (1.0 + (log.len() % 7) as f64 * 0.25)
+    }
+}
+
+/// `(plans digest, mask-log digest, estimator calls)` of the one-hint DP
+/// driven by one [`PerturbingEstimator`] per database.
+fn perturbed_enumeration_digest() -> (u64, u64, usize) {
+    use std::hash::{Hash, Hasher};
+    let mut plans = std::collections::hash_map::DefaultHasher::new();
+    let mut masks = std::collections::hash_map::DefaultHasher::new();
+    let mut calls = 0usize;
+    for (db, queries) in enumeration_population() {
+        let est = PerturbingEstimator { log: Default::default() };
+        for q in &queries {
+            for shape in BOTH_SHAPES {
+                for hint in all_hint_sets() {
+                    let plan =
+                        Planner { hint, shape, ..Default::default() }.best_plan(&db, q, &est);
+                    format!("{plan:?}").hash(&mut plans);
+                }
+            }
+        }
+        let log = est.log.into_inner();
+        calls += log.len();
+        log.hash(&mut masks);
+    }
+    (plans.finish(), masks.finish(), calls)
+}
+
+/// Pin (2): the constants were computed by `enumeration_digest`, pasted
+/// into this file on the commit *before* the shared table (one `best_plan`
+/// per hint set, cloning both sub-plan trees per candidate), so equality
+/// means the same plan, the same tie-breaks and the same annotation bits
+/// for every hint set and shape.
+#[test]
+fn enumeration_digest_is_pinned_to_the_clone_per_candidate_dp() {
+    let (digest, answers, nones, wide) = enumeration_digest();
+    assert_eq!((answers, nones, wide), (2268, 728, 1554), "the population itself moved");
+    assert_eq!(
+        format!("{digest:016x}"),
+        "e6fe493edf33a269",
+        "a plan, a tie-break or an annotation differs from the parent commit's DP"
+    );
+}
+
+/// Pin (3): the estimator-call sequence is part of the DP's contract (a
+/// guarded estimator's breaker counts calls). Constants from the parent
+/// commit, as above.
+#[test]
+fn one_hint_dp_keeps_the_estimator_call_sequence() {
+    let (plans, masks, calls) = perturbed_enumeration_digest();
+    assert_eq!(calls, 25_676, "the DP makes a different number of estimator calls");
+    assert_eq!(format!("{masks:016x}"), "90f45c2e041e5a08", "estimator calls were reordered");
+    assert_eq!(
+        format!("{plans:016x}"),
+        "e7ebabb8da22d0ba",
+        "plans under a call-count-dependent estimator differ from the parent commit's DP"
+    );
+}
+
+/// (1): one table for all 21 hint sets answers exactly what 21 one-hint
+/// passes do, `None`s included.
+#[test]
+fn shared_table_equals_one_dp_per_hint_set() {
+    let hints = all_hint_sets();
+    let mut compared = 0;
+    for (db, queries) in enumeration_population() {
+        for q in &queries {
+            for shape in BOTH_SHAPES {
+                let planner = Planner { shape, ..Default::default() };
+                let shared = planner.best_plans(&db, q, &ClassicEstimator, &hints);
+                assert_eq!(shared.len(), hints.len());
+                for (&hint, shared) in hints.iter().zip(shared) {
+                    let alone = Planner { hint, ..planner }.best_plan(&db, q, &ClassicEstimator);
+                    assert_eq!(shared, alone, "{} / {shape:?} on {q:?}", hint.label());
+                    compared += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(compared, 2268);
+}
+
+/// (4): `Env::plan_with_hints` serves the DP's own annotations; they equal
+/// what the reference path's trailing `cost_plan` pass writes on every
+/// node, and the sweep is indistinguishable — plans, plan-cache counters,
+/// event sequence — from one `plan_with_hint` per arm, cold or half warm.
+#[test]
+fn plan_with_hints_equals_one_cached_lookup_per_arm() {
+    use ml4db_core::obs;
+    use ml4db_optimizer::Env;
+    let _serial = obs::serial();
+    let arms = ml4db_plan::bao_arms();
+    let mut nodes = 0;
+    for (db, queries) in enumeration_population() {
+        let (swept, looped) = (Env::new(&db), Env::new(&db));
+        for (i, q) in queries.iter().enumerate() {
+            // Every other query finds the expert arm cached, as a guarded
+            // decision does after `expert_latency`.
+            if i % 2 == 1 {
+                swept.expert_plan(q);
+                looped.expert_plan(q);
+            }
+            // The collector is process-wide: file this test's events
+            // under ids no concurrently running test uses.
+            let (swept_id, looped_id) = (0x5EED_0000 + i as u64, 0x100B_0000 + i as u64);
+            let _collect = obs::ModeGuard::collect();
+            let from_sweep = obs::with_query(swept_id, || swept.plan_with_hints(q, &arms));
+            let from_loop: Vec<_> = obs::with_query(looped_id, || {
+                arms.iter().map(|&arm| looped.plan_with_hint(q, arm)).collect()
+            });
+            let trace = obs::take_trace();
+            assert_eq!(from_sweep, from_loop);
+            assert_eq!(trace.events_for(swept_id), trace.events_for(looped_id));
+            assert!(!trace.events_for(swept_id).is_empty());
+            for (&arm, plan) in arms.iter().zip(&from_sweep) {
+                assert_eq!(plan, &swept.plan_with_hint_uncached(q, arm), "{}", arm.label());
+                nodes += plan.as_ref().map_or(0, PlanNode::size);
+            }
+        }
+        let (s, l) = (swept.plan_cache(), looped.plan_cache());
+        assert_eq!((s.hits(), s.misses(), s.len()), (l.hits(), l.misses(), l.len()));
+        assert!(s.hits() > 0 && s.misses() > s.hits());
+    }
+    assert!(nodes > 1000, "only {nodes} annotated nodes compared");
 }

@@ -8,9 +8,19 @@
 //! 3. **deterministic** — verdicts are a pure function of the seed and
 //!    the arrival order: replaying a script yields byte-identical
 //!    verdict sequences.
+//!
+//! Plus one property of the `Server` in front of the queue: a query too
+//! wide for the planner's DP table is refused at `submit`, never planned.
 
-use ml4db_serve::{AdmissionConfig, AdmissionQueue, AdmissionVerdict};
+use ml4db_core::optimizer::Env;
+use ml4db_core::plan::{Query, MAX_DP_TABLES};
+use ml4db_core::storage::datasets::joblite_db;
+use ml4db_serve::{
+    AdmissionConfig, AdmissionQueue, AdmissionVerdict, Outcome, Request, ServeConfig, Server,
+};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// A script step: nonzero offers the next request, zero pops one.
 fn run_script(
@@ -153,4 +163,37 @@ fn every_offer_is_kept_or_returned() {
     }
     assert_eq!(kept, drained);
     assert_eq!(kept as usize + returned.len(), 100);
+}
+
+/// A well-formed self-join chain `title.id = title.id = …` over `n` tables.
+fn title_chain(n: usize) -> Query {
+    (1..n).fold(Query::new(&vec!["title"; n]), |q, i| q.join(i - 1, "id", i, "id"))
+}
+
+/// Regression: `Query::validate` used to admit up to 64 tables while the
+/// DP allocates `2^n` cells — a 30-table chain asked a worker for 128 GB
+/// (an allocation failure aborts; `catch_unwind` cannot contain it) and a
+/// 64-table one overflowed `full_mask`'s shift. Both are outside input and
+/// must be refused at the door, with the server still serving afterwards.
+#[test]
+fn wide_join_is_rejected_not_enumerated() {
+    let db = joblite_db(60, &[], &mut StdRng::seed_from_u64(5));
+    let env = Env::new(&db);
+    let server = Server::new(&env, ServeConfig::default());
+    let request = |id: u64, query: Query| Request { id, session: 0, tenant: 0, class: 0, query };
+    std::thread::scope(|s| {
+        s.spawn(|| server.run_worker(0));
+        for (id, tables) in [(1, 30), (2, 64), (3, MAX_DP_TABLES + 1)] {
+            let verdict = server.submit(request(id, title_chain(tables)));
+            assert_eq!(verdict, AdmissionVerdict::Rejected("invalid_query"), "{tables} tables");
+            assert_eq!(server.await_take(id).outcome, Outcome::Rejected("invalid_query"));
+        }
+        // The widest query the DP takes is served, after the refusals.
+        server.submit(request(4, title_chain(MAX_DP_TABLES)));
+        let served = server.await_take(4).outcome;
+        assert!(matches!(served, Outcome::Done { .. }), "{served:?}");
+        server.close();
+    });
+    let report = server.report(true);
+    assert_eq!((report.rejected(), report.completed()), (3, 1));
 }
