@@ -1,20 +1,23 @@
-//! The one bench binary: regenerates the five committed `BENCH_*.json`
+//! The one bench binary: regenerates the six committed `BENCH_*.json`
 //! artifacts at the committed full-scale configuration.
 //!
 //! ```bash
-//! cargo run --release -p ml4db-bench --bin ml4db-bench            # all five
+//! cargo run --release -p ml4db-bench --bin ml4db-bench            # all six
 //! cargo run --release -p ml4db-bench --bin ml4db-bench -- matrix ctl
+//! cargo run --release -p ml4db-bench --bin ml4db-bench -- experiments
 //! ```
 //!
 //! Positional names select suites; nothing configures them — smoke scale
 //! lives in the tier-1 tests (`MatrixConfig::smoke()`,
-//! `CtlWorldConfig::smoke()`). `BENCH_matrix.json`, `BENCH_ctl.json` and
-//! `BENCH_serve.json` are canonical: pure functions of the committed
-//! constants, byte-identical across machines and `ML4DB_THREADS`, so CI
-//! `git diff`s them. `BENCH_index.json` and `BENCH_storage.json` carry
-//! host wall-clock — compare their figures only within one run (the
-//! storage suite's two run counts are exact, and one is its gate). Wall
-//! time of every suite goes to stderr, never into an artifact.
+//! `CtlWorldConfig::smoke()`). `BENCH_matrix.json`, `BENCH_ctl.json`,
+//! `BENCH_serve.json` and `BENCH_experiments.json` (the paper's Figure 1,
+//! Table 1 and claims E1–E17, every one a gated check) are canonical: pure
+//! functions of the committed constants, byte-identical across machines
+//! and `ML4DB_THREADS`, so CI `git diff`s them. `BENCH_index.json` and
+//! `BENCH_storage.json` carry host wall-clock — compare their figures only
+//! within one run (the storage suite's two run counts are exact, and one
+//! is its gate). Wall time of every suite goes to stderr, never into an
+//! artifact.
 //!
 //! Exit status: 0 when every selected suite's gate held, 1 when one
 //! failed (after all selected suites have run and written their
@@ -26,6 +29,7 @@ use serde_json::Value;
 
 mod suites {
     pub mod ctl;
+    pub mod experiments;
     pub mod index;
     pub mod matrix;
     pub mod serve;
@@ -40,7 +44,8 @@ pub struct Outcome {
     pub pass: bool,
 }
 
-const SUITES: [(&str, fn() -> Outcome); 5] = [
+const SUITES: [(&str, fn() -> Outcome); 6] = [
+    ("experiments", suites::experiments::run),
     ("index", suites::index::run),
     ("storage", suites::storage::run),
     ("serve", suites::serve::run),

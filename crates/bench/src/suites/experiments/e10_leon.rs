@@ -5,15 +5,14 @@
 //! Expected shape: untrained LEON = expert exactly (fallback); trained
 //! LEON ≤ expert in total with zero catastrophic (≥3x) regressions.
 
-use criterion::{black_box, Criterion};
-use ml4db_bench::{banner, quick_criterion};
 use ml4db_core::optimizer::{evaluate, Env, Leon};
 use ml4db_core::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn regenerate() {
-    banner("E10", "LEON: mixed ranking + fallback — aided, never catastrophic");
+use super::Record;
+
+pub fn regenerate(rec: &mut Record) {
     let db = demo_database(150, 100);
     let env = Env::new(&db);
     let mut rng = StdRng::seed_from_u64(101);
@@ -26,7 +25,7 @@ fn regenerate() {
         .iter()
         .filter(|q| matches!(untrained.plan(&env, q), Some((_, false))))
         .count();
-    println!("untrained LEON fallback rate: {fell_back}/{}", test.len());
+    eprintln!("untrained LEON fallback rate: {fell_back}/{}", test.len());
 
     // Train from executed plan pairs.
     let mut leon = Leon::new(&mut rng);
@@ -39,7 +38,7 @@ fn regenerate() {
         }
     }
     leon.train_from_executions(&env, &executions, 8, &mut rng);
-    println!("trained on {} executions, model ready: {}", executions.len(), leon.model_ready());
+    eprintln!("trained on {} executions, model ready: {}", executions.len(), leon.model_ready());
 
     let report = evaluate(&env, &test, |env, q| leon.plan(env, q).map(|(p, _)| p));
     let catastrophic = test
@@ -50,37 +49,21 @@ fn regenerate() {
             env.run(q, &plan) > env.run(q, &expert) * 3.0
         })
         .count();
-    println!("trained LEON relative total vs expert: {:.2}", report.relative_total);
-    println!(
+    eprintln!("trained LEON relative total vs expert: {:.2}", report.relative_total);
+    eprintln!(
         "regressions ≥2x: {}/{}, catastrophic ≥3x: {catastrophic}/{}",
         report.regressions,
         test.len(),
         test.len()
     );
-    println!(
-        "shape check (fallback when untrained; trained never catastrophic): {}",
-        if fell_back == test.len() && catastrophic == 0 && report.relative_total < 1.5 {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
+    rec.value("queries", test.len());
+    rec.value("untrained_fallbacks", fell_back);
+    rec.value("training_executions", executions.len());
+    rec.value("trained/relative_total", report.relative_total);
+    rec.value("trained/regressions_2x", report.regressions);
+    rec.value("trained/catastrophic_3x", catastrophic);
+    rec.check(
+        "fallback when untrained; trained never catastrophic",
+        fell_back == test.len() && catastrophic == 0 && report.relative_total < 1.5,
     );
-}
-
-fn bench(c: &mut Criterion) {
-    let db = demo_database(120, 104);
-    let env = Env::new(&db);
-    let mut rng = StdRng::seed_from_u64(105);
-    let leon = Leon::new(&mut rng);
-    let q = &demo_workload(&db, 1, 106)[0];
-    c.bench_function("e10/leon_plan_untrained_fallback", |b| {
-        b.iter(|| leon.plan(&env, black_box(q)).map(|(p, _)| p.size()))
-    });
-}
-
-fn main() {
-    regenerate();
-    let mut c = quick_criterion();
-    bench(&mut c);
-    c.final_summary();
 }

@@ -8,16 +8,15 @@
 //! the tuned formula ≪ default formula; explainable (7 named parameters,
 //! no black box).
 
-use criterion::{black_box, Criterion};
-use ml4db_bench::{banner, factor, quick_criterion};
 use ml4db_core::optimizer::{collect_observations_diverse, Env, ParamTree};
 use ml4db_core::prelude::*;
 use ml4db_core::storage::TRUE_WEIGHTS;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn regenerate() {
-    banner("E11", "ParamTree: tuned R-params vs PostgreSQL-style defaults");
+use super::{factor, Record};
+
+pub fn regenerate(rec: &mut Record) {
     let db = demo_database(150, 110);
     let env = Env::new(&db);
     let mut rng = StdRng::seed_from_u64(111);
@@ -26,7 +25,7 @@ fn regenerate() {
     let pt = ParamTree::fit(&obs);
 
     let default = ml4db_core::storage::CostWeights::postgres_defaults();
-    println!("{:<14} {:>10} {:>10} {:>10}", "R-param", "default", "tuned", "true");
+    eprintln!("{:<14} {:>10} {:>10} {:>10}", "R-param", "default", "tuned", "true");
     let rows: [(&str, f64, f64, f64); 7] = [
         ("seq_page", default.seq_page, pt.weights.seq_page, TRUE_WEIGHTS.seq_page),
         ("random_page", default.random_page, pt.weights.random_page, TRUE_WEIGHTS.random_page),
@@ -37,7 +36,10 @@ fn regenerate() {
         ("sort_op", default.sort_op, pt.weights.sort_op, TRUE_WEIGHTS.sort_op),
     ];
     for (name, d, t, truth) in rows {
-        println!("{name:<14} {d:>10.4} {t:>10.4} {truth:>10.4}");
+        eprintln!("{name:<14} {d:>10.4} {t:>10.4} {truth:>10.4}");
+        rec.value(format!("r_param/{name}/default"), d);
+        rec.value(format!("r_param/{name}/tuned"), t);
+        rec.value(format!("r_param/{name}/true"), truth);
     }
 
     // Prediction accuracy on fresh executions.
@@ -52,29 +54,10 @@ fn regenerate() {
     };
     let tuned_err = err(pt.weights);
     let default_err = err(default);
-    println!("\nmean relative cost-prediction error on fresh executions:");
-    println!("  default weights: {default_err:.3}");
-    println!("  tuned weights:   {tuned_err:.3}  ({} of default)", factor(tuned_err, default_err));
-    println!(
-        "shape check (tuned ≪ default prediction error): {}",
-        if tuned_err < default_err * 0.3 { "HOLDS" } else { "VIOLATED" }
-    );
-}
-
-fn bench(c: &mut Criterion) {
-    let db = demo_database(120, 114);
-    let env = Env::new(&db);
-    let mut rng = StdRng::seed_from_u64(115);
-    let train = demo_workload(&db, 15, 116);
-    let obs = collect_observations_diverse(&env, &train, 2, &mut rng);
-    c.bench_function("e11/paramtree_fit", |b| {
-        b.iter(|| ParamTree::fit(black_box(&obs)).weights.cpu_tuple)
-    });
-}
-
-fn main() {
-    regenerate();
-    let mut c = quick_criterion();
-    bench(&mut c);
-    c.final_summary();
+    eprintln!("\nmean relative cost-prediction error on fresh executions:");
+    eprintln!("  default weights: {default_err:.3}");
+    eprintln!("  tuned weights:   {tuned_err:.3}  ({} of default)", factor(tuned_err, default_err));
+    rec.value("prediction_error/default", default_err);
+    rec.value("prediction_error/tuned", tuned_err);
+    rec.check("tuned ≪ default prediction error", tuned_err < default_err * 0.3);
 }

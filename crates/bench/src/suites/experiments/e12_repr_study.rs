@@ -8,12 +8,12 @@
 //! least comparable to — and typically exceeds — the tree-model factor's,
 //! even though the literature focuses on tree models.
 
-use criterion::{black_box, Criterion};
-use ml4db_bench::{banner, quick_criterion};
 use ml4db_core::repr::study::{factor_spreads, factor_spreads_rank, run_study, LabeledPlan, StudyConfig};
 use ml4db_core::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+use super::Record;
 
 fn build_corpus(db: &Database, n_queries: usize, rng: &mut StdRng) -> Vec<LabeledPlan> {
     let queries = demo_workload(db, n_queries, 121);
@@ -35,62 +35,42 @@ fn build_corpus(db: &Database, n_queries: usize, rng: &mut StdRng) -> Vec<Labele
     corpus
 }
 
-fn regenerate() {
-    banner("E12", "representation study: encodings x tree models (after [57])");
+pub fn regenerate(rec: &mut Record) {
     let mut rng = StdRng::seed_from_u64(120);
     let db = demo_database(200, 122);
     let corpus = build_corpus(&db, 40, &mut rng);
-    println!("corpus: {} labeled plans", corpus.len());
+    eprintln!("corpus: {} labeled plans", corpus.len());
     let config = StudyConfig { epochs: 20, ..Default::default() };
     let cells = run_study(&db, &corpus, &config, &mut rng);
 
-    println!(
+    eprintln!(
         "\n{:<16} {:<12} {:>12} {:>12}",
         "encoding", "model", "median qerr", "rank corr"
     );
     for c in &cells {
-        println!(
+        eprintln!(
             "{:<16} {:<12} {:>12.2} {:>12.3}",
             c.encoding.label(),
             c.model.label(),
             c.median_q_error,
             c.rank_correlation
         );
+        let cell = format!("{}/{}", c.encoding.label(), c.model.label());
+        rec.value(format!("median_q_error/{cell}"), c.median_q_error);
+        rec.value(format!("rank_correlation/{cell}"), c.rank_correlation);
     }
     let (enc, model) = factor_spreads(&cells);
     let (enc_r, model_r) = factor_spreads_rank(&cells);
-    println!("\nfactor spreads:");
-    println!("  absolute metric (log q-error): encoding {enc:.3}, model {model:.3}");
-    println!("  relative metric (rank corr):   encoding {enc_r:.3}, model {model_r:.3}");
-    println!(
-        "shape check ([57]: encoding matters — dominates on at least one metric, \
-         material on both): {}",
-        if (enc_r >= model_r || enc >= model) && enc * 2.0 >= model {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
+    eprintln!("\nfactor spreads:");
+    eprintln!("  absolute metric (log q-error): encoding {enc:.3}, model {model:.3}");
+    eprintln!("  relative metric (rank corr):   encoding {enc_r:.3}, model {model_r:.3}");
+    rec.value("corpus_plans", corpus.len());
+    rec.value("factor_spread/log_q_error/encoding", enc);
+    rec.value("factor_spread/log_q_error/model", model);
+    rec.value("factor_spread/rank_correlation/encoding", enc_r);
+    rec.value("factor_spread/rank_correlation/model", model_r);
+    rec.check(
+        "[57]: encoding matters — dominates on at least one metric, material on both",
+        (enc_r >= model_r || enc >= model) && enc * 2.0 >= model,
     );
-}
-
-fn bench(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(123);
-    let db = demo_database(100, 124);
-    let corpus = build_corpus(&db, 8, &mut rng);
-    let config = StudyConfig {
-        encodings: vec![FeatureConfig::full()],
-        models: vec![TreeModelKind::TreeCnn],
-        epochs: 2,
-        ..Default::default()
-    };
-    c.bench_function("e12/one_grid_cell_2epochs", |b| {
-        b.iter(|| run_study(&db, black_box(&corpus), &config, &mut rng).len())
-    });
-}
-
-fn main() {
-    regenerate();
-    let mut c = quick_criterion();
-    bench(&mut c);
-    c.final_summary();
 }

@@ -7,8 +7,6 @@
 //! over seeds); the zero-shot model's rank correlation on an *unseen
 //! schema* stays high.
 
-use criterion::{black_box, Criterion};
-use ml4db_bench::{banner, quick_criterion};
 use ml4db_core::datagen::SchemaGraph;
 use ml4db_core::pretrain::{build_corpus, finetune_two_phase, PretrainedEncoder, ZeroShotModel};
 use ml4db_core::repr::featurize_plan;
@@ -17,8 +15,9 @@ use ml4db_core::storage::datasets::{tpchlite, DatasetConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn regenerate() {
-    banner("E13", "pretraining, zero-shot transfer, few-shot sample efficiency");
+use super::Record;
+
+pub fn regenerate(rec: &mut Record) {
     let mut rng = StdRng::seed_from_u64(130);
     let db = demo_database(120, 131);
     let corpus = build_corpus(&db, &SchemaGraph::joblite(), 30, 2, &mut rng);
@@ -37,8 +36,8 @@ fn regenerate() {
         labeled.iter().map(|(t, _)| t.clone()).collect();
     let (eval, _) = labeled.split_at(labeled.len() / 3);
 
-    println!("few-shot fine-tuning (rank correlation on held-out, avg of 5 seeds):");
-    println!("{:>8} {:>12} {:>12}", "shots", "pretrained", "scratch");
+    eprintln!("few-shot fine-tuning (rank correlation on held-out, avg of 5 seeds):");
+    eprintln!("{:>8} {:>12} {:>12}", "shots", "pretrained", "scratch");
     for shots in [4usize, 8, 16] {
         let mut pre_sum = 0.0;
         let mut scr_sum = 0.0;
@@ -65,7 +64,9 @@ fn regenerate() {
             scratch.fit(&few, 12, 0.01, &mut srng);
             scr_sum += scratch.eval_rank_correlation(eval);
         }
-        println!("{:>8} {:>12.3} {:>12.3}", shots, pre_sum / 5.0, scr_sum / 5.0);
+        eprintln!("{:>8} {:>12.3} {:>12.3}", shots, pre_sum / 5.0, scr_sum / 5.0);
+        rec.value(format!("few_shot_rank_correlation/{shots}_shots/pretrained"), pre_sum / 5.0);
+        rec.value(format!("few_shot_rank_correlation/{shots}_shots/scratch"), scr_sum / 5.0);
     }
 
     // Zero-shot transfer to an unseen schema.
@@ -80,39 +81,11 @@ fn regenerate() {
     let mut zero = ZeroShotModel::new(&mut rng);
     zero.train(&corpus, 25, &mut rng);
     let transfer = zero.eval_rank(&test_b);
-    println!("\nzero-shot transfer joblite → tpchlite (rank corr): {transfer:.3}");
+    eprintln!("\nzero-shot transfer joblite → tpchlite (rank corr): {transfer:.3}");
     // The tutorial notes pretrained ML4DB models are "still in their early
     // stages with preliminary prototypes and results" — the reproduced
     // shape is: zero-shot transfers strongly; two-phase fine-tuning makes
     // pretraining competitive-to-better in the few-shot regime.
-    println!(
-        "shape check (zero-shot transfers > 0.4): {}",
-        if transfer > 0.4 { "HOLDS" } else { "VIOLATED" }
-    );
-}
-
-fn bench(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(133);
-    let trees: Vec<ml4db_core::nn::Tree> = (0..20)
-        .map(|i| {
-            ml4db_core::nn::Tree::branch(
-                vec![i as f32 / 20.0; 8],
-                Some(ml4db_core::nn::Tree::leaf(vec![0.3; 8])),
-                Some(ml4db_core::nn::Tree::leaf(vec![0.7; 8])),
-            )
-        })
-        .collect();
-    c.bench_function("e13/pretrain_epoch_20trees", |b| {
-        b.iter(|| {
-            let mut pe = PretrainedEncoder::new(TreeModelKind::TreeCnn, 8, 8, &mut rng);
-            pe.pretrain(black_box(&trees), 1, 0.01, &mut rng).1
-        })
-    });
-}
-
-fn main() {
-    regenerate();
-    let mut c = quick_criterion();
-    bench(&mut c);
-    c.final_summary();
+    rec.value("zero_shot_rank_correlation", transfer);
+    rec.check("zero-shot transfers > 0.4", transfer > 0.4);
 }

@@ -8,8 +8,6 @@
 //! both adapters recover on the new regime; DDUp stays better on the old
 //! regime than Warper (distillation preserves it).
 
-use criterion::{black_box, Criterion};
-use ml4db_bench::{banner, quick_criterion};
 use ml4db_core::card::{
     collect_samples, CardSample, DdupAdapter, DriftDetector, MscnEstimator, WarperAdapter,
 };
@@ -17,6 +15,8 @@ use ml4db_core::prelude::*;
 use ml4db_core::storage::datasets::{joblite, DatasetConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+use super::Record;
 
 fn workload(base: i64, n: usize) -> Vec<Query> {
     (0..n)
@@ -39,8 +39,7 @@ fn median_qerr(db: &Database, est: &dyn CardEstimator, queries: &[Query]) -> f64
     ml4db_core::nn::metrics::q_error_summary(&errs).expect("non-empty").median
 }
 
-fn regenerate() {
-    banner("E15", "drift: degradation, detection, Warper and DDUp recovery");
+pub fn regenerate(rec: &mut Record) {
     let mut rng = StdRng::seed_from_u64(150);
     let old_db = Database::analyze(
         joblite(&DatasetConfig { base_rows: 700, skew: 0.2, correlation: 0.9 }, &mut rng),
@@ -57,10 +56,11 @@ fn regenerate() {
 
     let old_eval = workload(1990, 15);
     let new_eval = workload(1990, 15);
-    println!("median q-error of the old-regime model:");
-    println!("  on old data: {:.2}", median_qerr(&old_db, &model, &old_eval));
+    eprintln!("median q-error of the old-regime model:");
+    let undrifted = median_qerr(&old_db, &model, &old_eval);
+    eprintln!("  on old data: {undrifted:.2}");
     let degraded = median_qerr(&new_db, &model, &new_eval);
-    println!("  on new data: {degraded:.2}  ← degradation");
+    eprintln!("  on new data: {degraded:.2}  ← degradation");
 
     // Detection delay on the error stream.
     let oracle = TrueCardinality::new();
@@ -76,7 +76,7 @@ fn regenerate() {
             delay = Some(i as i64 - 40);
         }
     }
-    println!(
+    eprintln!(
         "detection delay after onset (query 40): {}",
         delay.map_or("not detected".to_string(), |d| format!("{d} queries"))
     );
@@ -96,8 +96,8 @@ fn regenerate() {
     let ddup_model =
         DdupAdapter::update(&new_db, &model, &old_queries, &new_samples, 40, &mut rng);
 
-    println!("\nmedian q-error after adaptation:");
-    println!(
+    eprintln!("\nmedian q-error after adaptation:");
+    eprintln!(
         "{:<10} {:>10} {:>10}",
         "adapter", "new data", "old data"
     );
@@ -105,31 +105,18 @@ fn regenerate() {
     let w_old = median_qerr(&old_db, &warper_model, &old_eval);
     let d_new = median_qerr(&new_db, &ddup_model, &new_eval);
     let d_old = median_qerr(&old_db, &ddup_model, &old_eval);
-    println!("{:<10} {:>10.2} {:>10.2}", "warper", w_new, w_old);
-    println!("{:<10} {:>10.2} {:>10.2}", "ddup", d_new, d_old);
-    println!(
-        "shape check (both recover on new data; detection fires): {}",
-        if w_new < degraded && d_new < degraded && delay.is_some() {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
+    eprintln!("{:<10} {:>10.2} {:>10.2}", "warper", w_new, w_old);
+    eprintln!("{:<10} {:>10.2} {:>10.2}", "ddup", d_new, d_old);
+    rec.value("old_model_median_q_error/old_data", undrifted);
+    rec.value("old_model_median_q_error/new_data", degraded);
+    // -1: the detector never fired.
+    rec.value("detection_delay_queries", delay.unwrap_or(-1));
+    rec.value("adapted_median_q_error/warper/new_data", w_new);
+    rec.value("adapted_median_q_error/warper/old_data", w_old);
+    rec.value("adapted_median_q_error/ddup/new_data", d_new);
+    rec.value("adapted_median_q_error/ddup/old_data", d_old);
+    rec.check(
+        "both recover on new data; detection fires",
+        w_new < degraded && d_new < degraded && delay.is_some(),
     );
-}
-
-fn bench(c: &mut Criterion) {
-    let errors: Vec<f64> = (0..200).map(|i| if i < 100 { 0.5 } else { 3.0 }).collect();
-    c.bench_function("e15/detector_stream_200", |b| {
-        b.iter(|| {
-            let mut d = DriftDetector::new(20, 0.5);
-            errors.iter().filter(|&&e| d.observe(black_box(e))).count()
-        })
-    });
-}
-
-fn main() {
-    regenerate();
-    let mut c = quick_criterion();
-    bench(&mut c);
-    c.final_summary();
 }

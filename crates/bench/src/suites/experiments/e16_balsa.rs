@@ -8,15 +8,14 @@
 //! fine-tuning improves it toward the expert; with tight budgets the
 //! timeout path fires but per-query cost stays bounded.
 
-use criterion::{black_box, Criterion};
-use ml4db_bench::{banner, quick_criterion};
 use ml4db_core::optimizer::{evaluate, Balsa, Env};
 use ml4db_core::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn regenerate() {
-    banner("E16", "Balsa: sim-to-real without expert demonstrations + safe timeouts");
+use super::Record;
+
+pub fn regenerate(rec: &mut Record) {
     let db = demo_database(150, 160);
     let env = Env::new(&db);
     let mut rng = StdRng::seed_from_u64(161);
@@ -26,8 +25,8 @@ fn regenerate() {
     let mut balsa = Balsa::new(&mut rng);
     balsa.simulate(&env, &train, 3, 12, &mut rng);
     let sim_report = evaluate(&env, &test, |env, q| balsa.plan(env, q, &mut StdRng::seed_from_u64(1)));
-    println!("after simulation only (0 executions):");
-    println!(
+    eprintln!("after simulation only (0 executions):");
+    eprintln!(
         "  relative total vs expert {:.2}, regressions {}/{}",
         sim_report.relative_total,
         sim_report.regressions,
@@ -38,47 +37,30 @@ fn regenerate() {
     for round in 0..3 {
         let observed = balsa.finetune(&env, &train, 8, &mut rng);
         let avg = observed.iter().sum::<f64>() / observed.len().max(1) as f64;
-        println!(
+        eprintln!(
             "  fine-tune round {round}: mean observed {avg:.0} µs, timeouts so far {}",
             balsa.timeouts
         );
+        rec.value(format!("finetune_round_{round}/mean_observed_us"), avg);
         total_timeouts = balsa.timeouts;
     }
     let ft_report = evaluate(&env, &test, |env, q| balsa.plan(env, q, &mut StdRng::seed_from_u64(1)));
-    println!("after fine-tuning:");
-    println!(
+    eprintln!("after fine-tuning:");
+    eprintln!(
         "  relative total vs expert {:.2}, regressions {}/{}",
         ft_report.relative_total,
         ft_report.regressions,
         test.len()
     );
-    println!("  safe-execution timeouts during training: {total_timeouts}");
-    println!(
-        "shape check (no expert needed; fine-tuned ≤ sim-only * 1.2): {}",
-        if ft_report.relative_total <= sim_report.relative_total * 1.2 {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
+    eprintln!("  safe-execution timeouts during training: {total_timeouts}");
+    rec.value("queries", test.len());
+    rec.value("simulation_only/relative_total", sim_report.relative_total);
+    rec.value("simulation_only/regressions", sim_report.regressions);
+    rec.value("fine_tuned/relative_total", ft_report.relative_total);
+    rec.value("fine_tuned/regressions", ft_report.regressions);
+    rec.value("training_timeouts", total_timeouts);
+    rec.check(
+        "no expert needed; fine-tuned ≤ sim-only * 1.2",
+        ft_report.relative_total <= sim_report.relative_total * 1.2,
     );
-}
-
-fn bench(c: &mut Criterion) {
-    let db = demo_database(100, 164);
-    let env = Env::new(&db);
-    let mut rng = StdRng::seed_from_u64(165);
-    let train = demo_workload(&db, 6, 166);
-    let mut balsa = Balsa::new(&mut rng);
-    balsa.simulate(&env, &train, 2, 5, &mut rng);
-    let q = &train[0];
-    c.bench_function("e16/balsa_plan", |b| {
-        b.iter(|| balsa.plan(&env, black_box(q), &mut rng).map(|p| p.size()))
-    });
-}
-
-fn main() {
-    regenerate();
-    let mut c = quick_criterion();
-    bench(&mut c);
-    c.final_summary();
 }

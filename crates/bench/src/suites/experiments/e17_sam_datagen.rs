@@ -7,12 +7,12 @@
 //! correlation direction preserved; privacy noise degrades accuracy
 //! gracefully with the noise scale.
 
-use criterion::{black_box, Criterion};
-use ml4db_bench::{banner, quick_criterion};
 use ml4db_core::datagen::{observe_constraints, privatize_constraints, SamGenerator};
 use ml4db_core::storage::{ColumnData, DataType, Schema, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+use super::Record;
 
 fn private_table(rng: &mut StdRng) -> Table {
     let n = 5000;
@@ -55,18 +55,17 @@ fn mean_rel_err(
     err / n.max(1) as f64
 }
 
-fn regenerate() {
-    banner("E17", "SAM-style generation: cardinality-faithful synthetic data");
+pub fn regenerate(rec: &mut Record) {
     let mut rng = StdRng::seed_from_u64(170);
     let private = private_table(&mut rng);
     let queries = grid_queries();
     let constraints = observe_constraints(&private, "a", "b", &queries);
 
-    println!("{:<22} {:>22}", "setting", "mean rel. card error");
+    eprintln!("{:<22} {:>22}", "setting", "mean rel. card error");
     let clean = SamGenerator::fit(&constraints, (0.0, 100.0), (0.0, 100.0), 5000.0, 10, 30);
     let synth = clean.sample_table("synth", 5000, &mut rng);
     let clean_err = mean_rel_err(&constraints, &synth, &queries);
-    println!("{:<22} {:>22.3}", "no privacy noise", clean_err);
+    eprintln!("{:<22} {:>22.3}", "no privacy noise", clean_err);
     let mut noisy_errs = Vec::new();
     for b in [10.0, 50.0, 200.0] {
         let noisy = privatize_constraints(&constraints, b, &mut rng);
@@ -74,40 +73,19 @@ fn regenerate() {
         let s = gen.sample_table("synth", 5000, &mut rng);
         let e = mean_rel_err(&constraints, &s, &queries);
         noisy_errs.push(e);
-        println!("{:<22} {:>22.3}", format!("laplace scale {b}"), e);
+        eprintln!("{:<22} {:>22.3}", format!("laplace scale {b}"), e);
+        rec.value(format!("mean_relative_card_error/laplace_scale_{b}"), e);
     }
 
     // Correlation preservation.
     let c0: Vec<f64> = (0..synth.num_rows()).map(|i| synth.columns[0].get_f64(i)).collect();
     let c1: Vec<f64> = (0..synth.num_rows()).map(|i| synth.columns[1].get_f64(i)).collect();
     let corr = ml4db_core::nn::metrics::pearson(&c0, &c1);
-    println!("\nsynthetic column correlation: {corr:.3} (private data is strongly positive)");
-    println!(
-        "shape check (faithful without noise; degrades gracefully with noise): {}",
-        if clean_err < 0.35 && corr > 0.4 && noisy_errs[2] >= clean_err {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
+    eprintln!("\nsynthetic column correlation: {corr:.3} (private data is strongly positive)");
+    rec.value("mean_relative_card_error/no_noise", clean_err);
+    rec.value("synthetic_column_correlation", corr);
+    rec.check(
+        "faithful without noise; degrades gracefully with noise",
+        clean_err < 0.35 && corr > 0.4 && noisy_errs[2] >= clean_err,
     );
-}
-
-fn bench(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(171);
-    let private = private_table(&mut rng);
-    let queries = grid_queries();
-    let constraints = observe_constraints(&private, "a", "b", &queries);
-    c.bench_function("e17/sam_fit_ipf30", |b| {
-        b.iter(|| {
-            SamGenerator::fit(black_box(&constraints), (0.0, 100.0), (0.0, 100.0), 5000.0, 10, 30)
-                .total_rows()
-        })
-    });
-}
-
-fn main() {
-    regenerate();
-    let mut c = quick_criterion();
-    bench(&mut c);
-    c.final_summary();
 }

@@ -4,14 +4,14 @@
 //! direct mapping avoids them, rank space reduces model size on skew
 //! (RSMI's improvement), and z-order kNN is only approximate.
 
-use criterion::{black_box, Criterion};
-use ml4db_bench::{banner, quick_criterion};
 use ml4db_core::spatial::data::{
     generate_points, generate_range_queries, unit_domain, SpatialDistribution,
 };
 use ml4db_core::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+use super::Record;
 
 fn setup() -> (Vec<ml4db_core::spatial::Entry>, Vec<ml4db_core::spatial::Rect>) {
     let mut rng = StdRng::seed_from_u64(3);
@@ -20,8 +20,7 @@ fn setup() -> (Vec<ml4db_core::spatial::Entry>, Vec<ml4db_core::spatial::Rect>) 
     (points, queries)
 }
 
-fn regenerate() {
-    banner("E3", "learned spatial (ZM/LISA/RSMI) vs R-tree: scans, size, kNN recall");
+pub fn regenerate(rec: &mut Record) {
     let (points, queries) = setup();
     let rtree = RTree::bulk_load_str(&points);
     let zm = ZmIndex::build(points.clone(), unit_domain(), 32);
@@ -41,13 +40,13 @@ fn regenerate() {
         l_scan += lisa.range_query(q).1;
         s_scan += rsmi.range_query(q).1;
     }
-    println!("{} range queries, {results} total results", queries.len());
-    println!("{:<10} {:>16} {:>14}", "index", "entries touched", "model bytes");
-    println!("{:<10} {:>16} {:>14}", "r-tree", r_access, "-");
-    println!("{:<10} {:>16} {:>14}", "zm", z_scan, zm.size_bytes());
-    println!("{:<10} {:>16} {:>14}", "lisa", l_scan, lisa.size_bytes());
-    println!("{:<10} {:>16} {:>14}", "rsmi", s_scan, rsmi.size_bytes());
-    println!(
+    eprintln!("{} range queries, {results} total results", queries.len());
+    eprintln!("{:<10} {:>16} {:>14}", "index", "entries touched", "model bytes");
+    eprintln!("{:<10} {:>16} {:>14}", "r-tree", r_access, "-");
+    eprintln!("{:<10} {:>16} {:>14}", "zm", z_scan, zm.size_bytes());
+    eprintln!("{:<10} {:>16} {:>14}", "lisa", l_scan, lisa.size_bytes());
+    eprintln!("{:<10} {:>16} {:>14}", "rsmi", s_scan, rsmi.size_bytes());
+    eprintln!(
         "\nzm vs rsmi segments on skew: {} vs {} (rank space flattens the CDF)",
         zm.num_segments(),
         rsmi.num_segments()
@@ -65,40 +64,18 @@ fn regenerate() {
         trials += 1;
     }
     let recall = recall_sum / trials as f64;
-    println!("zm approximate kNN recall@10: {recall:.3} (r-tree: 1.000 exact)");
-    println!(
-        "shape checks: lisa scans ≤ zm scans: {} | zm kNN approximate (<1): {}",
-        if l_scan <= z_scan { "HOLDS" } else { "VIOLATED" },
-        if recall < 1.0 { "HOLDS" } else { "(exact on this draw)" }
-    );
-}
-
-fn bench(c: &mut Criterion) {
-    let (points, queries) = setup();
-    let rtree = RTree::bulk_load_str(&points);
-    let zm = ZmIndex::build(points.clone(), unit_domain(), 32);
-    let lisa = LisaIndex::build(points.clone(), 128);
-    let rsmi = RsmiIndex::build(points, 32);
-    let qs: Vec<_> = queries.into_iter().take(20).collect();
-    let mut g = c.benchmark_group("e3/range_100q");
-    g.bench_function("rtree", |b| {
-        b.iter(|| qs.iter().map(|q| rtree.range_query(black_box(q)).0.len()).sum::<usize>())
-    });
-    g.bench_function("zm", |b| {
-        b.iter(|| qs.iter().map(|q| zm.range_query(black_box(q)).0.len()).sum::<usize>())
-    });
-    g.bench_function("lisa", |b| {
-        b.iter(|| qs.iter().map(|q| lisa.range_query(black_box(q)).0.len()).sum::<usize>())
-    });
-    g.bench_function("rsmi", |b| {
-        b.iter(|| qs.iter().map(|q| rsmi.range_query(black_box(q)).0.len()).sum::<usize>())
-    });
-    g.finish();
-}
-
-fn main() {
-    regenerate();
-    let mut c = quick_criterion();
-    bench(&mut c);
-    c.final_summary();
+    eprintln!("zm approximate kNN recall@10: {recall:.3} (r-tree: 1.000 exact)");
+    rec.value("range_results", results);
+    rec.value("entries_touched/rtree", r_access);
+    rec.value("entries_touched/zm", z_scan);
+    rec.value("entries_touched/lisa", l_scan);
+    rec.value("entries_touched/rsmi", s_scan);
+    rec.value("model_bytes/zm", zm.size_bytes());
+    rec.value("model_bytes/lisa", lisa.size_bytes());
+    rec.value("model_bytes/rsmi", rsmi.size_bytes());
+    rec.value("segments/zm", zm.num_segments());
+    rec.value("segments/rsmi", rsmi.num_segments());
+    // Reported, not gated: the approximate kNN may be exact on a draw.
+    rec.value("zm_knn_recall_at_10", recall);
+    rec.check("lisa scans ≤ zm scans", l_scan <= z_scan);
 }

@@ -4,11 +4,8 @@
 //! paper's linear-time optimization).
 //!
 //! Expected shape: PLATON ≤ STR on the optimized workload (its guardrail
-//! enforces this); a larger MCTS budget does not hurt; packing time grows
-//! roughly linearly in the simulation budget.
+//! enforces this); a larger MCTS budget does not hurt.
 
-use criterion::{black_box, Criterion};
-use ml4db_bench::{banner, factor, quick_criterion};
 use ml4db_core::spatial::data::{
     generate_points, generate_range_queries, workload_leaf_accesses, SpatialDistribution,
 };
@@ -16,8 +13,9 @@ use ml4db_core::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn regenerate() {
-    banner("E5", "ML-enhanced bulk loading: PLATON (MCTS packing) vs STR");
+use super::{factor, Record};
+
+pub fn regenerate(rec: &mut Record) {
     let mut rng = StdRng::seed_from_u64(6);
     let points = generate_points(SpatialDistribution::Skewed, 3000, &mut rng);
     let history = generate_range_queries(60, 0.06, true, &mut rng);
@@ -29,59 +27,30 @@ fn regenerate() {
     // generalization.
     let str_hist = workload_leaf_accesses(&str_tree, &history);
     let str_fut = workload_leaf_accesses(&str_tree, &future);
-    println!(
+    eprintln!(
         "{:<24} {:>16} {:>10} {:>14}",
         "packer", "given workload", "vs STR", "fresh draw"
     );
-    println!("{:<24} {:>16.2} {:>10} {:>14.2}", "str", str_hist, "1.00x", str_fut);
+    eprintln!("{:<24} {:>16.2} {:>10} {:>14.2}", "str", str_hist, "1.00x", str_fut);
+    rec.value("leaf_accesses/given_workload/str", str_hist);
+    rec.value("leaf_accesses/fresh_draw/str", str_fut);
+    let mut never_worse = true;
     for sims in [16usize, 64, 256] {
         let platon = PlatonPacker { simulations: sims, ..Default::default() }
             .pack(&points, &history, 7);
         let hist = workload_leaf_accesses(&platon, &history);
         let fut = workload_leaf_accesses(&platon, &future);
-        println!(
+        eprintln!(
             "{:<24} {:>16.2} {:>10} {:>14.2}",
             format!("platon (sims={sims})"),
             hist,
             factor(hist, str_hist),
             fut
         );
+        rec.value(format!("leaf_accesses/given_workload/platon_sims{sims}"), hist);
+        rec.value(format!("leaf_accesses/fresh_draw/platon_sims{sims}"), fut);
+        never_worse &= hist <= str_hist + 1e-9;
     }
-    let platon =
-        PlatonPacker { simulations: 256, ..Default::default() }.pack(&points, &history, 7);
-    println!(
-        "\nshape check (PLATON ≤ STR on its workload): {}",
-        if workload_leaf_accesses(&platon, &history)
-            <= workload_leaf_accesses(&str_tree, &history) + 1e-9
-        {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
-    );
-}
-
-fn bench(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(7);
-    let points = generate_points(SpatialDistribution::Skewed, 1000, &mut rng);
-    let workload = generate_range_queries(30, 0.06, true, &mut rng);
-    let mut g = c.benchmark_group("e5/pack_1000pts");
-    g.bench_function("str", |b| b.iter(|| RTree::bulk_load_str(black_box(&points)).len()));
-    for sims in [16usize, 64] {
-        g.bench_function(format!("platon_sims{sims}"), |b| {
-            b.iter(|| {
-                PlatonPacker { simulations: sims, ..Default::default() }
-                    .pack(black_box(&points), &workload, 1)
-                    .len()
-            })
-        });
-    }
-    g.finish();
-}
-
-fn main() {
-    regenerate();
-    let mut c = quick_criterion();
-    bench(&mut c);
-    c.final_summary();
+    eprintln!();
+    rec.check("PLATON ≤ STR on its workload at every budget", never_worse);
 }

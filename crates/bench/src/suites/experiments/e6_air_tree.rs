@@ -6,8 +6,6 @@
 //! the R-tree at high (but not perfect) recall; low-overlap queries are
 //! untouched (exact, same cost) — the balanced-performance claim.
 
-use criterion::{black_box, Criterion};
-use ml4db_bench::{banner, factor, quick_criterion};
 use ml4db_core::spatial::air::Route;
 use ml4db_core::spatial::data::{
     generate_points, generate_range_queries, SpatialDistribution,
@@ -15,6 +13,8 @@ use ml4db_core::spatial::data::{
 use ml4db_core::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+use super::{factor, Record};
 
 fn setup() -> (AiRTree, Vec<ml4db_core::spatial::Rect>, Vec<ml4db_core::spatial::Rect>) {
     let mut rng = StdRng::seed_from_u64(8);
@@ -28,10 +28,9 @@ fn setup() -> (AiRTree, Vec<ml4db_core::spatial::Rect>, Vec<ml4db_core::spatial:
     (air, high, low)
 }
 
-fn regenerate() {
-    banner("E6", "ML-enhanced search: AI+R routing vs plain R-tree");
+pub fn regenerate(rec: &mut Record) {
     let (air, high, low) = setup();
-    let table = |name: &str, queries: &[ml4db_core::spatial::Rect]| {
+    let mut table = |name: &str, queries: &[ml4db_core::spatial::Rect]| {
         let mut air_acc = 0u64;
         let mut rtree_acc = 0u64;
         let mut ai_routed = 0usize;
@@ -43,7 +42,7 @@ fn regenerate() {
                 ai_routed += 1;
             }
         }
-        println!(
+        eprintln!(
             "{:<14} ai-routed {:>3}/{:<3} | leaf accesses: r-tree {:>6}, ai+r {:>6} ({})",
             name,
             ai_routed,
@@ -52,46 +51,22 @@ fn regenerate() {
             air_acc,
             factor(air_acc as f64, rtree_acc as f64)
         );
+        rec.value(format!("{name}/queries"), queries.len());
+        rec.value(format!("{name}/ai_routed"), ai_routed);
+        rec.value(format!("{name}/leaf_accesses/rtree"), rtree_acc);
+        rec.value(format!("{name}/leaf_accesses/air"), air_acc);
         (air_acc, rtree_acc, ai_routed)
     };
     let (high_air, high_rtree, high_routed) = table("high-overlap", &high);
     let (_, _, low_routed) = table("low-overlap", &low);
     let recall = air.ai_recall(&high);
-    println!("ai-path recall on high-overlap queries: {recall:.3}");
-    println!(
-        "shape check (high-overlap saves leaves via AI path, low-overlap mostly classical): {}",
-        if high_air < high_rtree
+    eprintln!("ai-path recall on high-overlap queries: {recall:.3}");
+    rec.value("high-overlap/ai_recall", recall);
+    rec.check(
+        "high-overlap saves leaves via AI path, low-overlap mostly classical",
+        high_air < high_rtree
             && high_routed * 2 > high.len()
             && low_routed * 2 < low.len()
-            && recall > 0.8
-        {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
+            && recall > 0.8,
     );
-}
-
-fn bench(c: &mut Criterion) {
-    let (air, high, low) = setup();
-    let mut g = c.benchmark_group("e6/range");
-    g.bench_function("air_high_overlap", |b| {
-        b.iter(|| high.iter().map(|q| air.range_query(black_box(q)).0.len()).sum::<usize>())
-    });
-    g.bench_function("rtree_high_overlap", |b| {
-        b.iter(|| {
-            high.iter().map(|q| air.rtree().range_query(black_box(q)).0.len()).sum::<usize>()
-        })
-    });
-    g.bench_function("air_low_overlap", |b| {
-        b.iter(|| low.iter().map(|q| air.range_query(black_box(q)).0.len()).sum::<usize>())
-    });
-    g.finish();
-}
-
-fn main() {
-    regenerate();
-    let mut c = quick_criterion();
-    bench(&mut c);
-    c.final_summary();
 }

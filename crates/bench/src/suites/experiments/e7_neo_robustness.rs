@@ -7,16 +7,15 @@
 //! Expected shape: relative-to-expert total near 1 on seen templates, and
 //! a larger factor plus more ≥2x regressions on unseen templates.
 
-use criterion::{black_box, Criterion};
-use ml4db_bench::{banner, quick_criterion};
 use ml4db_core::datagen::{SchemaGraph, WorkloadConfig, WorkloadGenerator};
 use ml4db_core::optimizer::{evaluate, Env, Neo, Rtos};
 use ml4db_core::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn regenerate() {
-    banner("E7", "replacement optimizers: seen vs unseen template robustness");
+use super::Record;
+
+pub fn regenerate(rec: &mut Record) {
     let db = demo_database(150, 70);
     let env = Env::new(&db);
     let mut rng = StdRng::seed_from_u64(71);
@@ -42,7 +41,7 @@ fn regenerate() {
     rtos.warmup_with_cost(&env, &train, 10, &mut rng);
     rtos.finetune_with_latency(&env, &train, 8, &mut rng);
 
-    println!(
+    eprintln!(
         "{:<8} {:<8} {:>14} {:>12} {:>12}",
         "system", "split", "rel. total", "p99 (µs)", "regressions"
     );
@@ -54,46 +53,23 @@ fn regenerate() {
     ] {
         let seen = evaluate(&env, &seen_test, &planner);
         let unseen = evaluate(&env, &unseen_test, &planner);
-        println!(
-            "{:<8} {:<8} {:>14.2} {:>12.0} {:>9}/{}",
-            name, "seen", seen.relative_total, seen.tail.p99, seen.regressions, seen_test.len()
-        );
-        println!(
-            "{:<8} {:<8} {:>14.2} {:>12.0} {:>9}/{}",
-            name,
-            "unseen",
-            unseen.relative_total,
-            unseen.tail.p99,
-            unseen.regressions,
-            unseen_test.len()
-        );
+        for (split, report, n) in
+            [("seen", &seen, seen_test.len()), ("unseen", &unseen, unseen_test.len())]
+        {
+            eprintln!(
+                "{:<8} {:<8} {:>14.2} {:>12.0} {:>9}/{}",
+                name, split, report.relative_total, report.tail.p99, report.regressions, n
+            );
+            rec.value(format!("{name}/{split}/relative_total"), report.relative_total);
+            rec.value(format!("{name}/{split}/p99_us"), report.tail.p99);
+            rec.value(format!("{name}/{split}/regressions"), report.regressions);
+            rec.value(format!("{name}/{split}/queries"), n);
+        }
         degradations.push(unseen.relative_total / seen.relative_total.max(1e-9));
     }
-    println!(
-        "\nshape check (unseen degrades vs seen for at least one system): {}",
-        if degradations.iter().any(|&d| d > 1.1) { "HOLDS" } else { "VIOLATED" }
+    eprintln!();
+    rec.check(
+        "unseen degrades vs seen for at least one system",
+        degradations.iter().any(|&d| d > 1.1),
     );
-}
-
-fn bench(c: &mut Criterion) {
-    let db = demo_database(100, 72);
-    let env = Env::new(&db);
-    let mut rng = StdRng::seed_from_u64(73);
-    let queries = demo_workload(&db, 8, 74);
-    let mut neo = Neo::new(&mut rng);
-    neo.bootstrap(&env, &queries, 6, &mut rng);
-    let q = &queries[0];
-    c.bench_function("e7/neo_plan_one_query", |b| {
-        b.iter(|| neo.plan(&env, black_box(q)))
-    });
-    c.bench_function("e7/expert_plan_one_query", |b| {
-        b.iter(|| env.expert_plan(black_box(q)))
-    });
-}
-
-fn main() {
-    regenerate();
-    let mut c = quick_criterion();
-    bench(&mut c);
-    c.final_summary();
 }

@@ -7,16 +7,15 @@
 //! regressions stay rare; after a sudden workload shift Bao's rolling mean
 //! recovers within a window of queries.
 
-use criterion::{black_box, Criterion};
-use ml4db_bench::{banner, quick_criterion};
 use ml4db_core::datagen::{DriftSchedule, SchemaGraph};
 use ml4db_core::optimizer::{evaluate, Env};
 use ml4db_core::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn regenerate() {
-    banner("E8", "Bao: tail performance and adaptation under workload shift");
+use super::Record;
+
+pub fn regenerate(rec: &mut Record) {
     let db = demo_database(150, 80);
     let env = Env::new(&db);
     let mut rng = StdRng::seed_from_u64(81);
@@ -29,9 +28,9 @@ fn regenerate() {
     }
     let test = demo_workload(&db, 15, 83);
     let report = evaluate(&env, &test, |env, q| Some(bao.choose_greedy(env, q).plan));
-    println!("steady state (15 test queries):");
-    println!("  relative total vs expert: {:.2}", report.relative_total);
-    println!(
+    eprintln!("steady state (15 test queries):");
+    eprintln!("  relative total vs expert: {:.2}", report.relative_total);
+    eprintln!(
         "  tails: p50 {:.0}  p90 {:.0}  p99 {:.0} µs, regressions {}/{}",
         report.tail.p50,
         report.tail.p90,
@@ -39,6 +38,12 @@ fn regenerate() {
         report.regressions,
         test.len()
     );
+    rec.value("steady/relative_total", report.relative_total);
+    rec.value("steady/p50_us", report.tail.p50);
+    rec.value("steady/p90_us", report.tail.p90);
+    rec.value("steady/p99_us", report.tail.p99);
+    rec.value("steady/regressions", report.regressions);
+    rec.value("steady/queries", test.len());
 
     // Workload shift: relative-to-expert cost per phase.
     let stream = DriftSchedule::sudden(30, 30).generate(&db, &SchemaGraph::joblite(), &mut rng);
@@ -50,41 +55,17 @@ fn regenerate() {
         rel.push(lat / expert.max(1e-9));
     }
     let mean = |r: std::ops::Range<usize>| rel[r].iter().sum::<f64>() / 10.0;
-    println!("\nworkload shift at query 30 (relative latency vs expert, mean of 10):");
-    println!("  queries 20..30 (pre-shift):    {:.2}", mean(20..30));
-    println!("  queries 30..40 (post-shift):   {:.2}", mean(30..40));
-    println!("  queries 50..60 (re-adapted):   {:.2}", mean(50..60));
-    println!(
-        "\nshape check (tracks expert; re-adapted ≤ ~post-shift): {}",
-        if report.relative_total < 1.3 && mean(50..60) <= mean(30..40) * 1.2 {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
+    eprintln!("\nworkload shift at query 30 (relative latency vs expert, mean of 10):");
+    let (pre, post, readapted) = (mean(20..30), mean(30..40), mean(50..60));
+    eprintln!("  queries 20..30 (pre-shift):    {pre:.2}");
+    eprintln!("  queries 30..40 (post-shift):   {post:.2}");
+    eprintln!("  queries 50..60 (re-adapted):   {readapted:.2}");
+    eprintln!();
+    rec.value("shift/relative_latency/pre_shift_20_30", pre);
+    rec.value("shift/relative_latency/post_shift_30_40", post);
+    rec.value("shift/relative_latency/re_adapted_50_60", readapted);
+    rec.check(
+        "tracks expert; re-adapted ≤ ~post-shift",
+        report.relative_total < 1.3 && readapted <= post * 1.2,
     );
-}
-
-fn bench(c: &mut Criterion) {
-    let db = demo_database(120, 84);
-    let env = Env::new(&db);
-    let mut rng = StdRng::seed_from_u64(85);
-    let queries = demo_workload(&db, 10, 86);
-    let mut bao = Bao::new(bao_arms());
-    for q in &queries {
-        bao.step(&env, q, &mut rng);
-    }
-    let q = &queries[0];
-    c.bench_function("e8/bao_choose_thompson", |b| {
-        b.iter(|| bao.choose(&env, black_box(q), &mut rng).arm)
-    });
-    c.bench_function("e8/bao_choose_greedy", |b| {
-        b.iter(|| bao.choose_greedy(&env, black_box(q)).arm)
-    });
-}
-
-fn main() {
-    regenerate();
-    let mut c = quick_criterion();
-    bench(&mut c);
-    c.final_summary();
 }

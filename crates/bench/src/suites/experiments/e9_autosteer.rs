@@ -6,15 +6,14 @@
 //! (every Bao arm that changes the plan is rediscovered or subsumed), and
 //! the steered latency matches Bao's.
 
-use criterion::{black_box, Criterion};
-use ml4db_bench::{banner, quick_criterion};
 use ml4db_core::optimizer::{discover_hint_sets, Env};
 use ml4db_core::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn regenerate() {
-    banner("E9", "AutoSteer: dynamic hint-set discovery vs hand-crafted arms");
+use super::Record;
+
+pub fn regenerate(rec: &mut Record) {
     let db = demo_database(150, 90);
     let env = Env::new(&db);
     let mut rng = StdRng::seed_from_u64(91);
@@ -43,8 +42,8 @@ fn regenerate() {
     }
     let avg_arms =
         discovered_counts.iter().sum::<usize>() as f64 / discovered_counts.len() as f64;
-    println!("discovered arms per query: avg {avg_arms:.1} (hand-crafted: {})", bao_arms().len());
-    println!(
+    eprintln!("discovered arms per query: avg {avg_arms:.1} (hand-crafted: {})", bao_arms().len());
+    eprintln!(
         "plan coverage of hand-crafted arms: {plans_covered}/{plans_total} ({:.0}%)",
         100.0 * plans_covered as f64 / plans_total.max(1) as f64
     );
@@ -58,29 +57,15 @@ fn regenerate() {
         auto_total += auto.step(&env, q, &mut rng).1;
         bao_total += bao.step(&env, q, &mut rng).1;
     }
-    println!("\ntraining-stream total latency: autosteer {auto_total:.0} µs, bao {bao_total:.0} µs");
-    println!(
-        "shape check (coverage ≥ 90% and latency within 1.5x of Bao): {}",
-        if plans_covered * 10 >= plans_total * 9 && auto_total <= bao_total * 1.5 {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
+    eprintln!("\ntraining-stream total latency: autosteer {auto_total:.0} µs, bao {bao_total:.0} µs");
+    rec.value("discovered_arms_per_query", avg_arms);
+    rec.value("hand_crafted_arms", bao_arms().len());
+    rec.value("plans_covered", plans_covered);
+    rec.value("plans_total", plans_total);
+    rec.value("stream_latency_us/autosteer", auto_total);
+    rec.value("stream_latency_us/bao", bao_total);
+    rec.check(
+        "coverage ≥ 90% and latency within 1.5x of Bao",
+        plans_covered * 10 >= plans_total * 9 && auto_total <= bao_total * 1.5,
     );
-}
-
-fn bench(c: &mut Criterion) {
-    let db = demo_database(120, 93);
-    let env = Env::new(&db);
-    let q = &demo_workload(&db, 1, 94)[0];
-    c.bench_function("e9/discover_hint_sets", |b| {
-        b.iter(|| discover_hint_sets(&env, black_box(q), 10.0).arms.len())
-    });
-}
-
-fn main() {
-    regenerate();
-    let mut c = quick_criterion();
-    bench(&mut c);
-    c.final_summary();
 }

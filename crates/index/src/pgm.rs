@@ -10,7 +10,7 @@
 //! touches dense `u64`/`f64` arrays instead of pointer-sized AoS records.
 
 use crate::model::LinearModel;
-use crate::search::last_mile_search;
+use crate::search::{last_mile_search, Keyed};
 use crate::{KeyValue, MutableIndex, OrderedIndex, TwoPhaseIndex};
 
 /// One ε-bounded linear segment covering keys `>= first_key`.
@@ -304,6 +304,15 @@ impl PgmCore {
         let idx = self.locate_data_segment(key);
         self.predict_range_in(idx, key)
     }
+
+    /// Both phases over `slots`, a borrowed sorted array holding the keys
+    /// this core was built from: the [`Self::predict_range`] window, then
+    /// the last-mile search. `slice::binary_search` contract.
+    #[inline]
+    pub fn search<T: Keyed>(&self, slots: &[T], key: u64) -> Result<usize, usize> {
+        let (lo, hi) = self.predict_range(key);
+        last_mile_search(slots, key, lo, hi)
+    }
 }
 
 /// A static PGM-index: a [`PgmCore`] plus ownership of the sorted entries it
@@ -353,10 +362,8 @@ impl PgmIndex {
 
     /// First position whose key is `>= key`.
     pub fn lower_bound(&self, key: u64) -> usize {
-        let (lo, hi) = self.core.predict_range(key);
-        match last_mile_search(&self.entries, key, lo, hi) {
-            Ok(i) => i,
-            Err(i) => i,
+        match self.core.search(&self.entries, key) {
+            Ok(i) | Err(i) => i,
         }
     }
 

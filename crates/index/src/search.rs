@@ -1,7 +1,7 @@
-//! Last-mile search routines: error-bounded binary search around a model
-//! prediction, a branch-free fixed-window search for small error bounds
-//! (the phase-2 half of the two-phase lookup API), and exponential search
-//! (the correction step ALEX \[6\] uses).
+//! Last-mile search routines: a branch-free fixed-window search for small
+//! error bounds (the phase-2 half of the two-phase lookup API), generic
+//! over bare key columns and `(key, value)` entries, and exponential
+//! search (the correction step ALEX \[6\] uses).
 
 use crate::KeyValue;
 
@@ -12,30 +12,30 @@ use crate::KeyValue;
 /// result) beats the branchy binary tail.
 pub const FIXED_WINDOW: usize = 16;
 
-/// Binary search for `key` restricted to `entries[lo..=hi]` (clamped).
-///
-/// Returns `Ok(index)` when found, `Err(insertion_index)` otherwise — the
-/// same contract as `slice::binary_search`.
-pub fn bounded_binary_search(
-    entries: &[KeyValue],
-    key: u64,
-    lo: usize,
-    hi: usize,
-) -> Result<usize, usize> {
-    if entries.is_empty() {
-        return Err(0);
-    }
-    let lo = lo.min(entries.len() - 1);
-    let hi = hi.min(entries.len() - 1);
-    let (lo, hi) = (lo.min(hi), lo.max(hi));
-    match entries[lo..=hi].binary_search_by_key(&key, |e| e.0) {
-        Ok(i) => Ok(lo + i),
-        Err(i) => Err(lo + i),
+/// One slot of a sorted array the last-mile routines search: a bare key
+/// (the key columns secondary indexes and durable runs keep) or a
+/// `(key, value)` entry.
+pub trait Keyed: Copy {
+    /// The slot's key.
+    fn key(self) -> u64;
+}
+
+impl Keyed for u64 {
+    #[inline]
+    fn key(self) -> u64 {
+        self
     }
 }
 
-/// Branch-free search of the half-open window `entries[lo..hi]`: counts
-/// entries below `key` with data-independent control flow (the comparison
+impl Keyed for KeyValue {
+    #[inline]
+    fn key(self) -> u64 {
+        self.0
+    }
+}
+
+/// Branch-free search of the half-open window `slots[lo..hi]`: counts
+/// slots below `key` with data-independent control flow (the comparison
 /// result feeds an add, never a branch), then checks the landing slot.
 ///
 /// Correct **only** when the window is a valid bracket — everything
@@ -43,18 +43,18 @@ pub fn bounded_binary_search(
 /// which is exactly the guarantee `predict_range` windows carry. Returns
 /// the `slice::binary_search` contract over the *whole* array.
 #[inline]
-pub fn branchfree_window_search(
-    entries: &[KeyValue],
+pub fn branchfree_window_search<T: Keyed>(
+    slots: &[T],
     key: u64,
     lo: usize,
     hi: usize,
 ) -> Result<usize, usize> {
     let mut below = 0usize;
-    for e in &entries[lo..hi] {
-        below += usize::from(e.0 < key);
+    for &s in &slots[lo..hi] {
+        below += usize::from(s.key() < key);
     }
     let pos = lo + below;
-    if pos < hi && entries[pos].0 == key {
+    if pos < hi && slots[pos].key() == key {
         Ok(pos)
     } else {
         Err(pos)
@@ -66,65 +66,23 @@ pub fn branchfree_window_search(
 /// branch-free count. Same bracket precondition and return contract as
 /// [`branchfree_window_search`]; never allocates.
 #[inline]
-pub fn last_mile_search(
-    entries: &[KeyValue],
+pub fn last_mile_search<T: Keyed>(
+    slots: &[T],
     key: u64,
     lo: usize,
     hi: usize,
 ) -> Result<usize, usize> {
-    let (mut lo, mut hi) = (lo.min(entries.len()), hi.min(entries.len()));
+    let (mut lo, mut hi) = (lo.min(slots.len()), hi.min(slots.len()));
     while hi - lo > FIXED_WINDOW {
         let mid = lo + (hi - lo) / 2;
-        match entries[mid].0.cmp(&key) {
+        match slots[mid].key().cmp(&key) {
             std::cmp::Ordering::Less => lo = mid + 1,
             std::cmp::Ordering::Greater => hi = mid,
-            // Entries are strictly sorted (unique keys), so a hit ends it.
+            // Slots are strictly sorted (unique keys), so a hit ends it.
             std::cmp::Ordering::Equal => return Ok(mid),
         }
     }
-    branchfree_window_search(entries, key, lo, hi)
-}
-
-/// [`branchfree_window_search`] over a bare key column (no payloads) — the
-/// layout secondary-index key arrays use. Same bracket precondition and
-/// return contract.
-#[inline]
-pub fn branchfree_window_search_keys(
-    keys: &[u64],
-    key: u64,
-    lo: usize,
-    hi: usize,
-) -> Result<usize, usize> {
-    let mut below = 0usize;
-    for &k in &keys[lo..hi] {
-        below += usize::from(k < key);
-    }
-    let pos = lo + below;
-    if pos < hi && keys[pos] == key {
-        Ok(pos)
-    } else {
-        Err(pos)
-    }
-}
-
-/// [`last_mile_search`] over a bare key column (no payloads).
-#[inline]
-pub fn last_mile_search_keys(
-    keys: &[u64],
-    key: u64,
-    lo: usize,
-    hi: usize,
-) -> Result<usize, usize> {
-    let (mut lo, mut hi) = (lo.min(keys.len()), hi.min(keys.len()));
-    while hi - lo > FIXED_WINDOW {
-        let mid = lo + (hi - lo) / 2;
-        match keys[mid].cmp(&key) {
-            std::cmp::Ordering::Less => lo = mid + 1,
-            std::cmp::Ordering::Greater => hi = mid,
-            std::cmp::Ordering::Equal => return Ok(mid),
-        }
-    }
-    branchfree_window_search_keys(keys, key, lo, hi)
+    branchfree_window_search(slots, key, lo, hi)
 }
 
 /// Exponential search outward from a predicted position.
@@ -221,17 +179,9 @@ mod tests {
         (0..n).map(|k| (k * 2, k)).collect()
     }
 
-    #[test]
-    fn bounded_search_finds_in_window() {
-        let e = entries(100);
-        assert_eq!(bounded_binary_search(&e, 40, 15, 25), Ok(20));
-        assert_eq!(bounded_binary_search(&e, 41, 15, 25), Err(21));
-    }
-
-    #[test]
-    fn bounded_search_clamps_window() {
-        let e = entries(10);
-        assert_eq!(bounded_binary_search(&e, 4, 0, 10_000), Ok(2));
+    /// The bare key column of `entries` — the other [`Keyed`] layout.
+    fn column(entries: &[KeyValue]) -> Vec<u64> {
+        entries.iter().map(|e| e.0).collect()
     }
 
     #[test]
@@ -247,6 +197,7 @@ mod tests {
             let lo = at.saturating_sub(5);
             let hi = (at + 5).min(e.len());
             assert_eq!(branchfree_window_search(&e, key, lo, hi), expected, "key {key}");
+            assert_eq!(branchfree_window_search(&column(&e), key, lo, hi), expected);
         }
     }
 
@@ -257,6 +208,7 @@ mod tests {
         assert_eq!(last_mile_search(&e, 5001, 0, e.len()), Err(2501));
         // Empty window at the end: key above everything.
         assert_eq!(last_mile_search(&e, u64::MAX, e.len(), e.len()), Err(e.len()));
+        assert_eq!(last_mile_search(&column(&e), 5001, 0, e.len()), Err(2501));
     }
 
     #[test]
@@ -354,6 +306,7 @@ mod tests {
             let lo = at.saturating_sub(slack);
             let hi = (at + slack + 1).min(e.len()).max(at);
             prop_assert_eq!(last_mile_search(&e, probe, lo, hi), expected);
+            prop_assert_eq!(last_mile_search(&column(&e), probe, lo, hi), expected);
         }
     }
 }

@@ -179,8 +179,10 @@ struct MctsNode<S> {
     state: S,
     visits: u64,
     total: f64,
-    /// Child node index per expanded action.
-    children: HashMap<usize, usize>,
+    /// `(action, child node index)` in expansion order. Ties in UCT score
+    /// and in the final visit count go to the child expanded first, so a
+    /// seeded search is a pure function of its seed.
+    children: Vec<(usize, usize)>,
     untried: Vec<usize>,
 }
 
@@ -219,7 +221,7 @@ impl Mcts {
             state: root_state.clone(),
             visits: 0,
             total: 0.0,
-            children: HashMap::new(),
+            children: Vec::new(),
             untried: root_actions,
         }];
         for _ in 0..self.simulations {
@@ -234,16 +236,14 @@ impl Mcts {
                     break; // terminal
                 }
                 let parent_visits = arena[at].visits.max(1) as f64;
-                let (_, &child) = arena[at]
-                    .children
-                    .iter()
-                    .max_by(|(_, &a), (_, &b)| {
-                        let ua = self.uct(&arena[a], parent_visits);
-                        let ub = self.uct(&arena[b], parent_visits);
-                        ua.partial_cmp(&ub).unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                    .expect("children non-empty");
-                at = child;
+                let mut best = (f64::NEG_INFINITY, arena[at].children[0].1);
+                for &(_, child) in &arena[at].children {
+                    let score = self.uct(&arena[child], parent_visits);
+                    if score > best.0 {
+                        best = (score, child);
+                    }
+                }
+                at = best.1;
                 path.push(at);
             }
             // Expansion.
@@ -257,10 +257,10 @@ impl Mcts {
                     state: next_state,
                     visits: 0,
                     total: 0.0,
-                    children: HashMap::new(),
+                    children: Vec::new(),
                     untried,
                 });
-                arena[at].children.insert(action, idx);
+                arena[at].children.push((action, idx));
                 at = idx;
                 path.push(at);
             }
@@ -273,11 +273,13 @@ impl Mcts {
             }
         }
         // Most-visited root action (robust child).
-        arena[0]
-            .children
-            .iter()
-            .max_by_key(|(_, &c)| arena[c].visits)
-            .map(|(&a, _)| a)
+        let mut best: Option<(u64, usize)> = None;
+        for &(action, child) in &arena[0].children {
+            if best.map_or(true, |(visits, _)| arena[child].visits > visits) {
+                best = Some((arena[child].visits, action));
+            }
+        }
+        best.map(|(_, action)| action)
     }
 
     fn uct<S>(&self, node: &MctsNode<S>, parent_visits: f64) -> f64 {
@@ -369,6 +371,34 @@ mod tests {
         let mcts = Mcts::new(2000);
         let best = mcts.search(&DigitSum, &vec![], &mut rng);
         assert_eq!(best, Some(9), "mcts should choose the max digit");
+    }
+
+    /// Six actions, depth two, every outcome worth the same: nothing but
+    /// the tie rule separates the children.
+    struct Flat;
+    impl MctsProblem for Flat {
+        type State = usize;
+        fn actions(&self, depth: &usize) -> Vec<usize> {
+            if *depth >= 2 {
+                vec![]
+            } else {
+                (0..6).collect()
+            }
+        }
+        fn apply(&self, depth: &usize, _: usize) -> usize {
+            depth + 1
+        }
+        fn reward(&self, _: &usize) -> f64 {
+            1.0
+        }
+    }
+
+    #[test]
+    fn seeded_search_is_reproducible_under_ties() {
+        let answers: std::collections::BTreeSet<Option<usize>> = (0..64)
+            .map(|_| Mcts::new(64).search(&Flat, &0, &mut StdRng::seed_from_u64(9)))
+            .collect();
+        assert_eq!(answers.len(), 1, "one seed, several answers: {answers:?}");
     }
 
     #[test]

@@ -243,6 +243,23 @@ mod tests {
     }
 
     #[test]
+    fn same_seed_packs_the_same_tree() {
+        // EXPERIMENTS.md E5's instance at its largest budget: the packing
+        // is a function of (points, workload, seed) and nothing else.
+        let mut rng = StdRng::seed_from_u64(6);
+        let points = generate_points(SpatialDistribution::Skewed, 3000, &mut rng);
+        let history = generate_range_queries(60, 0.06, true, &mut rng);
+        let future = generate_range_queries(60, 0.06, true, &mut rng);
+        let packer = PlatonPacker { simulations: 256, ..Default::default() };
+        let per_query = |tree: &RTree| -> Vec<u64> {
+            history.iter().chain(&future).map(|q| tree.range_query(q).1.leaf_accesses).collect()
+        };
+        let first = per_query(&packer.pack(&points, &history, 7));
+        let second = per_query(&packer.pack(&points, &history, 7));
+        assert_eq!(first, second);
+    }
+
+    #[test]
     fn budget_controls_work() {
         // More simulations should not be worse (usually better) and must
         // still produce a correct tree.

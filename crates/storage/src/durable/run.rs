@@ -20,7 +20,6 @@
 //! way the gate went.
 
 use ml4db_index::pgm::PgmCore;
-use ml4db_index::search::last_mile_search_keys;
 use ml4db_lifecycle::{GateConfig, ModelRegistry};
 
 use super::medium::{IoFault, StorageMedium};
@@ -227,10 +226,7 @@ impl Run {
     /// Looks `key` up through the gated probe path.
     pub fn get(&self, key: u64) -> Option<RunEntry> {
         let at = match &self.index {
-            RunIndex::Learned(core) => {
-                let (lo, hi) = core.predict_range(key);
-                last_mile_search_keys(&self.keys, key, lo, hi).ok()?
-            }
+            RunIndex::Learned(core) => core.search(&self.keys, key).ok()?,
             RunIndex::BinarySearch => self.keys.binary_search(&key).ok()?,
         };
         Some(self.entries[at])
@@ -246,12 +242,9 @@ impl Run {
     /// All entries with keys in `[lo, hi]`, located via the probe path.
     pub fn range(&self, lo: u64, hi: u64) -> &[RunEntry] {
         let start = match &self.index {
-            RunIndex::Learned(core) => {
-                let (plo, phi) = core.predict_range(lo);
-                match last_mile_search_keys(&self.keys, lo, plo, phi) {
-                    Ok(i) | Err(i) => i,
-                }
-            }
+            RunIndex::Learned(core) => match core.search(&self.keys, lo) {
+                Ok(i) | Err(i) => i,
+            },
             RunIndex::BinarySearch => self.keys.partition_point(|&k| k < lo),
         };
         let end = start + self.keys[start..].partition_point(|&k| k <= hi);
@@ -282,8 +275,7 @@ fn gate_run_index(keys: &[u64]) -> RunIndex {
     for i in (0..keys.len()).step_by(step) {
         for probe in [keys[i], keys[i].wrapping_add(1)] {
             probes += 1;
-            let (lo, hi) = candidate.predict_range(probe);
-            let learned = last_mile_search_keys(keys, probe, lo, hi).ok();
+            let learned = candidate.search(keys, probe).ok();
             let reference = keys.binary_search(&probe).ok();
             if learned != reference {
                 disagreements += 1;

@@ -12,7 +12,6 @@
 //! order-preserving `u64` encoding ([`encode_f64`]) that makes integer
 //! comparison agree with `f64` ordering.
 
-use ml4db_index::search::last_mile_search_keys;
 use ml4db_index::PgmCore;
 
 use crate::table::ColumnData;
@@ -100,8 +99,7 @@ impl SecondaryIndex {
     /// then last-mile over the borrowed key column).
     #[inline]
     fn key_lower_bound(&self, ek: u64) -> usize {
-        let (lo, hi) = self.core.predict_range(ek);
-        match last_mile_search_keys(&self.keys, ek, lo, hi) {
+        match self.core.search(&self.keys, ek) {
             Ok(i) | Err(i) => i,
         }
     }
@@ -113,9 +111,7 @@ impl SecondaryIndex {
         if v.is_nan() {
             return &[];
         }
-        let ek = encode_f64(v);
-        let (lo, hi) = self.core.predict_range(ek);
-        match last_mile_search_keys(&self.keys, ek, lo, hi) {
+        match self.core.search(&self.keys, encode_f64(v)) {
             Ok(i) => &self.row_ids[self.offsets[i] as usize..self.offsets[i + 1] as usize],
             Err(_) => &[],
         }
@@ -129,13 +125,9 @@ impl SecondaryIndex {
             return &[];
         }
         let ki_lo = self.key_lower_bound(encode_f64(lo));
-        let ek_hi = encode_f64(hi);
         // Distinct keys: upper bound is the lower bound nudged past an
         // exact hit.
-        let ki_hi = match {
-            let (wlo, whi) = self.core.predict_range(ek_hi);
-            last_mile_search_keys(&self.keys, ek_hi, wlo, whi)
-        } {
+        let ki_hi = match self.core.search(&self.keys, encode_f64(hi)) {
             Ok(i) => i + 1,
             Err(i) => i,
         };
