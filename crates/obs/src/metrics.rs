@@ -154,6 +154,16 @@ impl Histogram {
         self.max = self.max.max(other.max);
     }
 
+    /// Forgets every observation, keeping the buckets (and their
+    /// allocation) — for a shard-local histogram that is merged into a
+    /// shared one and then reused.
+    pub fn reset(&mut self) {
+        self.counts.fill(0);
+        self.nan_count = 0;
+        self.min = f64::INFINITY;
+        self.max = f64::NEG_INFINITY;
+    }
+
     /// Deterministic JSON rendering (sorted keys, exact counts).
     pub fn to_json(&self) -> Value {
         let mut o = BTreeMap::new();
@@ -315,6 +325,17 @@ mod tests {
         assert_eq!(r.histogram("h").unwrap().total(), 2);
         let rendered = r.to_json().to_string();
         assert!(rendered.contains("\"counters\""), "{rendered}");
+    }
+
+    #[test]
+    fn reset_returns_a_histogram_to_its_empty_state() {
+        let mut h = Histogram::latency_us();
+        for v in [0.1, 3.0, f64::NAN, 9.0e9] {
+            h.observe(v);
+        }
+        assert_ne!(h, Histogram::latency_us());
+        h.reset();
+        assert_eq!(h, Histogram::latency_us());
     }
 
     #[test]

@@ -45,7 +45,7 @@
 //! `cost_plan`: dropping it there would change both the annotations and
 //! the number of calls the guard's breaker has seen.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -433,22 +433,31 @@ impl<'e, 'db> SessionView<'e, 'db> {
         self.local_misses
     }
 
-    /// The expert plan for `query` under `hint`, answered from the
-    /// session memo when this view has seen the key before, else from
-    /// the engine (which memoizes it shard-wide).
-    pub fn plan_with_hint(&mut self, query: &Query, hint: HintSet) -> Option<PlanNode> {
+    /// The memo slot for `query` under `hint`: answered from the session
+    /// memo when this view has seen the key before, else filled from the
+    /// engine (which memoizes it shard-wide) and then borrowed.
+    fn memoised(&mut self, query: &Query, hint: HintSet) -> &Option<PlanNode> {
         let key = CacheKey::new(query, hint, self.env.epoch());
-        if let Some(p) = self.local.get(&key) {
-            self.local_hits += 1;
-            return p.clone();
-        }
-        self.local_misses += 1;
-        let plan = self.env.plan_with_hint(query, hint);
-        if self.local.len() >= SESSION_MEMO_CAP {
+        if self.local.len() >= SESSION_MEMO_CAP && !self.local.contains_key(&key) {
             self.local.clear();
         }
-        self.local.insert(key, plan.clone());
-        plan
+        match self.local.entry(key) {
+            Entry::Occupied(slot) => {
+                self.local_hits += 1;
+                slot.into_mut()
+            }
+            Entry::Vacant(slot) => {
+                self.local_misses += 1;
+                slot.insert(self.env.plan_with_hint(query, hint))
+            }
+        }
+    }
+
+    /// The expert plan for `query` under `hint`, through the session
+    /// memo — an owned copy; [`SessionView::serve`] runs the memoised
+    /// plan in place instead.
+    pub fn plan_with_hint(&mut self, query: &Query, hint: HintSet) -> Option<PlanNode> {
+        self.memoised(query, hint).clone()
     }
 
     /// The expert's default plan through the session memo.
@@ -457,11 +466,13 @@ impl<'e, 'db> SessionView<'e, 'db> {
     }
 
     /// Plans and executes `query` end to end, returning the simulated
-    /// latency in µs — the one-call serving path. `None` when the
-    /// planner admits no plan.
+    /// latency in µs — the one-call serving path. The plan is run by
+    /// reference out of the session memo: a memo hit copies no plan
+    /// tree. `None` when the planner admits no plan.
     pub fn serve(&mut self, query: &Query) -> Option<f64> {
-        let plan = self.expert_plan(query)?;
-        Some(self.env.run(query, &plan))
+        let env = self.env;
+        let plan = self.memoised(query, HintSet::all()).as_ref()?;
+        Some(env.run(query, plan))
     }
 }
 
