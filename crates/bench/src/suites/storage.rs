@@ -1,6 +1,8 @@
 //! Durable-tier benchmark: WAL append throughput, recovery latency,
-//! run-index build time, on-disk bytes per key — and the read
-//! amplification compaction leaves behind.
+//! run-index build time, on-disk bytes per key — and, on a store loaded
+//! the way the `kv_durable` workload loads it, the read amplification
+//! compaction leaves behind, the cost of a 100-key `range`, the speed of
+//! the tier's merge and the worst commit (the one that pays for a merge).
 //!
 //! The timing figures are wall-clock on the running host — compare only
 //! within one run (the committed per-PR trajectory), never raw across
@@ -16,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use ml4db_core::storage::durable::run::{Run, RunEntry, RunIndex};
+use ml4db_core::storage::durable::run::{merge_runs, MergeInput, Run, RunEntry, RunIndex};
 use ml4db_core::storage::durable::{
     DurableStore, SimDisk, StoreConfig, Wal, WalConfig, WalRecord,
 };
@@ -36,18 +38,36 @@ const LOADED_KEYS: u64 = 200_000;
 /// without compaction it holds 196.
 const MAX_RUNS_AFTER_LOAD: usize = 24;
 
-/// Loads [`LOADED_KEYS`] shuffled keys into a default-config store and
-/// counts, exactly, the runs left and the mean runs a `get` probes
-/// (newest first, until one holds the key) over a zipf sample of them.
-fn read_amplification(rng: &mut StdRng) -> (usize, f64) {
+/// Ranges timed for `range_100_keys_us`.
+const RANGES: u64 = 20_000;
+
+/// What the loaded store showed: two exact counts, three wall-clock
+/// figures.
+struct Loaded {
+    runs_after_load: usize,
+    runs_probed_per_get: f64,
+    max_commit_ms: f64,
+    range_100_keys_us: f64,
+    merge_entries_per_sec: f64,
+}
+
+/// Loads [`LOADED_KEYS`] shuffled keys into a default-config store,
+/// timing every commit, and counts, exactly, the runs left and the mean
+/// runs a `get` probes (newest first, until one holds the key) over a
+/// zipf sample of them. Then times 100-key ranges over the loaded keys
+/// and one merge of all the runs left, the way a compaction reaching the
+/// oldest run would do it.
+fn load_and_read(rng: &mut StdRng) -> Loaded {
     let mut order: Vec<u64> = (0..LOADED_KEYS).collect();
     order.shuffle(rng);
     let mut store = DurableStore::create(SimDisk::new(), StoreConfig::default()).expect("create");
+    let mut max_commit = 0f64;
     for chunk in order.chunks(BATCH as usize) {
         for &key in chunk {
             store.put(key, key).expect("put");
         }
-        store.commit().expect("commit");
+        let (_, t_commit) = time(|| store.commit().expect("commit"));
+        max_commit = max_commit.max(t_commit);
     }
     store.flush().expect("flush");
     let gets = 100_000u64;
@@ -61,7 +81,24 @@ fn read_amplification(rng: &mut StdRng) -> (usize, f64) {
         let at = newest_first.position(|run| run.get_unindexed(key).is_some());
         probed += at.expect("every loaded key is in a run") as u64 + 1;
     }
-    (store.runs().len(), probed as f64 / gets as f64)
+
+    let los: Vec<u64> = (0..RANGES).map(|_| rng.gen_range(0..LOADED_KEYS - 100)).collect();
+    let (rows, t_ranges) = time(|| {
+        los.iter().map(|&lo| black_box(store.range(lo, lo + 99)).len() as u64).sum::<u64>()
+    });
+    assert_eq!(rows, RANGES * 100, "every loaded key is live");
+
+    let inputs: Vec<MergeInput<'_>> = store.runs().iter().map(Run::view).collect();
+    let (merged, t_merge) = time(|| merge_runs(black_box(&inputs), true));
+    assert_eq!(merged.len() as u64, LOADED_KEYS);
+
+    Loaded {
+        runs_after_load: store.runs().len(),
+        runs_probed_per_get: probed as f64 / gets as f64,
+        max_commit_ms: max_commit * 1e3,
+        range_100_keys_us: t_ranges * 1e6 / RANGES as f64,
+        merge_entries_per_sec: LOADED_KEYS as f64 / t_merge,
+    }
 }
 
 pub fn run() -> Outcome {
@@ -149,8 +186,13 @@ pub fn run() -> Outcome {
     });
     assert_eq!(sum_learned, sum_binary, "gated index disagrees with binary search");
 
-    // --- Read amplification after a load (exact counts, the gate) -------
-    let (runs_after_load, runs_probed_per_get) = read_amplification(&mut rng);
+    // --- The loaded store: read amplification (exact counts, the gate),
+    // range, merge and worst-commit cost -------------------------------
+    let loaded = load_and_read(&mut rng);
+    eprintln!(
+        "storage: range_100_keys_us={:.2} merge_entries_per_sec={:.0} max_commit_ms={:.2}",
+        loaded.range_100_keys_us, loaded.merge_entries_per_sec, loaded.max_commit_ms
+    );
 
     let per_1e5 = 100_000.0 / n as f64;
     let mut o = BTreeMap::new();
@@ -201,10 +243,22 @@ pub fn run() -> Outcome {
         "probe_speedup_vs_binary".into(),
         Value::Number((t_probe_binary / t_probe * 100.0).round() / 100.0),
     );
-    o.insert("runs_after_load".into(), Value::Number(runs_after_load as f64));
+    o.insert("runs_after_load".into(), Value::Number(loaded.runs_after_load as f64));
     o.insert(
         "mean_runs_probed_per_get".into(),
-        Value::Number((runs_probed_per_get * 1e4).round() / 1e4),
+        Value::Number((loaded.runs_probed_per_get * 1e4).round() / 1e4),
     );
-    Outcome { json: Value::Object(o), pass: runs_after_load <= MAX_RUNS_AFTER_LOAD }
+    o.insert(
+        "range_100_keys_us".into(),
+        Value::Number((loaded.range_100_keys_us * 100.0).round() / 100.0),
+    );
+    o.insert(
+        "merge_entries_per_sec".into(),
+        Value::Number(loaded.merge_entries_per_sec.round()),
+    );
+    o.insert(
+        "max_commit_ms".into(),
+        Value::Number((loaded.max_commit_ms * 100.0).round() / 100.0),
+    );
+    Outcome { json: Value::Object(o), pass: loaded.runs_after_load <= MAX_RUNS_AFTER_LOAD }
 }

@@ -18,6 +18,13 @@
 //! of zero). A rejected model leaves the run on plain binary search —
 //! correct, just slower — and the `run_flush` trace event records which
 //! way the gate went.
+//!
+//! The tier's one merge lives here too: `merge_newest_wins`, a cursor
+//! over [`MergeInput`]s (a stretch of a run's key column with the entries
+//! beside it) that compaction, `DurableStore::range` and
+//! `DurableStore::committed_state` all read through — see its docs for
+//! why the inputs come oldest first, why the scan over them is linear and
+//! why keys and entries travel together.
 
 use ml4db_index::pgm::PgmCore;
 use ml4db_lifecycle::{GateConfig, ModelRegistry};
@@ -239,18 +246,48 @@ impl Run {
         self.keys.binary_search(&key).ok().map(|at| self.entries[at])
     }
 
-    /// All entries with keys in `[lo, hi]`, located via the probe path.
+    /// The whole run as a merge input.
+    pub fn view(&self) -> MergeInput<'_> {
+        MergeInput { keys: &self.keys, entries: &self.entries }
+    }
+
+    /// All entries with keys in `[lo, hi]`, located via the probe path;
+    /// an inverted range (`lo > hi`) is empty.
     pub fn range(&self, lo: u64, hi: u64) -> &[RunEntry] {
+        self.range_view(lo, hi).entries
+    }
+
+    /// [`Run::range`] with the key column beside it: the form the merge
+    /// cursor takes. The start comes from the probe path; the end is
+    /// found by galloping from the start (steps of `GALLOP_FIRST_STEP`,
+    /// doubling, then a bisection inside the last step), so a short
+    /// answer costs a few comparisons on cache lines the start search
+    /// just touched instead of a bisection of the whole rest of the
+    /// column.
+    pub(crate) fn range_view(&self, lo: u64, hi: u64) -> MergeInput<'_> {
         let start = match &self.index {
             RunIndex::Learned(core) => match core.search(&self.keys, lo) {
                 Ok(i) | Err(i) => i,
             },
             RunIndex::BinarySearch => self.keys.partition_point(|&k| k < lo),
         };
-        let end = start + self.keys[start..].partition_point(|&k| k <= hi);
-        &self.entries[start..end]
+        let rest = &self.keys[start..];
+        // Every key of `rest[..within]` is `<= hi`.
+        let (mut within, mut step) = (0, GALLOP_FIRST_STEP);
+        while within + step <= rest.len() && rest[within + step - 1] <= hi {
+            within += step;
+            step *= 2;
+        }
+        let last_step = &rest[within..rest.len().min(within + step)];
+        let end = start + within + last_step.partition_point(|&k| k <= hi);
+        MergeInput { keys: &self.keys[start..end], entries: &self.entries[start..end] }
     }
 }
+
+/// First step of the gallop that finds where a range ends: a range
+/// answer is a few dozen entries per run, so the first probe stays on the
+/// cache line the start search ended on.
+const GALLOP_FIRST_STEP: usize = 8;
 
 /// Builds and gates a PGM model for one run's keys. Incumbent is binary
 /// search (score 0 — it is never wrong); the candidate's score is the
@@ -356,46 +393,85 @@ pub(crate) fn write_merged_run<M: StorageMedium>(
     Ok(run)
 }
 
+/// One input of the merge cursor: a key-sorted stretch of entries with
+/// its key column beside it (`keys[i] == entries[i].key()`). A [`Run`]
+/// hands out its own ([`Run::view`], `Run::range_view`); the store builds
+/// one for the memtable.
+///
+/// The two travel together because they are read at different times. The
+/// cursor decides *which* input moves next from keys alone, and whoever
+/// located the stretch (a bound search over the key column) has just
+/// pulled those keys into cache; the 24-byte entries are cold, and an
+/// entry that loses its key to a newer input is never needed at all.
+/// Reading keys out of the entries would put one cache miss per step on
+/// the loop's dependency chain.
+#[derive(Clone, Copy, Debug)]
+pub struct MergeInput<'a> {
+    pub(crate) keys: &'a [u64],
+    pub(crate) entries: &'a [RunEntry],
+}
+
+/// The tier's one merge: walks `inputs` (each key-sorted, **oldest
+/// first**) in key order and hands `emit` exactly one entry per distinct
+/// key — the one from the newest input holding it, tombstones included.
+/// Compaction ([`merge_runs`]), `DurableStore::range` and
+/// `DurableStore::committed_state` are its three consumers; what to do
+/// with a tombstone is theirs to decide.
+///
+/// Each step moves one input: the newest among those whose head key is
+/// smallest. Its entry is emitted unless the step before emitted that key
+/// (then a newer input already won it), so an entry is loaded only when
+/// it is the answer. The head keys sit in one dense array scanned
+/// linearly — no heap: compaction keeps the fan-in at a dozen or so (at
+/// most `COMPACTION_FAN_IN - 1` runs per size tier, plus the memtable),
+/// where a branch-free scan of two cache lines beats sifting, and the
+/// scan order is what makes "newest wins" a comparison instead of a
+/// stored rank.
+pub(crate) fn merge_newest_wins(inputs: &[MergeInput<'_>], mut emit: impl FnMut(RunEntry)) {
+    let mut rest: Vec<MergeInput<'_>> = Vec::with_capacity(inputs.len());
+    rest.extend(inputs.iter().filter(|r| !r.keys.is_empty()));
+    let mut heads: Vec<u64> = rest.iter().map(|r| r.keys[0]).collect();
+    let mut emitted = None;
+    while let Some(&first) = heads.first() {
+        // `<=`: of equal keys, the later (newer) input is taken first.
+        let (mut at, mut key) = (0, first);
+        for (i, &k) in heads.iter().enumerate().skip(1) {
+            if k <= key {
+                (at, key) = (i, k);
+            }
+        }
+        let r = &mut rest[at];
+        if emitted != Some(key) {
+            emitted = Some(key);
+            emit(r.entries[0]);
+        }
+        *r = MergeInput { keys: &r.keys[1..], entries: &r.entries[1..] };
+        match r.keys.first() {
+            Some(&next) => heads[at] = next,
+            None => {
+                rest.remove(at);
+                heads.remove(at);
+            }
+        }
+    }
+}
+
 /// Merges `inputs` (each key-sorted, **oldest first**) into one
 /// key-sorted entry list where the newest entry wins a key tie. With
 /// `drop_tombstones` the winners that are tombstones are left out —
 /// correct only when nothing older than `inputs` exists for them to
 /// shadow.
 ///
-/// The merge streams: one k-way walk over the borrowed input slices
-/// straight into the output vector (reserved at the no-duplicates upper
-/// bound, trimmed to exact capacity at the end) — no concatenated copy
-/// to sort, so the transient is the output beside its inputs and nothing
-/// more.
-pub(crate) fn merge_runs(inputs: &[&[RunEntry]], drop_tombstones: bool) -> Vec<RunEntry> {
-    // The unread rest of every input that still has entries, oldest
-    // first, and the key at the head of each.
-    let mut rest: Vec<&[RunEntry]> = inputs.iter().copied().filter(|r| !r.is_empty()).collect();
-    let mut heads: Vec<u64> = rest.iter().map(|r| r[0].key()).collect();
-    let mut merged = Vec::with_capacity(rest.iter().map(|r| r.len()).sum());
-    while let Some(&key) = heads.iter().min() {
-        // Newest to oldest: the first input holding `key` wins; every
-        // holder steps past it.
-        let mut winner = None;
-        for i in (0..rest.len()).rev() {
-            if heads[i] != key {
-                continue;
-            }
-            winner.get_or_insert(rest[i][0]);
-            rest[i] = &rest[i][1..];
-            match rest[i].first() {
-                Some(next) => heads[i] = next.key(),
-                None => {
-                    rest.remove(i);
-                    heads.remove(i);
-                }
-            }
+/// The output vector is reserved at the no-duplicates upper bound and
+/// trimmed to exact capacity at the end, so the transient is the output
+/// beside its inputs and nothing more.
+pub fn merge_runs(inputs: &[MergeInput<'_>], drop_tombstones: bool) -> Vec<RunEntry> {
+    let mut merged = Vec::with_capacity(inputs.iter().map(|r| r.entries.len()).sum());
+    merge_newest_wins(inputs, |entry| {
+        if !(drop_tombstones && matches!(entry, RunEntry::Tombstone { .. })) {
+            merged.push(entry);
         }
-        match winner.expect("the minimum head belongs to some input") {
-            RunEntry::Tombstone { .. } if drop_tombstones => {}
-            entry => merged.push(entry),
-        }
-    }
+    });
     merged.shrink_to_fit();
     merged
 }
@@ -427,6 +503,19 @@ pub fn load_run<M: StorageMedium>(
 mod tests {
     use super::super::medium::SimDisk;
     use super::*;
+
+    /// [`super::merge_runs`] over bare entry slices, each lent the key
+    /// column a [`Run`] would hold beside it.
+    fn merge_runs(inputs: &[&[RunEntry]], drop_tombstones: bool) -> Vec<RunEntry> {
+        let columns: Vec<Vec<u64>> =
+            inputs.iter().map(|r| r.iter().map(RunEntry::key).collect()).collect();
+        let views: Vec<MergeInput<'_>> = inputs
+            .iter()
+            .zip(&columns)
+            .map(|(&entries, keys)| MergeInput { keys, entries })
+            .collect();
+        super::merge_runs(&views, drop_tombstones)
+    }
 
     fn sample_entries(n: u64) -> Vec<RunEntry> {
         (0..n)
@@ -557,14 +646,59 @@ mod tests {
         }
     }
 
+    /// `run.range(lo, hi)` against a filter over `entries`.
+    fn assert_range(run: &Run, entries: &[RunEntry], lo: u64, hi: u64) {
+        let want: Vec<RunEntry> =
+            entries.iter().copied().filter(|e| (lo..=hi).contains(&e.key())).collect();
+        assert_eq!(run.range(lo, hi), &want[..], "range [{lo}, {hi}] of {} keys", entries.len());
+    }
+
     #[test]
     fn range_matches_filter_sweep() {
+        // Keys 0, 3, ..., 1497.
         let entries = sample_entries(500);
         let run = Run::assemble(0, entries.clone(), 0);
-        for (lo, hi) in [(0, 0), (3, 300), (299, 901), (0, u64::MAX), (1400, 1400)] {
-            let want: Vec<RunEntry> =
-                entries.iter().copied().filter(|e| (lo..=hi).contains(&e.key())).collect();
-            assert_eq!(run.range(lo, hi), &want[..], "range [{lo}, {hi}]");
+        for (lo, hi) in [
+            (0, 0),
+            (3, 300),
+            (299, 901),
+            (0, u64::MAX),
+            (1400, 1400),
+            // The gallop's edges: an end far past the column, a start
+            // past the last key, an end exactly on the last key, windows
+            // of one first step, one short of it and one past it, and an
+            // inverted range.
+            (700, u64::MAX),
+            (1498, 5_000),
+            (u64::MAX, u64::MAX),
+            (1200, 1497),
+            (30, 30 + 3 * 7),
+            (30, 30 + 3 * 6),
+            (30, 30 + 3 * 8),
+            (20, 10),
+        ] {
+            assert_range(&run, &entries, lo, hi);
+        }
+        assert!(run.range(20, 10).is_empty(), "an inverted range is empty");
+
+        // A one-key run, and the key space's two ends.
+        for key in [0, 5, u64::MAX] {
+            let one = [RunEntry::Put { key, value: 1 }];
+            let run = Run::assemble(0, one.to_vec(), 0);
+            for (lo, hi) in [(0, u64::MAX), (key, key), (0, key), (key, u64::MAX), (6, 9)] {
+                assert_range(&run, &one, lo, hi);
+            }
+        }
+
+        // Every `(lo, hi)` over a 40-key run with uneven gaps, windows
+        // wider than the run and inverted ones included.
+        let entries: Vec<RunEntry> =
+            (0..40u64).map(|i| RunEntry::Put { key: 10 + i * 2 + i % 2, value: i }).collect();
+        let run = Run::assemble(0, entries.clone(), 0);
+        for lo in 0..100 {
+            for hi in 0..100 {
+                assert_range(&run, &entries, lo, hi);
+            }
         }
     }
 

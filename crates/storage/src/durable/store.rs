@@ -60,18 +60,35 @@
 //! synchronous and single-threaded (the crash matrix's op-count clock
 //! stays deterministic), so the commit that tips a tier pays for the
 //! merge; a run lives fully in memory, so a merge briefly holds its
-//! output beside its inputs (streamed k-way into exact-capacity vectors,
-//! see `run::merge_runs`).
+//! output beside its inputs (streamed into an exact-capacity vector, see
+//! `run::merge_runs`).
 //!
 //! ## Reads
 //! [`DurableStore::get`] checks the memtable, then runs newest-first
-//! through their gated learned indexes. [`DurableStore::committed_state`]
-//! folds everything into the canonical map the oracle compares against.
+//! through their gated learned indexes, and allocates nothing.
+//!
+//! [`DurableStore::range`] is one pass of the tier's one merge cursor
+//! (`run::merge_newest_wins`, the same loop compaction runs). Each run
+//! contributes the stretch of its key and entry columns inside
+//! `[lo, hi]` — start located through its probe path, end by galloping
+//! from the start, because the answer is a few dozen entries of a column
+//! of tens of thousands — and the memtable's slice is copied out as the
+//! newest input. The cursor walks the inputs in key order, lets the
+//! newest holder of each key win, and the winners that are `Put`s go
+//! straight into the result vector; a tombstone winner is simply not
+//! pushed. Nothing is built in between: no map, no merged entry list, so
+//! a range costs a handful of allocations however many runs it crosses
+//! (`tests/durable_allocs.rs` in the workspace root gates the count).
+//!
+//! [`DurableStore::committed_state`] — the canonical map the oracle
+//! compares against — is the range over the whole key space, collected:
+//! the cursor's output is already sorted and duplicate-free, which is the
+//! form a `BTreeMap` is bulk-built from.
 
 use std::collections::BTreeMap;
 
 use super::medium::{IoFault, StorageMedium};
-use super::run::{self, Run, RunEntry, RunError};
+use super::run::{self, MergeInput, Run, RunEntry, RunError};
 use super::wal::{Wal, WalConfig, WalError, WalRecord};
 
 /// Knobs for the durable store.
@@ -104,6 +121,16 @@ fn tier(entries: usize) -> u32 {
 enum MemVal {
     Put(u64),
     Tombstone,
+}
+
+impl MemVal {
+    /// The run entry this state of `key` freezes into.
+    fn entry(self, key: u64) -> RunEntry {
+        match self {
+            MemVal::Put(value) => RunEntry::Put { key, value },
+            MemVal::Tombstone => RunEntry::Tombstone { key },
+        }
+    }
 }
 
 /// What [`DurableStore::open`] found while recovering.
@@ -399,14 +426,7 @@ impl<M: StorageMedium> DurableStore<M> {
         if self.memtable.is_empty() {
             return Ok(());
         }
-        let entries: Vec<RunEntry> = self
-            .memtable
-            .iter()
-            .map(|(&key, &v)| match v {
-                MemVal::Put(value) => RunEntry::Put { key, value },
-                MemVal::Tombstone => RunEntry::Tombstone { key },
-            })
-            .collect();
+        let entries: Vec<RunEntry> = self.memtable.iter().map(|(&key, &v)| v.entry(key)).collect();
         let run_id = self.next_run_id;
         let run = match run::write_run(
             &mut self.medium,
@@ -459,7 +479,7 @@ impl<M: StorageMedium> DurableStore<M> {
     /// error — any other fault abandons the merge and keeps the inputs.
     fn compact(&mut self) -> Result<(), WalError> {
         while let Some(start) = self.compaction_start() {
-            let inputs: Vec<&[RunEntry]> = self.runs[start..].iter().map(Run::entries).collect();
+            let inputs: Vec<MergeInput<'_>> = self.runs[start..].iter().map(Run::view).collect();
             // Only a merge reaching back to the oldest run may forget
             // deletes: nothing older is left for a tombstone to shadow.
             let entries = run::merge_runs(&inputs, start == 0);
@@ -524,61 +544,34 @@ impl<M: StorageMedium> DurableStore<M> {
     }
 
     /// The full committed state as a map — the canonical form the
-    /// oracle's reference is compared against.
+    /// oracle's reference is compared against. The merge cursor's output
+    /// is already in key order, so the map is bulk-built from it.
     pub fn committed_state(&self) -> BTreeMap<u64, u64> {
-        let mut state = BTreeMap::new();
-        for run in &self.runs {
-            for e in run.entries() {
-                match *e {
-                    RunEntry::Put { key, value } => {
-                        state.insert(key, value);
-                    }
-                    RunEntry::Tombstone { key } => {
-                        state.remove(&key);
-                    }
-                }
-            }
-        }
-        for (&k, &v) in &self.memtable {
-            match v {
-                MemVal::Put(value) => {
-                    state.insert(k, value);
-                }
-                MemVal::Tombstone => {
-                    state.remove(&k);
-                }
-            }
-        }
-        state
+        self.range(0, u64::MAX).into_iter().collect()
     }
 
-    /// All committed `(key, value)` pairs with keys in `[lo, hi]`,
-    /// merged across memtable and runs via the probe path.
+    /// All committed `(key, value)` pairs with keys in `[lo, hi]`, in key
+    /// order; an inverted range (`lo > hi`) is empty. See the module
+    /// docs' "Reads" for how the answer is assembled.
     pub fn range(&self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
-        let mut merged: BTreeMap<u64, Option<u64>> = BTreeMap::new();
-        for run in &self.runs {
-            for e in run.range(lo, hi) {
-                match *e {
-                    RunEntry::Put { key, value } => {
-                        merged.insert(key, Some(value));
-                    }
-                    RunEntry::Tombstone { key } => {
-                        merged.insert(key, None);
-                    }
-                }
-            }
+        if lo > hi {
+            return Vec::new();
         }
-        for (&k, &v) in self.memtable.range(lo..=hi) {
-            match v {
-                MemVal::Put(value) => {
-                    merged.insert(k, Some(value));
-                }
-                MemVal::Tombstone => {
-                    merged.insert(k, None);
-                }
+        let (mem_keys, mem_entries): (Vec<u64>, Vec<RunEntry>) =
+            self.memtable.range(lo..=hi).map(|(&key, &v)| (key, v.entry(key))).unzip();
+        let inputs: Vec<MergeInput<'_>> = self
+            .runs
+            .iter()
+            .map(|run| run.range_view(lo, hi))
+            .chain([MergeInput { keys: &mem_keys, entries: &mem_entries }])
+            .collect();
+        let mut rows = Vec::with_capacity(inputs.iter().map(|input| input.entries.len()).sum());
+        run::merge_newest_wins(&inputs, |entry| {
+            if let RunEntry::Put { key, value } = entry {
+                rows.push((key, value));
             }
-        }
-        merged.into_iter().filter_map(|(k, v)| v.map(|v| (k, v))).collect()
+        });
+        rows
     }
 }
 
@@ -876,5 +869,23 @@ mod tests {
         store.commit().unwrap();
         let got = store.range(8, 13);
         assert_eq!(got, vec![(8, 8), (9, 9), (10, 999), (12, 12), (13, 13)]);
+    }
+
+    /// Regression: `range(lo, hi)` with `lo > hi` reached
+    /// `BTreeMap::range` on the memtable, which panics on an inverted
+    /// range; `BTreeIndex::range` documents such a range as empty.
+    #[test]
+    fn inverted_range_is_empty_not_a_panic() {
+        let mut store = DurableStore::create(SimDisk::new(), small_cfg()).unwrap();
+        store.put(15, 1).unwrap();
+        store.commit().unwrap();
+        assert_eq!(store.range(20, 10), vec![], "memtable only");
+        store.flush().unwrap();
+        store.put(12, 2).unwrap();
+        store.commit().unwrap();
+        assert_eq!(store.range(20, 10), vec![], "a run and the memtable");
+        assert_eq!(store.range(u64::MAX, 0), vec![]);
+        assert!(store.runs()[0].range(20, 10).is_empty());
+        assert_eq!(store.range(10, 20), vec![(12, 2), (15, 1)]);
     }
 }
