@@ -7,8 +7,8 @@
 //!   pretrained/unified models ([`ml4db_pretrain`]);
 //! * **Paradigms** — replacement vs ML-enhanced, on indexes
 //!   ([`ml4db_index`], [`ml4db_spatial`]) and the query optimizer
-//!   ([`ml4db_optimizer`]); the [`paradigm`] module captures the pattern
-//!   itself (guardrails, robustness reports);
+//!   ([`ml4db_optimizer`]); [`ml4db_guard`] captures the ML-enhanced
+//!   pattern itself (one guarded call, a judge per component);
 //! * **Open problems** — model efficiency and drift ([`ml4db_card`]),
 //!   training-data generation ([`ml4db_datagen`]), and deployment
 //!   robustness ([`ml4db_guard`]: circuit-breaker fallbacks for every
@@ -25,7 +25,6 @@
 #![warn(missing_docs)]
 
 pub mod matrix;
-pub mod paradigm;
 pub mod pipeline;
 
 pub use ml4db_card as card;
@@ -49,7 +48,6 @@ pub use ml4db_survey as survey;
 /// Curated re-exports for downstream users.
 pub mod prelude {
     pub use crate::matrix::{run_matrix, MatrixConfig, MatrixReport, Policy};
-    pub use crate::paradigm::{GuardedEstimator, ParadigmKind, RobustnessReport};
     pub use crate::pipeline::{demo_database, demo_workload, train_bao};
     pub use ml4db_card::{MscnEstimator, NngpEstimator};
     pub use ml4db_datagen::{SchemaGraph, WorkloadConfig, WorkloadGenerator};

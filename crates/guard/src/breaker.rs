@@ -19,7 +19,16 @@
 //!
 //! A retrained/rebaselined model can skip the Open cooldown via
 //! [`CircuitBreaker::begin_probation`], which jumps straight to HalfOpen.
+//!
+//! Every guarded wrapper drives the machine through one function,
+//! [`CircuitBreaker::guarded_call`]: it dispatches, contains the learned
+//! side's panics, hands the learned answer to the wrapper's *judge* and
+//! turns the [`Judged`] verdict into the breaker record and the served
+//! value. The crate-private `AuditSchedule` below is the shared "dense
+//! while young, sparse once trusted" rule the index judges consult.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 /// Breaker state.
@@ -108,6 +117,21 @@ pub enum Decision {
     },
     /// Serve the classical component without invoking the learned one.
     UseClassical,
+}
+
+/// A judge's verdict on one learned answer, carrying the value to serve.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Judged<T> {
+    /// The answer was not checked on this call: serve it, record nothing.
+    /// (On a shadow call nothing unchecked is served — classical answers.)
+    Unjudged(T),
+    /// The answer passed: record a success and serve this value — the
+    /// learned answer, or the classical one on shadow and audited calls.
+    Clean(T),
+    /// The answer failed for this reason: record the failure and serve the
+    /// classical answer — the one handed back if the judge already
+    /// computed it, a fresh one otherwise.
+    Failed(TripReason, Option<T>),
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -234,6 +258,44 @@ impl CircuitBreaker {
         }
     }
 
+    /// One guarded call — the ML-enhanced protocol every wrapper follows.
+    ///
+    /// While Open, `classical` answers and `learned` is never invoked.
+    /// Otherwise `learned` runs under the guard's one `catch_unwind` (a
+    /// panic is a [`TripReason::Panic`] failure) and `judge` rules on its
+    /// answer; `shadow` tells the judge the call is probationary, so it
+    /// must check the answer and serve the classical side. `classical` is
+    /// run at most once, and only when the call needs an answer the judge
+    /// did not supply.
+    #[inline]
+    pub fn guarded_call<L, T>(
+        &self,
+        classical: impl FnOnce() -> T,
+        learned: impl FnOnce() -> L,
+        judge: impl FnOnce(L, bool) -> Judged<T>,
+    ) -> T {
+        let shadow = match self.begin_call() {
+            Decision::UseClassical => return classical(),
+            Decision::UseLearned { shadow } => shadow,
+        };
+        let verdict = match catch_unwind(AssertUnwindSafe(learned)) {
+            Ok(answer) => judge(answer, shadow),
+            Err(_) => Judged::Failed(TripReason::Panic, None),
+        };
+        match verdict {
+            Judged::Unjudged(answer) if !shadow => answer,
+            Judged::Unjudged(_) => classical(),
+            Judged::Clean(served) => {
+                self.record_success();
+                served
+            }
+            Judged::Failed(why, truth) => {
+                self.record_failure(why);
+                truth.unwrap_or_else(classical)
+            }
+        }
+    }
+
     /// Starts one guarded call and returns the dispatch decision. While
     /// Open this also advances the cooldown counter; the call that
     /// exhausts it still serves classical, and the *next* one probes.
@@ -350,6 +412,58 @@ impl CircuitBreaker {
         g.last_trip = Some(why);
         self.observe_transition(from, BreakerState::Open, why.as_str());
         ml4db_obs::counter_add("guard.trips", 1);
+    }
+}
+
+/// Audit every call for the first this-many learned calls.
+const WARMUP_AUDITS: u64 = 16;
+/// After warm-up, audit every this-many-th learned call.
+const AUDIT_EVERY: u64 = 8;
+
+/// When an index guard pays for a classical answer to check a learned one:
+/// every call while trust is young (the first [`WARMUP_AUDITS`] learned
+/// calls) or probationary (shadow), every [`AUDIT_EVERY`]-th call once the
+/// model has earned sustained agreement — plus the counts of what the
+/// audits found.
+#[derive(Debug, Default)]
+pub(crate) struct AuditSchedule {
+    learned_calls: AtomicU64,
+    audits: AtomicU64,
+    mismatches: AtomicU64,
+}
+
+impl AuditSchedule {
+    /// Counts one learned call and returns its 1-based number; called
+    /// from the learned closure, so panicking calls count too.
+    pub(crate) fn next_call(&self) -> u64 {
+        self.learned_calls.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// Whether learned call number `nth` must be audited.
+    pub(crate) fn due(&self, nth: u64, shadow: bool) -> bool {
+        shadow || nth <= WARMUP_AUDITS || nth.is_multiple_of(AUDIT_EVERY)
+    }
+
+    /// Counts one audit and rules on it: the audited call serves `truth`,
+    /// the classical answer, whether or not the learned one `agreed`.
+    pub(crate) fn audited<T>(&self, agreed: bool, truth: T) -> Judged<T> {
+        self.audits.fetch_add(1, Ordering::Relaxed);
+        if agreed {
+            Judged::Clean(truth)
+        } else {
+            self.mismatches.fetch_add(1, Ordering::Relaxed);
+            Judged::Failed(TripReason::OutOfBand, Some(truth))
+        }
+    }
+
+    /// Audits performed.
+    pub(crate) fn audits(&self) -> u64 {
+        self.audits.load(Ordering::Relaxed)
+    }
+
+    /// Audits the learned answer failed.
+    pub(crate) fn mismatches(&self) -> u64 {
+        self.mismatches.load(Ordering::Relaxed)
     }
 }
 

@@ -23,7 +23,7 @@ use ml4db_card::DriftDetector;
 use ml4db_plan::{CardEstimator, ClassicEstimator, Query};
 use ml4db_storage::Database;
 
-use crate::breaker::{BreakerConfig, CircuitBreaker, Decision, TripReason};
+use crate::breaker::{BreakerConfig, CircuitBreaker, Judged, TripReason};
 
 /// A learned cardinality estimator wrapped in a circuit breaker, falling
 /// back to a classical estimator.
@@ -110,15 +110,6 @@ impl<L: CardEstimator, C: CardEstimator> GuardedCardEstimator<L, C> {
         }
     }
 
-    /// Installs a new learned model (a freshly promoted lifecycle
-    /// version) and re-admits it: the drift baseline is cleared and the
-    /// breaker goes on probation, exactly as [`Self::rebaseline`] — the
-    /// old model's error history must not be charged to its successor.
-    pub fn install(&mut self, model: L) {
-        self.learned = model;
-        self.rebaseline();
-    }
-
     /// Re-admission hook after the learned model retrains or adapts:
     /// clears the drift baseline (the new model's errors define the fresh
     /// reference) and puts the breaker on probation.
@@ -130,51 +121,33 @@ impl<L: CardEstimator, C: CardEstimator> GuardedCardEstimator<L, C> {
         self.breaker.begin_probation();
     }
 
-    /// Judges one learned estimate against the classical answer.
-    fn judge(&self, learned: f64, classical: f64) -> Result<f64, TripReason> {
+    /// Judges one learned estimate against the classical answer: every
+    /// call is judged, and a shadow call serves the classical one.
+    fn judge(&self, learned: f64, classical: f64, shadow: bool) -> Judged<f64> {
         if !learned.is_finite() || learned <= 0.0 {
-            return Err(TripReason::InvalidOutput);
+            return Judged::Failed(TripReason::InvalidOutput, None);
         }
         let c = classical.max(1e-9);
         let l = learned.max(1e-9);
         let ratio = (l / c).max(c / l);
         if ratio > self.max_ratio {
-            Err(TripReason::OutOfBand)
+            Judged::Failed(TripReason::OutOfBand, None)
         } else {
-            Ok(learned)
+            Judged::Clean(if shadow { classical } else { learned })
         }
     }
 }
 
 impl<L: CardEstimator, C: CardEstimator> CardEstimator for GuardedCardEstimator<L, C> {
     fn estimate(&self, db: &Database, query: &Query, mask: u64) -> f64 {
+        // The band is measured against the classical estimate, so it is
+        // computed up front on every call, Open or not.
         let classical = self.classical.estimate(db, query, mask);
-        match self.breaker.begin_call() {
-            Decision::UseClassical => classical,
-            Decision::UseLearned { shadow } => {
-                let learned = catch_unwind(AssertUnwindSafe(|| {
-                    self.learned.estimate(db, query, mask)
-                }));
-                let verdict = match learned {
-                    Err(_) => Err(TripReason::Panic),
-                    Ok(v) => self.judge(v, classical),
-                };
-                match verdict {
-                    Ok(v) => {
-                        self.breaker.record_success();
-                        if shadow {
-                            classical
-                        } else {
-                            v
-                        }
-                    }
-                    Err(why) => {
-                        self.breaker.record_failure(why);
-                        classical
-                    }
-                }
-            }
-        }
+        self.breaker.guarded_call(
+            || classical,
+            || self.learned.estimate(db, query, mask),
+            |learned, shadow| self.judge(learned, classical, shadow),
+        )
     }
 }
 
@@ -242,6 +215,33 @@ mod tests {
             assert_eq!(g.estimate(&db, &q, 0b01), classical);
         }
         assert_eq!(g.breaker().last_trip(), Some(TripReason::Panic));
+    }
+
+    /// Wild on even masks, plausible on odd ones.
+    struct WildEstimator;
+    impl CardEstimator for WildEstimator {
+        fn estimate(&self, _: &Database, _: &Query, mask: u64) -> f64 {
+            if mask.is_multiple_of(2) {
+                1e12
+            } else {
+                50.0
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_band_estimate_falls_back_and_plausible_one_passes() {
+        let db = db();
+        let g = GuardedCardEstimator::new(WildEstimator, 8.0);
+        // A full scan of 100 rows is estimated exactly; 50 is within 8×.
+        let scan = Query::new(&["title"]);
+        assert_eq!(g.estimate(&db, &scan, 0b1), 50.0);
+        assert_eq!(g.breaker().fallbacks(), 0);
+        // 1e12 is finite and positive but far outside the band.
+        let q = q();
+        assert_eq!(g.estimate(&db, &q, 0b10), ClassicEstimator.estimate(&db, &q, 0b10));
+        assert_eq!(g.breaker().fallbacks(), 1);
+        assert_eq!(g.breaker().state(), BreakerState::Closed);
     }
 
     #[test]

@@ -11,11 +11,10 @@
 //!   converts each such miss into the correct classical answer *and* a
 //!   breaker failure. Served point lookups are therefore always correct.
 //! * **audit schedule** — range results are compared against the
-//!   classical index on a deterministic schedule: every call while trust
-//!   is young (the first `warmup_audits` learned calls) or probationary
-//!   (HalfOpen), then every `audit_every`-th call once the model has
-//!   earned sustained agreement. Every range result is additionally
-//!   invariant-checked (sorted, within bounds) on every call.
+//!   classical index on the deterministic audit schedule: every call
+//!   while trust is young (the first 16 learned calls) or probationary
+//!   (HalfOpen), then every 8th once the model has earned agreement. Every range result is
+//!   additionally invariant-checked (sorted, within bounds) on every call.
 //! * **panic containment** — out-of-bound predictions that make the
 //!   learned structure panic are caught and judged as failures.
 //!
@@ -23,12 +22,9 @@
 //! guarded structure is exactly the baseline — the graceful-degradation
 //! guarantee the chaos harness asserts.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use ml4db_index::{KeyValue, OrderedIndex, TwoPhaseIndex};
 
-use crate::breaker::{BreakerConfig, CircuitBreaker, Decision, TripReason};
+use crate::breaker::{AuditSchedule, BreakerConfig, CircuitBreaker, Judged, TripReason};
 
 /// A learned ordered index guarded by a classical one.
 pub struct GuardedIndex<L, C> {
@@ -36,15 +32,8 @@ pub struct GuardedIndex<L, C> {
     pub learned: L,
     /// The classical baseline serving fallbacks and audits.
     pub classical: C,
-    /// Audit every call for the first this-many learned calls.
-    pub warmup_audits: u64,
-    /// After warmup, audit every Nth learned call (0 disables periodic
-    /// audits; misses and invariants are still checked).
-    pub audit_every: u64,
     breaker: CircuitBreaker,
-    learned_calls: AtomicU64,
-    audits: AtomicU64,
-    mismatches: AtomicU64,
+    schedule: AuditSchedule,
 }
 
 impl<L: OrderedIndex, C: OrderedIndex> GuardedIndex<L, C> {
@@ -54,17 +43,6 @@ impl<L: OrderedIndex, C: OrderedIndex> GuardedIndex<L, C> {
     /// Panics if the two indexes disagree on entry count — they must be
     /// built over the same data.
     pub fn new(learned: L, classical: C) -> Self {
-        Self::with_config(learned, classical, BreakerConfig::default(), 16, 8)
-    }
-
-    /// Fully parameterized constructor.
-    pub fn with_config(
-        learned: L,
-        classical: C,
-        cfg: BreakerConfig,
-        warmup_audits: u64,
-        audit_every: u64,
-    ) -> Self {
         assert_eq!(
             learned.len(),
             classical.len(),
@@ -73,12 +51,8 @@ impl<L: OrderedIndex, C: OrderedIndex> GuardedIndex<L, C> {
         Self {
             learned,
             classical,
-            warmup_audits,
-            audit_every,
-            breaker: CircuitBreaker::named("learned_index", cfg),
-            learned_calls: AtomicU64::new(0),
-            audits: AtomicU64::new(0),
-            mismatches: AtomicU64::new(0),
+            breaker: CircuitBreaker::named("learned_index", BreakerConfig::default()),
+            schedule: AuditSchedule::default(),
         }
     }
 
@@ -89,19 +63,12 @@ impl<L: OrderedIndex, C: OrderedIndex> GuardedIndex<L, C> {
 
     /// Number of audits performed (for tests and telemetry).
     pub fn audits(&self) -> u64 {
-        self.audits.load(Ordering::Relaxed)
+        self.schedule.audits()
     }
 
     /// Number of audited calls where learned and classical disagreed.
     pub fn mismatches(&self) -> u64 {
-        self.mismatches.load(Ordering::Relaxed)
-    }
-
-    /// Whether this learned call falls on the deterministic audit
-    /// schedule (dense during warmup, sparse after).
-    fn scheduled_audit(&self, nth_learned_call: u64) -> bool {
-        nth_learned_call <= self.warmup_audits
-            || (self.audit_every > 0 && nth_learned_call % self.audit_every == 0)
+        self.schedule.mismatches()
     }
 }
 
@@ -125,61 +92,40 @@ impl<L: TwoPhaseIndex, C: OrderedIndex> GuardedIndex<L, C> {
     }
 
     fn lookup_batch_impl(&self, keys: &[u64], out: &mut Vec<Option<u64>>, sorted: bool) {
-        out.clear();
-        match self.breaker.begin_call() {
-            Decision::UseClassical => {
-                out.extend(keys.iter().map(|&k| self.classical.get(k)));
-            }
-            Decision::UseLearned { shadow } => {
-                let nth = self.learned_calls.fetch_add(1, Ordering::Relaxed) + 1;
-                let learned = catch_unwind(AssertUnwindSafe(|| {
-                    let mut buf = Vec::with_capacity(keys.len());
-                    if sorted {
-                        self.learned.lookup_batch_sorted(keys, &mut buf);
-                    } else {
-                        self.learned.lookup_batch(keys, &mut buf);
-                    }
-                    buf
-                }));
-                let res = match learned {
-                    Err(_) => {
-                        self.breaker.record_failure(TripReason::Panic);
-                        out.extend(keys.iter().map(|&k| self.classical.get(k)));
-                        return;
-                    }
-                    Ok(r) => r,
-                };
+        let served = self.breaker.guarded_call(
+            || keys.iter().map(|&k| self.classical.get(k)).collect(),
+            || {
+                let nth = self.schedule.next_call();
+                let mut buf = Vec::with_capacity(keys.len());
+                if sorted {
+                    self.learned.lookup_batch_sorted(keys, &mut buf);
+                } else {
+                    self.learned.lookup_batch(keys, &mut buf);
+                }
+                (nth, buf)
+            },
+            |(nth, mut res): (u64, Vec<Option<u64>>), shadow| {
                 if res.len() != keys.len() {
-                    self.breaker.record_failure(TripReason::InvalidOutput);
-                    out.extend(keys.iter().map(|&k| self.classical.get(k)));
-                    return;
+                    return Judged::Failed(TripReason::InvalidOutput, None);
                 }
-                let full_audit = shadow || self.scheduled_audit(nth);
-                let mut disagreed = false;
-                for (i, &k) in keys.iter().enumerate() {
-                    // Misses are always cross-checked; hits only on the
-                    // schedule — same policy as single-key `get`.
-                    if full_audit || res[i].is_none() {
+                // Misses are always cross-checked; hits only on the
+                // schedule — same policy as single-key `get`.
+                let full_audit = self.schedule.due(nth, shadow);
+                if !full_audit && res.iter().all(Option::is_some) {
+                    return Judged::Unjudged(res);
+                }
+                let mut agreed = true;
+                for (slot, &k) in res.iter_mut().zip(keys) {
+                    if full_audit || slot.is_none() {
                         let truth = self.classical.get(k);
-                        if truth != res[i] {
-                            disagreed = true;
-                        }
-                        out.push(truth);
-                    } else {
-                        out.push(res[i]);
+                        agreed &= truth == *slot;
+                        *slot = truth;
                     }
                 }
-                if full_audit || res.iter().any(Option::is_none) {
-                    self.audits.fetch_add(1, Ordering::Relaxed);
-                    if disagreed {
-                        self.mismatches.fetch_add(1, Ordering::Relaxed);
-                        self.breaker.record_failure(TripReason::OutOfBand);
-                    } else {
-                        self.breaker.record_success();
-                    }
-                }
-            }
-        }
+                self.schedule.audited(agreed, res)
+            },
+        );
+        *out = served;
     }
 }
 
@@ -189,75 +135,42 @@ impl<L: OrderedIndex, C: OrderedIndex> OrderedIndex for GuardedIndex<L, C> {
     }
 
     fn get(&self, key: u64) -> Option<u64> {
-        match self.breaker.begin_call() {
-            Decision::UseClassical => self.classical.get(key),
-            Decision::UseLearned { shadow } => {
-                let nth = self.learned_calls.fetch_add(1, Ordering::Relaxed) + 1;
-                let learned = catch_unwind(AssertUnwindSafe(|| self.learned.get(key)));
-                let res = match learned {
-                    Err(_) => {
-                        self.breaker.record_failure(TripReason::Panic);
-                        return self.classical.get(key);
-                    }
-                    Ok(r) => r,
-                };
+        self.breaker.guarded_call(
+            || self.classical.get(key),
+            || (self.schedule.next_call(), self.learned.get(key)),
+            |(nth, res), shadow| {
                 // A miss is always cross-checked: a learned index that
                 // mispredicts present keys must not drop rows. Hits are
                 // audited on the schedule (and always in shadow).
-                if shadow || res.is_none() || self.scheduled_audit(nth) {
-                    self.audits.fetch_add(1, Ordering::Relaxed);
+                if res.is_none() || self.schedule.due(nth, shadow) {
                     let truth = self.classical.get(key);
-                    if res == truth {
-                        self.breaker.record_success();
-                    } else {
-                        self.mismatches.fetch_add(1, Ordering::Relaxed);
-                        self.breaker.record_failure(TripReason::OutOfBand);
-                    }
-                    truth
+                    self.schedule.audited(res == truth, truth)
                 } else {
-                    res
+                    Judged::Unjudged(res)
                 }
-            }
-        }
+            },
+        )
     }
 
     fn range(&self, lo: u64, hi: u64) -> Vec<KeyValue> {
-        match self.breaker.begin_call() {
-            Decision::UseClassical => self.classical.range(lo, hi),
-            Decision::UseLearned { shadow } => {
-                let nth = self.learned_calls.fetch_add(1, Ordering::Relaxed) + 1;
-                let learned =
-                    catch_unwind(AssertUnwindSafe(|| self.learned.range(lo, hi)));
-                let res = match learned {
-                    Err(_) => {
-                        self.breaker.record_failure(TripReason::Panic);
-                        return self.classical.range(lo, hi);
-                    }
-                    Ok(r) => r,
-                };
+        self.breaker.guarded_call(
+            || self.classical.range(lo, hi),
+            || (self.schedule.next_call(), self.learned.range(lo, hi)),
+            |(nth, res): (u64, Vec<KeyValue>), shadow| {
                 // Cheap structural invariants on every call: ascending
                 // keys, all within bounds.
                 let invariant_ok = res.windows(2).all(|w| w[0].0 <= w[1].0)
                     && res.iter().all(|e| e.0 >= lo && e.0 <= hi);
                 if !invariant_ok {
-                    self.breaker.record_failure(TripReason::InvalidOutput);
-                    return self.classical.range(lo, hi);
-                }
-                if shadow || self.scheduled_audit(nth) {
-                    self.audits.fetch_add(1, Ordering::Relaxed);
+                    Judged::Failed(TripReason::InvalidOutput, None)
+                } else if self.schedule.due(nth, shadow) {
                     let truth = self.classical.range(lo, hi);
-                    if res == truth {
-                        self.breaker.record_success();
-                    } else {
-                        self.mismatches.fetch_add(1, Ordering::Relaxed);
-                        self.breaker.record_failure(TripReason::OutOfBand);
-                    }
-                    truth
+                    self.schedule.audited(res == truth, truth)
                 } else {
-                    res
+                    Judged::Unjudged(res)
                 }
-            }
-        }
+            },
+        )
     }
 
     fn size_bytes(&self) -> usize {
@@ -382,9 +295,7 @@ mod tests {
         let g = GuardedIndex::new(Rmi::build(e.clone(), 32), BPlusTree::bulk_load(&e));
         // Force the breaker open, then verify the batch path degrades to
         // the classical baseline.
-        while g.breaker().state() != BreakerState::Open {
-            g.breaker().record_failure(TripReason::OutOfBand);
-        }
+        g.breaker().force_open(TripReason::OutOfBand);
         let probes: Vec<u64> = e.iter().step_by(3).map(|x| x.0).collect();
         let mut batch = Vec::new();
         g.lookup_batch_sorted(&probes, &mut batch);

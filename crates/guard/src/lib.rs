@@ -5,10 +5,22 @@
 //! loudly (NaN estimates, out-of-bound index predictions), or expensively
 //! (steering into catastrophic plans). This crate makes every learned
 //! component in the repo *safe to deploy* by running it side-by-side with
-//! its classical counterpart behind a deterministic circuit breaker:
+//! its classical counterpart behind a deterministic circuit breaker.
+//!
+//! This is the tutorial's paradigm argument as an API. A **replacement**
+//! component answers alone; an **ML-enhanced** component wraps a classical
+//! one and only overrides it inside a guardrail — when the learned answer
+//! is invalid, disagrees too wildly or the model has lost trust, the
+//! classical answer wins. The pattern is written once, as
+//! [`CircuitBreaker::guarded_call`]: run the learned side beside the
+//! classical one, hand its answer to a *judge*, serve the classical answer
+//! whenever the judgement fails. Each wrapper below is that call plus its
+//! own judge; the optimizer crate's LEON/Bao follow the same shape for
+//! planning.
 //!
 //! * [`breaker`] — the Closed → Open → HalfOpen state machine, driven
-//!   purely by call counts (no clocks) so every run is reproducible;
+//!   purely by call counts (no clocks) so every run is reproducible, and
+//!   the guarded-call protocol with its audit schedule;
 //! * [`estimator`] — guarded cardinality estimation: plausibility bands
 //!   vs the classical estimator, drift-detector integration, and
 //!   rebaseline-driven re-admission;
@@ -42,7 +54,7 @@ pub mod lifecycle;
 pub mod spatial_guard;
 pub mod steering;
 
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, Decision, TripReason};
+pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, Judged, TripReason};
 pub use chaos::{run_all, run_scenario, Fault, ScenarioReport};
 pub use ctlchaos::{ActuatorClock, ActuatorTransient, CtlFault};
 pub use diskchaos::{DiskFault, DiskScenarioReport};

@@ -7,24 +7,25 @@
 //! a model next to the classical [`ml4db_spatial::RTree`]:
 //!
 //! * **range audits** — learned range results are compared set-wise
-//!   against the R-tree on a deterministic schedule (every call during
-//!   warmup/probation, every Nth after). A missing or spurious id is a
-//!   breaker failure, and the audited call serves the exact answer.
+//!   against the R-tree on the deterministic audit schedule (every call
+//!   during warmup/probation, every 8th after). A missing or spurious id
+//!   is a breaker failure, and the audited call serves the exact answer.
 //! * **kNN recall floor** — audited kNN calls are compared against the
-//!   exact best-first R-tree answer; recall below `min_recall` is judged a
-//!   failure. Audited calls serve the exact neighbours.
+//!   exact best-first R-tree answer; fewer than 0.6 of the true
+//!   neighbours among the *distinct* returned ids is judged a failure.
+//!   Audited calls serve the exact neighbours. An answer that is short or
+//!   repeats an id is invalid on every call, audited or not.
 //! * **panic containment + Open fallback** — panics are caught and judged;
 //!   while Open every query is answered by the R-tree alone.
 //!
 //! The learned side plugs in through [`SpatialModel`], implemented here
 //! for the crate's replacement indexes.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::BTreeSet;
 
 use ml4db_spatial::{Point, Rect, RsmiIndex, RTree, ZmIndex};
 
-use crate::breaker::{BreakerConfig, CircuitBreaker, Decision, TripReason};
+use crate::breaker::{AuditSchedule, BreakerConfig, CircuitBreaker, Judged, TripReason};
 
 /// The learned side of a guarded spatial index: range + approximate kNN.
 pub trait SpatialModel {
@@ -67,59 +68,35 @@ impl SpatialModel for RsmiIndex {
     }
 }
 
+/// Minimum acceptable kNN recall on audited calls.
+const MIN_RECALL: f64 = 0.6;
+
 /// A learned spatial index guarded by a classical R-tree.
 pub struct GuardedSpatial<L> {
     /// The learned index.
     pub learned: L,
     /// The exact classical baseline.
     pub classical: RTree,
-    /// Minimum acceptable kNN recall on audited calls.
-    pub min_recall: f64,
-    /// Audit every call for the first this-many learned calls.
-    pub warmup_audits: u64,
-    /// After warmup, audit every Nth learned call (0 disables).
-    pub audit_every: u64,
     breaker: CircuitBreaker,
-    learned_calls: AtomicU64,
-    audits: AtomicU64,
-    mismatches: AtomicU64,
+    schedule: AuditSchedule,
 }
 
 impl<L: SpatialModel> GuardedSpatial<L> {
-    /// Guards `learned` with `classical` under default thresholds
-    /// (kNN recall floor 0.6, warmup 16, audit every 8th call).
+    /// Guards `learned` with `classical` under default thresholds.
     ///
     /// # Panics
     /// Panics if the two sides disagree on entry count.
     pub fn new(learned: L, classical: RTree) -> Self {
-        Self::with_config(learned, classical, 0.6, BreakerConfig::default(), 16, 8)
-    }
-
-    /// Fully parameterized constructor.
-    pub fn with_config(
-        learned: L,
-        classical: RTree,
-        min_recall: f64,
-        cfg: BreakerConfig,
-        warmup_audits: u64,
-        audit_every: u64,
-    ) -> Self {
         assert_eq!(
             learned.len(),
             classical.len(),
             "guarded spatial index requires both sides to index the same data"
         );
-        assert!((0.0..=1.0).contains(&min_recall));
         Self {
             learned,
             classical,
-            min_recall,
-            warmup_audits,
-            audit_every,
-            breaker: CircuitBreaker::named("spatial_index", cfg),
-            learned_calls: AtomicU64::new(0),
-            audits: AtomicU64::new(0),
-            mismatches: AtomicU64::new(0),
+            breaker: CircuitBreaker::named("spatial_index", BreakerConfig::default()),
+            schedule: AuditSchedule::default(),
         }
     }
 
@@ -130,106 +107,62 @@ impl<L: SpatialModel> GuardedSpatial<L> {
 
     /// Number of audits performed.
     pub fn audits(&self) -> u64 {
-        self.audits.load(Ordering::Relaxed)
+        self.schedule.audits()
     }
 
     /// Number of audited calls that failed their check.
     pub fn mismatches(&self) -> u64 {
-        self.mismatches.load(Ordering::Relaxed)
-    }
-
-    fn scheduled_audit(&self, nth_learned_call: u64) -> bool {
-        nth_learned_call <= self.warmup_audits
-            || (self.audit_every > 0 && nth_learned_call % self.audit_every == 0)
+        self.schedule.mismatches()
     }
 
     /// Range query: ids of stored points inside `query`, sorted. Audited
     /// calls serve the exact classical answer; correctness failures count
     /// against the breaker.
     pub fn range_query(&self, query: &Rect) -> Vec<usize> {
-        let classical_sorted = |out: &mut Vec<usize>| {
-            out.sort_unstable();
+        let classical = || {
+            let (mut ids, _) = self.classical.range_query(query);
+            ids.sort_unstable();
+            ids
         };
-        match self.breaker.begin_call() {
-            Decision::UseClassical => {
-                let (mut ids, _) = self.classical.range_query(query);
-                classical_sorted(&mut ids);
-                ids
-            }
-            Decision::UseLearned { shadow } => {
-                let nth = self.learned_calls.fetch_add(1, Ordering::Relaxed) + 1;
-                let learned =
-                    catch_unwind(AssertUnwindSafe(|| self.learned.range(query)));
-                let mut res = match learned {
-                    Err(_) => {
-                        self.breaker.record_failure(TripReason::Panic);
-                        let (mut ids, _) = self.classical.range_query(query);
-                        classical_sorted(&mut ids);
-                        return ids;
-                    }
-                    Ok(r) => r,
-                };
+        self.breaker.guarded_call(
+            classical,
+            || (self.schedule.next_call(), self.learned.range(query)),
+            |(nth, mut res): (u64, Vec<usize>), shadow| {
                 res.sort_unstable();
-                if shadow || self.scheduled_audit(nth) {
-                    self.audits.fetch_add(1, Ordering::Relaxed);
-                    let (mut truth, _) = self.classical.range_query(query);
-                    classical_sorted(&mut truth);
-                    if res == truth {
-                        self.breaker.record_success();
-                    } else {
-                        self.mismatches.fetch_add(1, Ordering::Relaxed);
-                        self.breaker.record_failure(TripReason::OutOfBand);
-                    }
-                    truth
+                if self.schedule.due(nth, shadow) {
+                    let truth = classical();
+                    self.schedule.audited(res == truth, truth)
                 } else {
-                    res
+                    Judged::Unjudged(res)
                 }
-            }
-        }
+            },
+        )
     }
 
     /// kNN query. Audited calls serve the exact classical neighbours and
-    /// judge the learned answer's recall against `min_recall`.
+    /// judge the learned answer's recall against the 0.6 floor.
     pub fn knn(&self, point: &Point, k: usize) -> Vec<usize> {
-        match self.breaker.begin_call() {
-            Decision::UseClassical => self.classical.knn(point, k).0,
-            Decision::UseLearned { shadow } => {
-                let nth = self.learned_calls.fetch_add(1, Ordering::Relaxed) + 1;
-                let learned =
-                    catch_unwind(AssertUnwindSafe(|| self.learned.knn(point, k)));
-                let res = match learned {
-                    Err(_) => {
-                        self.breaker.record_failure(TripReason::Panic);
-                        return self.classical.knn(point, k).0;
-                    }
-                    Ok(r) => r,
-                };
+        self.breaker.guarded_call(
+            || self.classical.knn(point, k).0,
+            || (self.schedule.next_call(), self.learned.knn(point, k)),
+            |(nth, res): (u64, Vec<usize>), shadow| {
                 // Structural check every call: an approximate kNN must
-                // still return k results when k points exist.
-                if res.len() < k.min(self.learned.len()) {
-                    self.breaker.record_failure(TripReason::InvalidOutput);
-                    return self.classical.knn(point, k).0;
+                // still return k results when k points exist, and no
+                // neighbour twice.
+                let distinct: BTreeSet<usize> = res.iter().copied().collect();
+                if res.len() < k.min(self.learned.len()) || distinct.len() < res.len() {
+                    return Judged::Failed(TripReason::InvalidOutput, None);
                 }
-                if shadow || self.scheduled_audit(nth) {
-                    self.audits.fetch_add(1, Ordering::Relaxed);
-                    let (truth, _) = self.classical.knn(point, k);
-                    let truth_set: std::collections::BTreeSet<usize> =
-                        truth.iter().copied().collect();
-                    let hit = res.iter().filter(|id| truth_set.contains(id)).count();
-                    let recall =
-                        if truth.is_empty() { 1.0 } else { hit as f64 / truth.len() as f64 };
-                    if recall >= self.min_recall {
-                        self.breaker.record_success();
-                    } else {
-                        self.mismatches.fetch_add(1, Ordering::Relaxed);
-                        self.breaker.record_failure(TripReason::OutOfBand);
-                    }
-                    truth
-                } else {
-                    res
+                if !self.schedule.due(nth, shadow) {
+                    return Judged::Unjudged(res);
                 }
-            }
-        }
+                let (truth, _) = self.classical.knn(point, k);
+                let hit = truth.iter().filter(|id| distinct.contains(id)).count();
+                let recall =
+                    if truth.is_empty() { 1.0 } else { hit as f64 / truth.len() as f64 };
+                self.schedule.audited(recall >= MIN_RECALL, truth)
+            },
+        )
     }
 }
 
@@ -317,6 +250,40 @@ mod tests {
         assert_eq!(g.breaker().state(), BreakerState::Open);
         assert_eq!(g.breaker().last_trip(), Some(TripReason::OutOfBand));
         assert!(g.mismatches() > 0);
+    }
+
+    /// A model that answers every kNN with one true neighbour repeated
+    /// `k` times: full length, and every returned id is a true neighbour.
+    struct Repeater {
+        inner: ZmIndex,
+        exact: RTree,
+    }
+    impl SpatialModel for Repeater {
+        fn range(&self, query: &Rect) -> Vec<usize> {
+            self.inner.range_query(query).0
+        }
+        fn knn(&self, point: &Point, k: usize) -> Vec<usize> {
+            vec![self.exact.knn(point, 1).0[0]; k]
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+    }
+
+    #[test]
+    fn repeated_neighbour_does_not_pass_the_recall_floor() {
+        let (pts, rt) = setup(3000, 14);
+        let zm = ZmIndex::build(pts.clone(), unit_domain(), 16);
+        let g = GuardedSpatial::new(Repeater { inner: zm, exact: rt.clone() }, rt.clone());
+        let budget = u64::from(g.breaker().config().failure_budget);
+        for call in 0..64u64 {
+            let probe = pts[(call as usize * 41) % pts.len()].rect.center();
+            assert_eq!(g.knn(&probe, 10), rt.knn(&probe, 10).0, "call {call}");
+            if call + 1 >= budget {
+                assert!(g.breaker().trips() >= 1, "not tripped after {} calls", call + 1);
+            }
+        }
+        assert_eq!(g.breaker().last_trip(), Some(TripReason::InvalidOutput));
     }
 
     #[test]

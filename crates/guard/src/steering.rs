@@ -18,13 +18,11 @@
 //! and only `failure_budget` such queries can occur before the breaker
 //! trips — the regression budget the chaos harness measures.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
 use ml4db_optimizer::harness::{EvalReport, ReportRow};
 use ml4db_optimizer::Env;
 use ml4db_plan::{HintSet, Query};
 
-use crate::breaker::{BreakerConfig, CircuitBreaker, Decision, TripReason};
+use crate::breaker::{BreakerConfig, CircuitBreaker, Judged, TripReason};
 
 /// A learned steering policy: picks a hint set for each query.
 pub trait SteeringPolicy {
@@ -37,6 +35,10 @@ impl<F: Fn(&Env, &Query) -> HintSet> SteeringPolicy for F {
         self(env, query)
     }
 }
+
+/// The latency budget every guard runs under, as a multiple of the
+/// expert's latency.
+const BUDGET_FACTOR: f64 = 1.2;
 
 /// A steering policy wrapped in a circuit breaker with a per-query
 /// latency budget.
@@ -53,13 +55,11 @@ impl<P: SteeringPolicy> GuardedSteering<P> {
     /// Guards `policy` with a 1.2× latency budget and default breaker
     /// thresholds.
     pub fn new(policy: P) -> Self {
-        Self::with_config(policy, 1.2, BreakerConfig::default())
-    }
-
-    /// Fully parameterized constructor.
-    pub fn with_config(policy: P, budget_factor: f64, cfg: BreakerConfig) -> Self {
-        assert!(budget_factor > 1.0, "budget must exceed the expert's latency");
-        Self { policy, budget_factor, breaker: CircuitBreaker::named("steering", cfg) }
+        Self {
+            policy,
+            budget_factor: BUDGET_FACTOR,
+            breaker: CircuitBreaker::named("steering", BreakerConfig::default()),
+        }
     }
 
     /// The breaker, for state inspection and telemetry.
@@ -80,56 +80,46 @@ impl<P: SteeringPolicy> GuardedSteering<P> {
 
     fn run_guarded_inner(&self, env: &Env, query: &Query) -> f64 {
         let expert_lat = env.expert_latency(query).expect("expert always plans");
-        match self.breaker.begin_call() {
-            Decision::UseClassical => expert_lat,
-            Decision::UseLearned { shadow } => {
-                let hint = match catch_unwind(AssertUnwindSafe(|| {
-                    self.policy.choose(env, query)
-                })) {
-                    Err(_) => {
-                        self.breaker.record_failure(TripReason::Panic);
-                        return expert_lat;
-                    }
-                    Ok(h) => h,
-                };
+        // The arm the learned plan ran under and the latency it is charged
+        // in the trace — reported after the breaker has recorded the call.
+        let mut arm = None;
+        let charged = self.breaker.guarded_call(
+            || expert_lat,
+            || self.policy.choose(env, query),
+            |hint: HintSet, shadow| {
                 let plan = if hint.is_valid() {
                     env.plan_with_hint(query, hint)
                 } else {
                     None
                 };
                 let Some(plan) = plan else {
-                    self.breaker.record_failure(TripReason::InvalidOutput);
-                    return expert_lat;
+                    return Judged::Failed(TripReason::InvalidOutput, None);
                 };
                 let budget = self.budget_factor * expert_lat;
                 match env.run_with_timeout(query, &plan, budget) {
                     Some(lat) => {
-                        self.breaker.record_success();
-                        ml4db_obs::emit_with(|| ml4db_obs::Event::ArmLatency {
-                            hint_bits: u32::from(hint.bits()),
-                            latency_us: lat,
-                        });
-                        if shadow {
-                            // Probe cost on top of the served expert plan.
-                            expert_lat + lat
-                        } else {
-                            lat
-                        }
+                        arm = Some((hint, lat));
+                        // A probe's cost comes on top of the served expert
+                        // plan.
+                        Judged::Clean(if shadow { expert_lat + lat } else { lat })
                     }
                     None => {
-                        self.breaker.record_failure(TripReason::LatencyRegression);
                         // Abort-and-rerun: the budget was burned, then the
                         // expert plan served. The arm is charged its full
                         // burned budget in the trace.
-                        ml4db_obs::emit_with(|| ml4db_obs::Event::ArmLatency {
-                            hint_bits: u32::from(hint.bits()),
-                            latency_us: budget,
-                        });
-                        budget + expert_lat
+                        arm = Some((hint, budget));
+                        Judged::Failed(TripReason::LatencyRegression, Some(budget + expert_lat))
                     }
                 }
-            }
+            },
+        );
+        if let Some((hint, latency_us)) = arm {
+            ml4db_obs::emit_with(|| ml4db_obs::Event::ArmLatency {
+                hint_bits: u32::from(hint.bits()),
+                latency_us,
+            });
         }
+        charged
     }
 
     /// Evaluates the guarded policy over a workload.

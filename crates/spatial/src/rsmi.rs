@@ -8,15 +8,14 @@
 
 use crate::geom::{z_interleave, Point, Rect, Z_BITS};
 use crate::rtree::Entry;
-use ml4db_index::pgm::{build_segments, Segment};
+use crate::zm::ZCurve;
+use ml4db_index::pgm::Segment;
 
 /// The rank-space model index.
 #[derive(Clone, Debug)]
 pub struct RsmiIndex {
-    /// Entries sorted by rank-space z-value.
-    entries: Vec<Entry>,
-    zs: Vec<u64>,
-    segments: Vec<Segment>,
+    /// Entries along the rank-space Z-curve and the CDF learned over it.
+    curve: ZCurve,
     /// Sorted x coordinates (for query-time rank mapping).
     xs: Vec<f64>,
     /// Sorted y coordinates.
@@ -30,128 +29,60 @@ impl RsmiIndex {
         let mut ys: Vec<f64> = entries.iter().map(|e| e.rect.center().y).collect();
         xs.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         ys.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let rank_z = |p: &Point| -> u64 {
-            let rx = rank_of(&xs, p.x);
-            let ry = rank_of(&ys, p.y);
-            z_interleave(scale_rank(rx, xs.len()), scale_rank(ry, ys.len()))
-        };
-        let mut entries = entries;
-        entries.sort_by_key(|e| rank_z(&e.rect.center()));
-        let zs: Vec<u64> = entries.iter().map(|e| rank_z(&e.rect.center())).collect();
-        let segments = build_segments(&zs, epsilon.max(1));
-        Self { entries, zs, segments, xs, ys }
+        let curve = ZCurve::build(entries, epsilon, |p| rank_z(&xs, &ys, p));
+        Self { curve, xs, ys }
     }
 
     fn rank_z(&self, p: &Point) -> u64 {
-        let rx = rank_of(&self.xs, p.x);
-        let ry = rank_of(&self.ys, p.y);
-        z_interleave(scale_rank(rx, self.xs.len()), scale_rank(ry, self.ys.len()))
+        rank_z(&self.xs, &self.ys, p)
     }
 
     /// Number of points.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.curve.len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Number of learned segments — compare with raw-space ZM on skewed
     /// data to see the rank-space benefit.
     pub fn num_segments(&self) -> usize {
-        self.segments.len()
-    }
-
-    fn lower_bound(&self, z: u64) -> usize {
-        if self.zs.is_empty() {
-            return 0;
-        }
-        let idx = self
-            .segments
-            .partition_point(|s| s.first_key <= z)
-            .saturating_sub(1);
-        let seg = &self.segments[idx];
-        let range_end =
-            self.segments.get(idx + 1).map_or(self.zs.len(), |next| next.start);
-        let pred = seg
-            .model
-            .predict(z, self.zs.len())
-            .clamp(seg.start, range_end.saturating_sub(1).max(seg.start));
-        // Exponential correction.
-        let mut lo = pred;
-        let mut hi = pred;
-        let mut radius = 1usize;
-        while lo > 0 && self.zs[lo] >= z {
-            lo = lo.saturating_sub(radius);
-            radius *= 2;
-        }
-        radius = 1;
-        while hi < self.zs.len() - 1 && self.zs[hi] < z {
-            hi = (hi + radius).min(self.zs.len() - 1);
-            radius *= 2;
-        }
-        lo + self.zs[lo..=hi].partition_point(|&v| v < z)
+        self.curve.num_segments()
     }
 
     /// Exact range query; returns `(ids, scanned)`.
     pub fn range_query(&self, query: &Rect) -> (Vec<usize>, u64) {
-        if self.entries.is_empty() {
-            return (Vec::new(), 0);
-        }
-        let z_lo = self.rank_z(&query.min);
-        let z_hi = self.rank_z(&query.max);
-        let start = self.lower_bound(z_lo);
-        let mut out = Vec::new();
-        let mut scanned = 0u64;
-        for i in start..self.entries.len() {
-            if self.zs[i] > z_hi {
-                break;
-            }
-            scanned += 1;
-            if query.contains_point(&self.entries[i].rect.center()) {
-                out.push(self.entries[i].id);
-            }
-        }
-        (out, scanned)
+        self.curve.range_query(query, self.rank_z(&query.min), self.rank_z(&query.max))
     }
 
     /// Approximate kNN in rank space (same caveat as ZM).
     pub fn knn_approximate(&self, point: &Point, k: usize, window: usize) -> Vec<usize> {
-        if self.entries.is_empty() {
-            return Vec::new();
-        }
-        let pos = self.lower_bound(self.rank_z(point));
-        let lo = pos.saturating_sub(window + k);
-        let hi = (pos + window + k).min(self.entries.len());
-        let mut cands: Vec<(f64, usize)> = self.entries[lo..hi]
-            .iter()
-            .map(|e| (e.rect.center().distance(point), e.id))
-            .collect();
-        cands.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-        cands.truncate(k);
-        cands.into_iter().map(|(_, id)| id).collect()
+        self.curve.knn_approximate(point, self.rank_z(point), k, window)
     }
 
     /// Model size in bytes. The rank arrays are counted: they are the price
     /// of the rank-space transform.
     pub fn size_bytes(&self) -> usize {
-        self.segments.len() * std::mem::size_of::<Segment>()
+        self.curve.num_segments() * std::mem::size_of::<Segment>()
             + (self.xs.len() + self.ys.len()) * 8
     }
 }
 
-fn rank_of(sorted: &[f64], v: f64) -> usize {
-    sorted.partition_point(|&x| x < v)
+/// The Z-value of `p`'s per-axis ranks among the sorted coordinates.
+fn rank_z(xs: &[f64], ys: &[f64], p: &Point) -> u64 {
+    z_interleave(scaled_rank(xs, p.x), scaled_rank(ys, p.y))
 }
 
-fn scale_rank(rank: usize, n: usize) -> u32 {
-    if n <= 1 {
+/// `v`'s rank among `sorted`, scaled onto the Z-curve's per-axis grid.
+fn scaled_rank(sorted: &[f64], v: f64) -> u32 {
+    if sorted.len() <= 1 {
         return 0;
     }
-    let max = (1u64 << Z_BITS) - 1;
-    ((rank as u64 * max) / n as u64) as u32
+    let rank = sorted.partition_point(|&x| x < v) as u64;
+    (rank * ((1u64 << Z_BITS) - 1) / sorted.len() as u64) as u32
 }
 
 #[cfg(test)]

@@ -9,52 +9,51 @@ use crate::geom::{z_value, Point, Rect};
 use crate::rtree::Entry;
 use ml4db_index::pgm::{build_segments, Segment};
 
-/// A ZM index over points.
+/// Everything after the point → z-value mapping, shared by [`ZmIndex`]
+/// (raw-domain z-values) and [`crate::rsmi::RsmiIndex`] (rank-space
+/// z-values): entries sorted along the curve, the learned CDF over their
+/// z-values, and the queries that walk it.
 #[derive(Clone, Debug)]
-pub struct ZmIndex {
+pub(crate) struct ZCurve {
     /// Entries sorted by z-value; parallel to `zs`.
     entries: Vec<Entry>,
-    /// Sorted z-values (with duplicate-resolving sequence numbers mixed in
-    /// via stable sort — duplicates are allowed).
+    /// Sorted z-values (the sort is stable — duplicates are allowed).
     zs: Vec<u64>,
     segments: Vec<Segment>,
-    epsilon: usize,
-    domain: Rect,
 }
 
-impl ZmIndex {
-    /// Builds the index with CDF error bound `epsilon`.
-    pub fn build(mut entries: Vec<Entry>, domain: Rect, epsilon: usize) -> Self {
-        let epsilon = epsilon.max(1);
-        entries.sort_by_key(|e| z_value(&e.rect.center(), &domain));
-        let zs: Vec<u64> = entries.iter().map(|e| z_value(&e.rect.center(), &domain)).collect();
+impl ZCurve {
+    /// Sorts `entries` along the curve `z_of` and learns the CDF of their
+    /// z-values with error bound `epsilon`.
+    pub(crate) fn build(
+        mut entries: Vec<Entry>,
+        epsilon: usize,
+        z_of: impl Fn(&Point) -> u64,
+    ) -> Self {
+        entries.sort_by_key(|e| z_of(&e.rect.center()));
+        let zs: Vec<u64> = entries.iter().map(|e| z_of(&e.rect.center())).collect();
         // build_segments expects sorted keys; duplicates are tolerated by
         // the cone (dx == 0 entries are skipped).
-        let segments = build_segments(&zs, epsilon);
-        Self { entries, zs, segments, epsilon, domain }
+        let segments = build_segments(&zs, epsilon.max(1));
+        Self { entries, zs, segments }
     }
 
-    /// Number of points.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Number of learned segments (model size).
-    pub fn num_segments(&self) -> usize {
+    pub(crate) fn num_segments(&self) -> usize {
         self.segments.len()
     }
 
-    /// Predicted position of a z-value (clamped into the covering
-    /// segment's range, as in the PGM).
-    fn predict(&self, z: u64) -> usize {
-        if self.segments.is_empty() {
+    /// First position with z-value `>= z`: the covering segment's
+    /// prediction (clamped into its range, as in the PGM), widened
+    /// exponentially on the raw z array until it brackets the answer.
+    fn lower_bound(&self, z: u64) -> usize {
+        if self.zs.is_empty() {
             return 0;
         }
+        let last = self.zs.len() - 1;
         let idx = self
             .segments
             .partition_point(|s| s.first_key <= z)
@@ -62,91 +61,46 @@ impl ZmIndex {
         let seg = &self.segments[idx];
         let range_end =
             self.segments.get(idx + 1).map_or(self.zs.len(), |next| next.start);
-        seg.model
+        let pred = seg
+            .model
             .predict(z, self.zs.len())
-            .clamp(seg.start, range_end.saturating_sub(1).max(seg.start))
+            .clamp(seg.start, range_end.saturating_sub(1).max(seg.start));
+        let (mut lo, mut hi) = (pred, pred);
+        let mut radius = 1usize;
+        while lo > 0 && self.zs[lo] >= z {
+            lo = lo.saturating_sub(radius);
+            radius *= 2;
+        }
+        radius = 1;
+        while hi < last && self.zs[hi] < z {
+            hi = (hi + radius).min(last);
+            radius *= 2;
+        }
+        lo + self.zs[lo..=hi].partition_point(|&v| v < z)
     }
 
-    /// First position with z-value `>= z`.
-    fn lower_bound(&self, z: u64) -> usize {
-        if self.zs.is_empty() {
-            return 0;
-        }
-        let pred = self.predict(z);
-        // Exponential search on the raw z array (duplicates allowed).
-        let pairs: &[u64] = &self.zs;
-        let mut lo;
-        let mut hi;
-        let pos = pred.min(pairs.len() - 1);
-        if pairs[pos] < z {
-            let mut radius = 1usize;
-            lo = pos;
-            loop {
-                let probe = pos.saturating_add(radius);
-                if probe >= pairs.len() - 1 {
-                    hi = pairs.len() - 1;
-                    break;
-                }
-                if pairs[probe] >= z {
-                    hi = probe;
-                    break;
-                }
-                lo = probe;
-                radius *= 2;
-            }
-        } else {
-            hi = pos;
-            let mut radius = 1usize;
-            loop {
-                if radius > pos {
-                    lo = 0;
-                    break;
-                }
-                let probe = pos - radius;
-                if pairs[probe] <= z {
-                    lo = probe;
-                    break;
-                }
-                hi = probe;
-                radius *= 2;
-            }
-        }
-        lo + pairs[lo..=hi].partition_point(|&v| v < z)
-    }
-
-    /// Range query: exact results, but the scan may touch false positives
-    /// inside the z-interval. Returns `(ids, scanned)` where `scanned`
-    /// counts candidate entries examined (the ZM inefficiency metric).
-    pub fn range_query(&self, query: &Rect) -> (Vec<usize>, u64) {
-        if self.entries.is_empty() {
-            return (Vec::new(), 0);
-        }
-        let z_lo = z_value(&query.min, &self.domain);
-        let z_hi = z_value(&query.max, &self.domain);
+    /// Ids of entries inside `query`, whose corners map to `z_lo` and
+    /// `z_hi`, plus the number of candidates examined in that z-interval.
+    pub(crate) fn range_query(&self, query: &Rect, z_lo: u64, z_hi: u64) -> (Vec<usize>, u64) {
         let start = self.lower_bound(z_lo);
-        let mut out = Vec::new();
-        let mut scanned = 0u64;
-        for i in start..self.entries.len() {
-            if self.zs[i] > z_hi {
-                break;
-            }
-            scanned += 1;
-            if query.contains_point(&self.entries[i].rect.center()) {
-                out.push(self.entries[i].id);
-            }
-        }
-        (out, scanned)
+        let scanned = self.zs[start..].partition_point(|&v| v <= z_hi);
+        let ids = self.entries[start..start + scanned]
+            .iter()
+            .filter(|e| query.contains_point(&e.rect.center()))
+            .map(|e| e.id)
+            .collect();
+        (ids, scanned as u64)
     }
 
-    /// **Approximate** kNN: examines `2 * window + k` candidates around the
-    /// query's z-position and returns the `k` nearest among them. Recall
-    /// below 1.0 is expected — the robustness limitation of z-order kNN the
-    /// tutorial calls out.
-    pub fn knn_approximate(&self, point: &Point, k: usize, window: usize) -> Vec<usize> {
-        if self.entries.is_empty() {
-            return Vec::new();
-        }
-        let z = z_value(point, &self.domain);
+    /// The `k` nearest to `point` among the `2 * (window + k)` entries
+    /// around `z`, the point's position on the curve.
+    pub(crate) fn knn_approximate(
+        &self,
+        point: &Point,
+        z: u64,
+        k: usize,
+        window: usize,
+    ) -> Vec<usize> {
         let pos = self.lower_bound(z);
         let lo = pos.saturating_sub(window + k);
         let hi = (pos + window + k).min(self.entries.len());
@@ -158,23 +112,64 @@ impl ZmIndex {
         cands.truncate(k);
         cands.into_iter().map(|(_, id)| id).collect()
     }
+}
 
-    /// Point lookup by exact coordinates.
+/// A ZM index over points.
+#[derive(Clone, Debug)]
+pub struct ZmIndex {
+    curve: ZCurve,
+    epsilon: usize,
+    domain: Rect,
+}
+
+impl ZmIndex {
+    /// Builds the index with CDF error bound `epsilon`.
+    pub fn build(entries: Vec<Entry>, domain: Rect, epsilon: usize) -> Self {
+        let epsilon = epsilon.max(1);
+        let curve = ZCurve::build(entries, epsilon, |p| z_value(p, &domain));
+        Self { curve, epsilon, domain }
+    }
+
+    /// Number of points.
+    pub fn len(&self) -> usize {
+        self.curve.len()
+    }
+
+    /// True when empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Number of learned segments (model size).
+    pub fn num_segments(&self) -> usize {
+        self.curve.num_segments()
+    }
+
+    /// Range query: exact results, but the scan may touch false positives
+    /// inside the z-interval. Returns `(ids, scanned)` where `scanned`
+    /// counts candidate entries examined (the ZM inefficiency metric).
+    pub fn range_query(&self, query: &Rect) -> (Vec<usize>, u64) {
+        let z_lo = z_value(&query.min, &self.domain);
+        let z_hi = z_value(&query.max, &self.domain);
+        self.curve.range_query(query, z_lo, z_hi)
+    }
+
+    /// **Approximate** kNN: examines `2 * window + k` candidates around the
+    /// query's z-position and returns the `k` nearest among them. Recall
+    /// below 1.0 is expected — the robustness limitation of z-order kNN the
+    /// tutorial calls out.
+    pub fn knn_approximate(&self, point: &Point, k: usize, window: usize) -> Vec<usize> {
+        self.curve.knn_approximate(point, z_value(point, &self.domain), k, window)
+    }
+
+    /// Point lookup by exact coordinates: a one-point range query.
     pub fn contains(&self, point: &Point) -> bool {
-        let z = z_value(point, &self.domain);
-        let mut i = self.lower_bound(z);
-        while i < self.zs.len() && self.zs[i] == z {
-            if self.entries[i].rect.center() == *point {
-                return true;
-            }
-            i += 1;
-        }
-        false
+        !self.range_query(&Rect::from_point(*point)).0.is_empty()
     }
 
     /// Model size in bytes (segments only).
     pub fn size_bytes(&self) -> usize {
-        self.segments.len() * std::mem::size_of::<Segment>()
+        self.curve.num_segments() * std::mem::size_of::<Segment>()
     }
 
     /// The ε used at build time.

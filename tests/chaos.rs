@@ -109,3 +109,39 @@ fn chaos_reports_identical_across_thread_counts() {
     let serial = sweep_at(1);
     assert_eq!(sweep_at(4), serial, "chaos reports diverged at 4 threads");
 }
+
+/// The reports are the ones the per-wrapper, hand-inlined guard protocol
+/// produced: these digests were computed on the commit before the guards
+/// moved onto `CircuitBreaker::guarded_call`, so a guard rewrite that
+/// shifts any scenario's outcome fails here. Re-pin only for a change that
+/// is meant to move a report, and say which.
+#[test]
+fn chaos_reports_match_the_parent() {
+    const GUARDED: [u64; 9] = [
+        0x9978306650e78d68,
+        0x50c0f72f0e872314,
+        0x3d3be2cb8235602c,
+        0x81c0260b20cfe259,
+        0x0b40f2e6bc86e4e5,
+        0x1059fb0a62f38004,
+        0x879ec87f1dd44d86,
+        0xfd3ac78e39455ea6,
+        0xb5a8b5fe17edf805,
+    ];
+    const RAW: [u64; 9] = [
+        0x88ee93aca517cc4c,
+        0xbffb329f5f35ca81,
+        0x405a192d2b768266,
+        0x29b8ef772a7c3157,
+        0xbfbb89b94d27f54b,
+        0x90e575531cd2694a,
+        0xa2a417d6dd1987cd,
+        0x0efded8f8abe32c3,
+        0x66f4bcd5be11d162,
+    ];
+    for (guarded, pinned) in [(true, GUARDED), (false, RAW)] {
+        let reports = run_all(guarded, SEED);
+        let bits: Vec<u64> = reports.iter().map(|r| r.bits()).collect();
+        assert_eq!(bits, pinned, "guarded={guarded} reports moved: {reports:#?}");
+    }
+}

@@ -79,7 +79,7 @@ fn guarded_learned_estimator_in_the_planner() {
     let samples = ml4db_core::card::collect_samples(&db, &queries);
     let mut learned = MscnEstimator::new(24, &mut rng);
     learned.fit(&db, &samples, 30, 0.005, &mut rng);
-    let guarded = GuardedEstimator::new(learned, 50.0);
+    let guarded = GuardedCardEstimator::new(learned, 50.0);
     let planner = Planner::default();
     for q in &queries {
         let plan = planner.best_plan(&db, q, &guarded).expect("plans with learned estimates");
