@@ -85,16 +85,34 @@ fn unprotected_faults_demonstrably_fail() {
     );
 }
 
-/// The whole harness is deterministic: two full runs produce
-/// byte-identical reports. CI additionally compares the fingerprint
-/// across `ML4DB_THREADS` settings.
+/// The reports are the ones the per-scenario, hand-written sweeps
+/// produced: these digests were computed on the commit before the crash
+/// matrix, `silent-short-read` and `enospc-breaker` moved onto one
+/// recover-and-check, so a harness rewrite that shifts any scenario's
+/// outcome — or a `first_violation` label — fails here. One full sweep
+/// per protection setting. CI additionally compares the fingerprints
+/// across `ML4DB_THREADS` settings. Re-pin only for a change that is
+/// meant to move a report, and say which.
 #[test]
-fn crash_matrix_is_deterministic() {
-    let a = run_all(true, SEED);
-    let b = run_all(true, SEED);
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(x.bits(), y.bits(), "non-deterministic scenario: {}", x.scenario);
+fn disk_chaos_reports_match_the_parent() {
+    const PROTECTED: [u64; 5] = [
+        0xadac86fe688602de,
+        0x436743c0d9a11c03,
+        0x992497af8ce97b98,
+        0x4f505bff602e10c3,
+        0x32f5e0827e9bdd8a,
+    ];
+    const UNPROTECTED: [u64; 5] = [
+        0xac2dd327358077f0,
+        0x61e59307f3baf462,
+        0x4941ae794bcf5e35,
+        0x4d34cdefbda8a6fb,
+        0xaaf5123ad168409b,
+    ];
+    for (protected, pinned) in [(true, PROTECTED), (false, UNPROTECTED)] {
+        let reports = run_all(protected, SEED);
+        let bits: Vec<u64> = reports.iter().map(|r| r.bits()).collect();
+        assert_eq!(bits, pinned, "protected={protected} reports moved: {reports:#?}");
     }
 }
 
