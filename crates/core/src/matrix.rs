@@ -579,28 +579,23 @@ fn pgm_probe(spec: &ScenarioSpec, applied: &Database) -> ProbeReport {
     // The budget gate: a learned index whose segment count exceeds n/8
     // has lost its compression claim; fall back to the classical tree.
     let fallback = BPlusTree::bulk_load(&entries);
-    let use_learned = bombed <= n / 8;
+    let served: &dyn OrderedIndex = if bombed <= n / 8 { &pgm } else { &fallback };
     let mut wrong = 0u64;
     for (i, &(k, v)) in entries.iter().enumerate().step_by(5) {
-        let got = if use_learned { pgm.get(k) } else { fallback.get(k) };
-        if got != Some(v) {
+        if served.get(k) != Some(v) {
             wrong += 1;
         }
         // A key from inside the nearest void must miss.
         let missing = k + 1;
-        if entries.binary_search_by_key(&missing, |e| e.0).is_err() {
-            let got = if use_learned { pgm.get(missing) } else { fallback.get(missing) };
-            if got.is_some() {
-                wrong += 1;
-            }
+        let in_void = entries.binary_search_by_key(&missing, |e| e.0).is_err();
+        if in_void && served.get(missing).is_some() {
+            wrong += 1;
         }
         if i % 25 == 0 {
             let hi_k = entries[(i + 40).min(n - 1)].0;
             let want: Vec<KeyValue> =
                 entries.iter().copied().filter(|&(key, _)| key >= k && key <= hi_k).collect();
-            let got =
-                if use_learned { pgm.range(k, hi_k) } else { fallback.range(k, hi_k) };
-            if got != want {
+            if served.range(k, hi_k) != want {
                 wrong += 1;
             }
         }

@@ -398,7 +398,7 @@ impl Controller for NaiveController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ml4db_guard::ctlchaos::{lie_in_snapshot, storm_in_snapshot};
+    use crate::chaos::{lie_in_snapshot, storm_in_snapshot};
     use ml4db_obs::HealthSnapshot;
 
     fn view(epoch: u64) -> CtlView {

@@ -29,14 +29,13 @@
 //!   `ML4DB_THREADS`.
 //! - [`report`] — the standing ctl-vs-noop-vs-oracle matrix behind
 //!   `BENCH_ctl.json`.
-//!
-//! Controller-targeted chaos lives in `ml4db_guard::ctlchaos`: lying
-//! sensors, sensor blackout, poisoned retraining data, a gate that
-//! rejects everything, actuator transients, action storms, and
-//! crash-mid-action. The root `tests/ctl_chaos.rs` suite drives every
-//! family and checks that the guarded controller never does worse than
-//! no-op under any of them — and that at least three of those families
-//! demonstrably wreck the naive controller.
+//! - [`chaos`] — the controller-targeted fault vocabulary: lying
+//!   sensors, sensor blackout, poisoned retraining data, a gate that
+//!   rejects everything, actuator transients, action storms, and
+//!   crash-mid-action. The root `tests/ctl_chaos.rs` suite drives every
+//!   family and checks that the guarded controller never does worse than
+//!   no-op under any of them — and that at least three of those families
+//!   demonstrably wreck the naive controller.
 //!
 //! [`HealthSnapshot`]: ml4db_obs::HealthSnapshot
 //! [`Controller`]: controller::Controller
@@ -45,6 +44,7 @@
 //! [`OracleController`]: controller::OracleController
 //! [`NaiveController`]: controller::NaiveController
 
+pub mod chaos;
 pub mod controller;
 pub mod log;
 pub mod report;

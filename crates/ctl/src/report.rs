@@ -14,11 +14,10 @@ use std::hash::{Hash, Hasher};
 use serde_json::Value;
 
 use ml4db_datagen::{ScenarioKind, ScenarioSpec};
-use ml4db_guard::ctlchaos::CtlFault;
-
-use crate::controller::{NoopController, OracleController, RuleController};
 use ml4db_optimizer::harness::{DRIFT_THRESHOLD, MSCN_HIDDEN};
 
+use crate::chaos::CtlFault;
+use crate::controller::{NoopController, OracleController, RuleController};
 use crate::world::{
     run_world, CtlWorldConfig, INDEX_PENALTY_US, RETRY_LIMIT, SHED_PENALTY, SHIFT_AT, TOLERANCE,
 };

@@ -43,7 +43,6 @@ use rand::SeedableRng;
 
 use ml4db_card::{collect_samples, DriftDetector, MscnEstimator};
 use ml4db_datagen::ScenarioSpec;
-use ml4db_guard::ctlchaos::{lie_in_snapshot, storm_in_snapshot, ActuatorClock, CtlFault};
 use ml4db_lifecycle::{GateConfig, ModelRegistry};
 use ml4db_obs::{Event, HealthSnapshot, ModeGuard};
 use ml4db_optimizer::harness::{
@@ -55,6 +54,7 @@ use ml4db_storage::datasets::joblite_db;
 use ml4db_storage::durable::{FaultSpec, IoFault, SimDisk, StorageMedium, TailPolicy};
 use ml4db_storage::Database;
 
+use crate::chaos::{lie_in_snapshot, storm_in_snapshot, ActuatorClock, CtlFault};
 use crate::controller::{Action, Controller, CtlView, COMPONENT, INDEX};
 use crate::log::{DecisionLog, DecisionRecord};
 
@@ -172,13 +172,10 @@ pub struct WorldReport {
 
 impl WorldReport {
     /// 64-bit fingerprint of every field — score trajectory and decision
-    /// log included — via the `Debug` rendering (floats print round-trip
-    /// exactly): the cross-thread-count identity surface.
+    /// log included — via [`ml4db_obs::debug_bits`]: the
+    /// cross-thread-count identity surface.
     pub fn bits(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        format!("{self:?}").hash(&mut h);
-        h.finish()
+        ml4db_obs::debug_bits(self)
     }
 }
 
@@ -279,16 +276,16 @@ fn intern_outcome(s: &str) -> &'static str {
     }
 }
 
-/// Mutable world state the executor actuates on. Bundled so the normal
-/// path and crash recovery share one executor.
+/// Mutable world state the executor actuates on, owned for the whole
+/// run so the normal path and crash recovery share one executor.
 struct Actuators<'w, 'p, 'q> {
     env_pre: &'w Env<'p>,
     env_post: &'w Env<'q>,
-    registry: &'w mut ModelRegistry<MscnEstimator>,
-    drift: &'w mut DriftDetector,
-    stale: &'w mut bool,
-    admission: &'w mut u32,
-    arm: &'w mut usize,
+    registry: ModelRegistry<MscnEstimator>,
+    drift: DriftDetector,
+    stale: bool,
+    admission: u32,
+    arm: usize,
 }
 
 impl Actuators<'_, '_, '_> {
@@ -327,7 +324,7 @@ impl Actuators<'_, '_, '_> {
                 let candidate = train_mscn(db, &samples, cfg.train_epochs, &mut rng);
                 let cid = self.registry.register_candidate(candidate, "retrain");
                 self.registry.begin_shadow(cid);
-                let hint = ARMS[*self.arm];
+                let hint = ARMS[self.arm];
                 let mut cand_score = gate_score(
                     env,
                     stream,
@@ -369,8 +366,8 @@ impl Actuators<'_, '_, '_> {
                 }
             }
             Action::RebuildIndex => {
-                if *self.stale {
-                    *self.stale = false;
+                if self.stale {
+                    self.stale = false;
                     "rebuilt"
                 } else {
                     "noop_fresh"
@@ -379,10 +376,10 @@ impl Actuators<'_, '_, '_> {
             Action::FlipSteering { to } => {
                 if to >= ARMS.len() {
                     "invalid_arm"
-                } else if to == *self.arm {
+                } else if to == self.arm {
                     "noop_same_arm"
                 } else {
-                    *self.arm = to;
+                    self.arm = to;
                     "flipped"
                 }
             }
@@ -392,8 +389,8 @@ impl Actuators<'_, '_, '_> {
                 "flushed"
             }
             Action::TightenAdmission => {
-                if *self.admission < 3 {
-                    *self.admission += 1;
+                if self.admission < 3 {
+                    self.admission += 1;
                     "tightened"
                 } else {
                     "noop_max"
@@ -432,8 +429,7 @@ pub fn run_world(
     let mut train_rng = StdRng::seed_from_u64(train_seed(spec.seed, &pre, false));
     let incumbent =
         train_mscn(&base, &collect_samples(&base, &pre), cfg.train_epochs, &mut train_rng);
-    let mut registry =
-        ModelRegistry::new(COMPONENT, GateConfig { tolerance: TOLERANCE }, incumbent);
+    let registry = ModelRegistry::new(COMPONENT, GateConfig { tolerance: TOLERANCE }, incumbent);
 
     let env_pre = Env::new(&base);
     let env_post = Env::new(&applied);
@@ -451,9 +447,15 @@ pub fn run_world(
         drift.observe(warm[j % warm.len().max(1)]);
     }
 
-    let mut stale = false;
-    let mut admission: u32 = 0;
-    let mut arm: usize = 0;
+    let mut act = Actuators {
+        env_pre: &env_pre,
+        env_post: &env_post,
+        registry,
+        drift,
+        stale: false,
+        admission: 0,
+        arm: 0,
+    };
     let mut clock = ActuatorClock::new();
     if let CtlFault::ActuatorTransient { times } = fault {
         clock.arm_transient(times);
@@ -476,18 +478,25 @@ pub fn run_world(
         if epoch == SHIFT_AT {
             // The regime change lands: the secondary index no longer
             // reflects the data until the controller rebuilds it.
-            stale = true;
+            act.stale = true;
         }
         let env: &Env = if shifted { &env_post } else { &env_pre };
         let db: &Database = if shifted { &applied } else { &base };
         let stream: &[Query] = if shifted { &post } else { &pre };
 
         // --- serve the interval ---
-        per_epoch.push(serve_epoch(env, stream, ARMS[arm], registry.active(), stale, admission));
+        per_epoch.push(serve_epoch(
+            env,
+            stream,
+            ARMS[act.arm],
+            act.registry.active(),
+            act.stale,
+            act.admission,
+        ));
 
         // --- drift verdicts on the serving model's live error stream ---
-        for e in qerr_stream(db, registry.active(), stream).1 {
-            let fired = drift.observe(e);
+        for e in qerr_stream(db, act.registry.active(), stream).1 {
+            let fired = act.drift.observe(e);
             ml4db_obs::emit_with(|| Event::DriftVerdict { component: COMPONENT, fired });
         }
 
@@ -506,10 +515,10 @@ pub fn run_world(
         // --- decide ---
         let view = CtlView {
             epoch,
-            active_id: registry.active_id(),
-            last_good_id: registry.last_good_id(),
-            generation: registry.generation(),
-            arm,
+            active_id: act.registry.active_id(),
+            last_good_id: act.registry.last_good_id(),
+            generation: act.generation(),
+            arm: act.arm,
         };
         let decision = ctrl.decide(&view, delivered.as_ref());
         log.push(DecisionRecord {
@@ -520,15 +529,15 @@ pub fn run_world(
             outcome: decision.observation,
             attempts: 1,
             backoff_ticks: 0,
-            pre_generation: registry.generation(),
-            post_generation: registry.generation(),
+            pre_generation: act.generation(),
+            post_generation: act.generation(),
             recovered: false,
         });
 
         // --- execute, journaling intent before effect and outcome after ---
         for action in decision.actions {
             seq += 1;
-            let pre_gen = registry.generation();
+            let pre_gen = act.generation();
             journal_append(
                 &mut disk,
                 &format!("I {seq} {epoch} {} {} {pre_gen}\n", action.name(), action.arg()),
@@ -541,15 +550,6 @@ pub fn run_world(
             let outcome = loop {
                 attempts += 1;
                 if clock.actuate().is_ok() {
-                    let mut act = Actuators {
-                        env_pre: &env_pre,
-                        env_post: &env_post,
-                        registry: &mut registry,
-                        drift: &mut drift,
-                        stale: &mut stale,
-                        admission: &mut admission,
-                        arm: &mut arm,
-                    };
                     break act.apply(
                         action,
                         env,
@@ -568,7 +568,7 @@ pub fn run_world(
                 }
                 backoff += 1u64 << u64::from((attempts - 1).min(16));
             };
-            let post_gen = registry.generation();
+            let post_gen = act.generation();
 
             let crash_now =
                 matches!(fault, CtlFault::CrashMidAction { at_decision } if at_decision == seq)
@@ -584,15 +584,6 @@ pub fn run_world(
                 );
                 assert_eq!(write, Err(IoFault::Crashed), "the outcome write must die");
                 disk.reboot(0);
-                let mut act = Actuators {
-                    env_pre: &env_pre,
-                    env_post: &env_post,
-                    registry: &mut registry,
-                    drift: &mut drift,
-                    stale: &mut stale,
-                    admission: &mut admission,
-                    arm: &mut arm,
-                };
                 recovered_decisions += recover(
                     &mut disk, ctrl, &mut act, env, db, stream, fault, spec.seed, cfg, &mut log,
                 );
@@ -630,11 +621,11 @@ pub fn run_world(
         log,
         crashed,
         recovered_decisions,
-        final_generation: registry.generation(),
-        final_active: registry.active_id(),
-        final_arm: arm,
-        final_stale: stale,
-        final_admission: admission,
+        final_generation: act.generation(),
+        final_active: act.registry.active_id(),
+        final_arm: act.arm,
+        final_stale: act.stale,
+        final_admission: act.admission,
     }
 }
 

@@ -12,6 +12,13 @@
 //! [`ScenarioReport::bits`] is byte-identical across `ML4DB_THREADS`
 //! settings.
 //!
+//! Each scenario picks the object that answers — the raw learned
+//! component or its guard, which implements the same trait — once, and
+//! runs one probe loop over it, so both sides are judged under identical
+//! conditions. A probe's panic is contained by one helper
+//! (`Tally::contain`); the guards contain their own, so only the raw
+//! side can report `panicked`.
+//!
 //! The pass criteria (see [`ScenarioReport::passes`]) are the tentpole's
 //! contract: under any injected fault, the guarded system must not
 //! panic, must serve oracle-correct results, and must stay within 1.5×
@@ -19,7 +26,6 @@
 //! unguarded system — the chaos tests assert that too, so the guard is
 //! proven against failures that actually happen, not strawmen.
 
-use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use ml4db_index::{BPlusTree, KeyValue, OrderedIndex};
@@ -130,13 +136,66 @@ impl ScenarioReport {
         !self.panicked && self.wrong_answers == 0 && self.regression_factor <= 1.5
     }
 
-    /// Deterministic fingerprint of every field (the `Debug` rendering,
-    /// which prints floats round-trip exactly), for byte-identity
-    /// assertions across thread counts.
+    /// Deterministic fingerprint of every field
+    /// ([`ml4db_obs::debug_bits`]), for byte-identity assertions across
+    /// thread counts.
     pub fn bits(&self) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        format!("{self:?}").hash(&mut h);
-        h.finish()
+        ml4db_obs::debug_bits(self)
+    }
+}
+
+/// What one scenario's probe loop observed, whichever object answered.
+#[derive(Default)]
+struct Tally {
+    panicked: bool,
+    wrong: u64,
+    operations: u64,
+    /// Latency served, for the latency-scored scenarios.
+    served_us: f64,
+    /// The classical baseline's latency over the same probes.
+    baseline_us: f64,
+}
+
+impl Tally {
+    /// Runs one probe with its panic contained: `None` when it unwound.
+    fn contain<T>(&mut self, probe: impl FnOnce() -> T) -> Option<T> {
+        self.operations += 1;
+        let out = catch_unwind(AssertUnwindSafe(probe)).ok();
+        self.panicked |= out.is_none();
+        out
+    }
+
+    /// One probe whose answer must equal `truth`.
+    fn check<T: PartialEq>(&mut self, answer: impl FnOnce() -> T, truth: T) {
+        if let Some(got) = self.contain(answer) {
+            self.wrong += u64::from(got != truth);
+        }
+    }
+
+    /// One latency-scored probe: `probe` returns the served latency and
+    /// whether its answer was wrong; a panic is charged the baseline's.
+    fn timed(&mut self, baseline_us: f64, probe: impl FnOnce() -> (f64, bool)) {
+        let (served_us, wrong) = self.contain(probe).unwrap_or((baseline_us, false));
+        self.baseline_us += baseline_us;
+        self.served_us += served_us;
+        self.wrong += u64::from(wrong);
+    }
+
+    fn report(self, fault: Fault, guarded: bool, tripped: bool) -> ScenarioReport {
+        ScenarioReport {
+            fault: fault.name().to_string(),
+            guarded,
+            panicked: self.panicked,
+            wrong_answers: self.wrong,
+            // Probe-only scenarios have no latency to regress: parity.
+            regression_factor: if self.baseline_us > 0.0 {
+                self.served_us / self.baseline_us
+            } else {
+                1.0
+            },
+            tripped,
+            operations: self.operations,
+        }
     }
 }
 
@@ -256,63 +315,6 @@ fn build_workload(db: &Database, n: usize, seed: u64) -> Vec<Query> {
 // Scenario runners
 // ---------------------------------------------------------------------------
 
-/// Plans every query with `est`, executes, and scores latency against the
-/// pure-classical plans plus result correctness against `naive_execute`.
-fn run_estimator_scenario(
-    fault: Fault,
-    est: &dyn CardEstimator,
-    guarded: bool,
-    tripped: impl Fn() -> bool,
-    seed: u64,
-) -> ScenarioReport {
-    let db = joblite_db(250, &[("title", "year")], &mut StdRng::seed_from_u64(seed));
-    let queries = build_workload(&db, 12, seed);
-    let planner = Planner::default();
-    let mut total = 0.0f64;
-    let mut classical_total = 0.0f64;
-    let mut wrong = 0u64;
-    let mut panicked = false;
-    for q in &queries {
-        // Attribute everything this query triggers — planning, guard
-        // fallbacks and trips, per-operator execution — to its
-        // fingerprint in the trace.
-        ml4db_obs::with_query(q.fingerprint(), || {
-            let classical_plan =
-                planner.best_plan(&db, q, &ClassicEstimator).expect("classical plans");
-            let classical_lat = execute(&db, q, &classical_plan).expect("executes").latency_us;
-            classical_total += classical_lat;
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let plan = planner.best_plan(&db, q, est).expect("planner returns a plan");
-                let res = execute(&db, q, &plan).expect("plan executes");
-                let got = canonical_multiset(&db, q, &res.rows, &res.layout);
-                let identity: Vec<usize> = (0..q.num_tables()).collect();
-                let truth =
-                    canonical_multiset(&db, q, &naive_execute(&db, q).expect("naive"), &identity);
-                (res.latency_us, got != truth)
-            }));
-            match outcome {
-                Ok((lat, mismatch)) => {
-                    total += lat;
-                    wrong += u64::from(mismatch);
-                }
-                Err(_) => {
-                    panicked = true;
-                    total += classical_lat;
-                }
-            }
-        });
-    }
-    ScenarioReport {
-        fault: fault.name().to_string(),
-        guarded,
-        panicked,
-        wrong_answers: wrong,
-        regression_factor: total / classical_total.max(1e-9),
-        tripped: tripped(),
-        operations: queries.len() as u64,
-    }
-}
-
 fn estimator_scenario(fault: Fault, guarded: bool, seed: u64) -> ScenarioReport {
     let faulty = match fault {
         Fault::NanEstimates => FaultyEstimator::Nan,
@@ -325,12 +327,42 @@ fn estimator_scenario(fault: Fault, guarded: bool, seed: u64) -> ScenarioReport 
         ))),
         _ => unreachable!("not an estimator fault"),
     };
-    if guarded {
+    let db = joblite_db(250, &[("title", "year")], &mut StdRng::seed_from_u64(seed));
+    let queries = build_workload(&db, 12, seed);
+    let planner = Planner::default();
+    // Plans every query with `est`, executes, and scores latency against
+    // the pure-classical plans plus result correctness against
+    // `naive_execute`.
+    let probe = |est: &dyn CardEstimator| {
+        let mut tally = Tally::default();
+        for q in &queries {
+            // Attribute everything this query triggers — planning, guard
+            // fallbacks and trips, per-operator execution — to its
+            // fingerprint in the trace.
+            ml4db_obs::with_query(q.fingerprint(), || {
+                let classical_plan =
+                    planner.best_plan(&db, q, &ClassicEstimator).expect("classical plans");
+                let classical_us =
+                    execute(&db, q, &classical_plan).expect("executes").latency_us;
+                tally.timed(classical_us, || {
+                    let plan = planner.best_plan(&db, q, est).expect("planner returns a plan");
+                    let res = execute(&db, q, &plan).expect("plan executes");
+                    let got = canonical_multiset(&db, q, &res.rows, &res.layout);
+                    let identity: Vec<usize> = (0..q.num_tables()).collect();
+                    let naive = naive_execute(&db, q).expect("naive");
+                    (res.latency_us, got != canonical_multiset(&db, q, &naive, &identity))
+                });
+            });
+        }
+        tally
+    };
+    let (tally, tripped) = if guarded {
         let g = GuardedCardEstimator::new(faulty, 8.0);
-        run_estimator_scenario(fault, &g, true, || g.breaker().trips() > 0, seed)
+        (probe(&g), g.breaker().trips() > 0)
     } else {
-        run_estimator_scenario(fault, &faulty, false, || false, seed)
-    }
+        (probe(&faulty), false)
+    };
+    tally.report(fault, guarded, tripped)
 }
 
 fn steering_scenario(fault: Fault, guarded: bool, seed: u64) -> ScenarioReport {
@@ -353,58 +385,38 @@ fn steering_scenario(fault: Fault, guarded: bool, seed: u64) -> ScenarioReport {
             _ => unreachable!("not a steering fault"),
         }
     };
-    let mut total = 0.0f64;
-    let mut expert_total = 0.0f64;
-    let mut panicked = false;
-    let mut tripped = false;
-    if guarded {
-        let g = GuardedSteering::new(choose);
-        for q in &queries {
-            let expert = ml4db_obs::with_query(q.fingerprint(), || {
-                env.expert_latency(q).expect("expert plans")
-            });
-            expert_total += expert;
-            total += g.run_guarded(&env, q);
-        }
-        tripped = g.breaker().trips() > 0;
-    } else {
+    // Serves every query with `serve` and scores its latency against the
+    // expert's.
+    let probe = |serve: &dyn Fn(&Query) -> f64| {
+        let mut tally = Tally::default();
         for q in &queries {
             ml4db_obs::with_query(q.fingerprint(), || {
                 let expert = env.expert_latency(q).expect("expert plans");
-                expert_total += expert;
-                let lat = catch_unwind(AssertUnwindSafe(|| {
-                    let hint = choose(&env, q);
-                    let plan = env.plan_with_hint(q, hint).expect("hinted plan");
-                    env.run(q, &plan)
-                }));
-                match lat {
-                    Ok(l) => total += l,
-                    Err(_) => {
-                        panicked = true;
-                        total += expert;
-                    }
-                }
+                tally.timed(expert, || (serve(q), false));
             });
         }
-    }
-    ScenarioReport {
-        fault: fault.name().to_string(),
-        guarded,
-        panicked,
-        wrong_answers: 0,
-        regression_factor: total / expert_total.max(1e-9),
-        tripped,
-        operations: queries.len() as u64,
-    }
+        tally
+    };
+    let (tally, tripped) = if guarded {
+        let g = GuardedSteering::new(choose);
+        (probe(&|q| g.run_guarded(&env, q)), g.breaker().trips() > 0)
+    } else {
+        let raw = |q: &Query| {
+            let plan = env.plan_with_hint(q, choose(&env, q)).expect("hinted plan");
+            env.run(q, &plan)
+        };
+        (probe(&raw), false)
+    };
+    tally.report(fault, guarded, tripped)
 }
 
-fn run_index_probes<L: OrderedIndex>(
+fn index_probes<L: OrderedIndex>(
     fault: Fault,
     learned: L,
     guarded: bool,
     entries: &[KeyValue],
 ) -> ScenarioReport {
-    let truth_idx = BPlusTree::bulk_load(entries);
+    let truth = BPlusTree::bulk_load(entries);
     // Probe schedule: present keys, absent keys, and range windows.
     let gets: Vec<u64> = (0..200u64)
         .map(|i| {
@@ -414,54 +426,23 @@ fn run_index_probes<L: OrderedIndex>(
         .collect();
     let ranges: Vec<(u64, u64)> =
         (0..20u64).map(|i| (i * 700, i * 700 + 450)).collect();
-    let mut wrong = 0u64;
-    let mut panicked = false;
-    let mut tripped = false;
-    let operations = (gets.len() + ranges.len()) as u64;
-    if guarded {
-        let g = GuardedIndex::new(learned, truth_idx);
+    let probe = |idx: &dyn OrderedIndex| {
+        let mut tally = Tally::default();
         for &key in &gets {
-            if g.get(key) != g.classical.get(key) {
-                wrong += 1;
-            }
+            tally.check(|| idx.get(key), truth.get(key));
         }
         for &(lo, hi) in &ranges {
-            if g.range(lo, hi) != g.classical.range(lo, hi) {
-                wrong += 1;
-            }
+            tally.check(|| idx.range(lo, hi), truth.range(lo, hi));
         }
-        tripped = g.breaker().trips() > 0;
+        tally
+    };
+    let (tally, tripped) = if guarded {
+        let g = GuardedIndex::new(learned, BPlusTree::bulk_load(entries));
+        (probe(&g), g.breaker().trips() > 0)
     } else {
-        for &key in &gets {
-            match catch_unwind(AssertUnwindSafe(|| learned.get(key))) {
-                Ok(res) => {
-                    if res != truth_idx.get(key) {
-                        wrong += 1;
-                    }
-                }
-                Err(_) => panicked = true,
-            }
-        }
-        for &(lo, hi) in &ranges {
-            match catch_unwind(AssertUnwindSafe(|| learned.range(lo, hi))) {
-                Ok(res) => {
-                    if res != truth_idx.range(lo, hi) {
-                        wrong += 1;
-                    }
-                }
-                Err(_) => panicked = true,
-            }
-        }
-    }
-    ScenarioReport {
-        fault: fault.name().to_string(),
-        guarded,
-        panicked,
-        wrong_answers: wrong,
-        regression_factor: 1.0,
-        tripped,
-        operations,
-    }
+        (probe(&learned), false)
+    };
+    tally.report(fault, guarded, tripped)
 }
 
 fn index_scenario(fault: Fault, guarded: bool, seed: u64) -> ScenarioReport {
@@ -469,10 +450,10 @@ fn index_scenario(fault: Fault, guarded: bool, seed: u64) -> ScenarioReport {
     let entries: Vec<KeyValue> = (0..n).map(|i| (i * 7 + (seed % 7), i)).collect();
     match fault {
         Fault::DisplacedIndex { k } => {
-            run_index_probes(fault, DisplacedIdx { inner: entries.clone(), k }, guarded, &entries)
+            index_probes(fault, DisplacedIdx { inner: entries.clone(), k }, guarded, &entries)
         }
         Fault::OobIndexPanic => {
-            run_index_probes(fault, OobIdx { inner: entries.clone() }, guarded, &entries)
+            index_probes(fault, OobIdx { inner: entries.clone() }, guarded, &entries)
         }
         _ => unreachable!("not an index fault"),
     }
@@ -492,54 +473,29 @@ fn spatial_scenario(fault: Fault, guarded: bool, seed: u64) -> ScenarioReport {
         .collect();
     let probes: Vec<Point> =
         (0..12).map(|i| pts[(i * 199) % pts.len()].rect.center()).collect();
-    let brute_range = |q: &Rect| -> Vec<usize> {
-        let (mut ids, _) = rtree.range_query(q);
+    // Served answers must be exact: the oracle is the R-tree's exact
+    // range and kNN. A range may come back in any order.
+    let sorted = |mut ids: Vec<usize>| {
         ids.sort_unstable();
         ids
     };
-    let mut wrong = 0u64;
-    let mut tripped = false;
-    let operations = (rects.len() + probes.len()) as u64;
-    if guarded {
+    let probe = |model: &dyn SpatialModel| {
+        let mut tally = Tally::default();
+        for q in &rects {
+            tally.check(|| sorted(model.range(q)), sorted(rtree.range_query(q).0));
+        }
+        for p in &probes {
+            tally.check(|| model.knn(p, 10), rtree.knn(p, 10).0);
+        }
+        tally
+    };
+    let (tally, tripped) = if guarded {
         let g = GuardedSpatial::new(corrupted, rtree.clone());
-        for q in &rects {
-            if g.range_query(q) != brute_range(q) {
-                wrong += 1;
-            }
-        }
-        for p in &probes {
-            let got = g.knn(p, 10);
-            // Served answers must be exact (audited or classical): the
-            // oracle is the R-tree's exact kNN.
-            if got != rtree.knn(p, 10).0 {
-                wrong += 1;
-            }
-        }
-        tripped = g.breaker().trips() > 0;
+        (probe(&g), g.breaker().trips() > 0)
     } else {
-        for q in &rects {
-            let mut got = corrupted.range(q);
-            got.sort_unstable();
-            if got != brute_range(q) {
-                wrong += 1;
-            }
-        }
-        for p in &probes {
-            let got = SpatialModel::knn(&corrupted, p, 10);
-            if got != rtree.knn(p, 10).0 {
-                wrong += 1;
-            }
-        }
-    }
-    ScenarioReport {
-        fault: fault.name().to_string(),
-        guarded,
-        panicked: false,
-        wrong_answers: wrong,
-        regression_factor: 1.0,
-        tripped,
-        operations,
-    }
+        (probe(&corrupted), false)
+    };
+    tally.report(fault, guarded, tripped)
 }
 
 /// Runs one fault scenario, guarded or raw.

@@ -14,6 +14,9 @@
 //! 2. every rebuilt per-run learned index answers row-identically to
 //!    binary search.
 //!
+//! Every scenario ends in the same check (`check_store`) and folds each
+//! case, panic contained, into its report the same way.
+//!
 //! Each scenario also runs with one protection disabled (`protected =
 //! false`): no fsync barriers for the kill/torn families, no checksums
 //! for the bit-flip family, no short-read cross-check for the silent
@@ -25,7 +28,6 @@
 //! injection clock counts I/O calls, torn tails and flip offsets are
 //! seeded, and reports hash byte-identically across `ML4DB_THREADS`.
 
-use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use ml4db_oracle::recovery_check::{check_run_indexes, KvOp, KvOracle};
@@ -78,7 +80,7 @@ impl DiskFault {
 }
 
 /// Outcome of one scenario sweep.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct DiskScenarioReport {
     /// Scenario name ([`DiskFault::name`]).
     pub scenario: String,
@@ -110,12 +112,45 @@ impl DiskScenarioReport {
         !self.panicked && self.violations == 0
     }
 
-    /// Deterministic fingerprint of every field (the `Debug` rendering)
-    /// for byte-identity assertions across thread counts.
+    /// Deterministic fingerprint of every field
+    /// ([`ml4db_obs::debug_bits`]) for byte-identity assertions across
+    /// thread counts.
     pub fn bits(&self) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        format!("{self:?}").hash(&mut h);
-        h.finish()
+        ml4db_obs::debug_bits(self)
+    }
+
+    /// A report with nothing run yet.
+    fn new(fault: DiskFault, protected: bool) -> Self {
+        DiskScenarioReport { scenario: fault.name().to_string(), protected, ..Default::default() }
+    }
+
+    /// Runs one crash point or fault case with its panic contained and
+    /// folds the outcome in; `case` returns `None` when its fault never
+    /// fired. The first violation is labelled by `label`: `None` for an
+    /// escaped panic, `Some(message)` for a failed check.
+    fn run_case(
+        &mut self,
+        label: impl FnOnce(Option<String>) -> String,
+        case: impl FnOnce() -> Option<Checked>,
+    ) {
+        self.crash_points += 1;
+        let failure = match catch_unwind(AssertUnwindSafe(case)) {
+            Err(_) => {
+                self.panicked = true;
+                None
+            }
+            Ok(None) => return,
+            Ok(Some(checked)) => {
+                self.recoveries += 1;
+                self.index_probes += checked.probes;
+                let Some(msg) = checked.violation else { return };
+                self.violations += 1;
+                Some(msg)
+            }
+        };
+        if self.first_violation.is_empty() {
+            self.first_violation = label(failure);
+        }
     }
 }
 
@@ -211,39 +246,78 @@ fn probe_total_ops(cfg: StoreConfig, batches: &[Vec<KvOp>]) -> (u64, u64) {
     (store.medium_mut().ops(), store.compactions())
 }
 
-/// Sweeps a crash-tail family over every op of the workload, recovering
-/// and checking invariants after each crash. `tail_for(point)` decides
-/// the fate of unsynced bytes at that crash point.
-#[allow(clippy::too_many_arguments)]
-fn crash_matrix(
-    name: &'static str,
-    protected: bool,
+/// What one recovery's checks found: learned-vs-binary-search probes
+/// performed, and the violated invariant, if any.
+struct Checked {
+    probes: u64,
+    violation: Option<String>,
+}
+
+impl Checked {
+    fn violated(msg: String) -> Self {
+        Checked { probes: 0, violation: Some(msg) }
+    }
+}
+
+/// The check every scenario ends in: `store`'s committed state is a
+/// batch prefix in the legal window `[acked, attempted]`, and every run
+/// index answers like binary search. A failed index check wins over a
+/// failed prefix and voids the probe count.
+fn check_store(store: &DurableStore<SimDisk>, oracle: &KvOracle, out: &FeedOutcome) -> Checked {
+    let prefix = oracle.check_prefix(&store.committed_state(), out.acked, out.attempted);
+    match check_run_indexes(store) {
+        Ok(probes) => Checked { probes, violation: prefix.err().map(|v| v.to_string()) },
+        Err(v) => Checked::violated(v.to_string()),
+    }
+}
+
+/// Recovers a store from `disk` and checks it ([`check_store`]).
+fn recover_and_check(
+    disk: SimDisk,
     cfg: StoreConfig,
+    oracle: &KvOracle,
+    out: &FeedOutcome,
+) -> Checked {
+    match DurableStore::open(disk, cfg) {
+        Ok((recovered, _rep)) => check_store(&recovered, oracle, out),
+        Err(e) => Checked::violated(format!("recovery failed: {e:?}")),
+    }
+}
+
+/// Sweeps a crash-tail family over every op of the workload, recovering
+/// and checking invariants after each crash. The family decides the
+/// store's protections and the fate of unsynced bytes at each crash
+/// point.
+fn crash_matrix(
+    fault: DiskFault,
+    protected: bool,
     seed: u64,
     stride: u64,
     batches: &[Vec<KvOp>],
     oracle: &KvOracle,
-    tail_for: impl Fn(u64) -> TailPolicy,
 ) -> DiskScenarioReport {
-    let (total, compactions) = probe_total_ops(cfg, batches);
-    let mut report = DiskScenarioReport {
-        scenario: name.to_string(),
-        protected,
-        crash_points: 0,
-        recoveries: 0,
-        compactions,
-        violations: 0,
-        first_violation: String::new(),
-        index_probes: 0,
-        breaker_tripped: false,
-        panicked: false,
+    let (cfg, tail_for): (StoreConfig, fn(u64) -> TailPolicy) = match fault {
+        DiskFault::KillBeforeFsync => (store_cfg(true, protected, true), |_| TailPolicy::DropAll),
+        DiskFault::TornTail => (store_cfg(true, protected, true), |_| TailPolicy::Torn),
+        // Cycle the flip across the first 40 tail bytes — covering frame
+        // headers, tags, keys, and values — and all 8 bits.
+        DiskFault::BitFlip => (store_cfg(protected, true, true), |point| TailPolicy::BitFlip {
+            offset: (point * 13) % 40,
+            bit: (point % 8) as u8,
+        }),
+        _ => unreachable!("not a crash family"),
     };
+    let (total, compactions) = probe_total_ops(cfg, batches);
+    let mut report =
+        DiskScenarioReport { compactions, ..DiskScenarioReport::new(fault, protected) };
     // Op 0 is the WAL-create of a store that holds nothing yet; the
     // sweep starts at 1.
-    let mut point = 1u64;
-    while point < total {
-        report.crash_points += 1;
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
+    for point in (1..total).step_by(stride as usize) {
+        let label = |msg: Option<String>| match msg {
+            None => format!("panic at crash point {point}"),
+            Some(msg) => format!("op {point}: {msg}"),
+        };
+        report.run_case(label, || {
             let mut store = DurableStore::create(SimDisk::new(), cfg)
                 .expect("clean create cannot fail");
             store.medium_mut().arm(FaultSpec::CrashAt { op: point, tail: tail_for(point) });
@@ -253,40 +327,8 @@ fn crash_matrix(
                 return None; // fault never fired (defensive; sweep < total)
             }
             disk.reboot(seed ^ point);
-            let (recovered, _rep) = match DurableStore::open(disk, cfg) {
-                Ok(v) => v,
-                Err(e) => return Some((out, Err(format!("recovery failed: {e:?}")), 0)),
-            };
-            let state = recovered.committed_state();
-            let prefix = oracle
-                .check_prefix(&state, out.acked, out.attempted)
-                .map_err(|v| v.to_string());
-            let probes = match check_run_indexes(&recovered) {
-                Ok(p) => p,
-                Err(v) => return Some((out, Err(v.to_string()), 0)),
-            };
-            Some((out, prefix.map(|_| ()), probes))
-        }));
-        match outcome {
-            Err(_) => {
-                report.panicked = true;
-                if report.first_violation.is_empty() {
-                    report.first_violation = format!("panic at crash point {point}");
-                }
-            }
-            Ok(None) => {}
-            Ok(Some((_, check, probes))) => {
-                report.recoveries += 1;
-                report.index_probes += probes;
-                if let Err(msg) = check {
-                    report.violations += 1;
-                    if report.first_violation.is_empty() {
-                        report.first_violation = format!("op {point}: {msg}");
-                    }
-                }
-            }
-        }
-        point += stride;
+            Some(recover_and_check(disk, cfg, oracle, &out))
+        });
     }
     report
 }
@@ -295,52 +337,18 @@ fn crash_matrix(
 /// medium that truncates reads without erroring.
 fn short_read_scenario(protected: bool, batches: &[Vec<KvOp>], oracle: &KvOracle) -> DiskScenarioReport {
     let cfg = store_cfg(true, true, protected);
-    let mut report = DiskScenarioReport {
-        scenario: DiskFault::SilentShortRead.name().to_string(),
-        protected,
-        crash_points: 1,
-        recoveries: 0,
-        compactions: 0,
-        violations: 0,
-        first_violation: String::new(),
-        index_probes: 0,
-        breaker_tripped: false,
-        panicked: false,
-    };
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
+    let mut report = DiskScenarioReport::new(DiskFault::SilentShortRead, protected);
+    let label =
+        |msg: Option<String>| msg.unwrap_or_else(|| "panic during short-read recovery".into());
+    report.run_case(label, || {
         let mut store =
             DurableStore::create(SimDisk::new(), cfg).expect("clean create cannot fail");
         let out = feed(&mut store, batches);
         assert!(!out.crashed);
         let mut disk = store.into_medium();
         disk.arm(FaultSpec::ShortReads { times: 2 });
-        let (recovered, _rep) = match DurableStore::open(disk, cfg) {
-            Ok(v) => v,
-            Err(e) => return (out, Err(format!("recovery failed: {e:?}")), 0),
-        };
-        let state = recovered.committed_state();
-        let prefix = oracle
-            .check_prefix(&state, out.acked, out.attempted)
-            .map_err(|v| v.to_string());
-        match check_run_indexes(&recovered) {
-            Ok(p) => (out, prefix.map(|_| ()), p),
-            Err(v) => (out, Err(v.to_string()), 0),
-        }
-    }));
-    match outcome {
-        Err(_) => {
-            report.panicked = true;
-            report.first_violation = "panic during short-read recovery".to_string();
-        }
-        Ok((_, check, probes)) => {
-            report.recoveries = 1;
-            report.index_probes = probes;
-            if let Err(msg) = check {
-                report.violations = 1;
-                report.first_violation = msg;
-            }
-        }
-    }
+        Some(recover_and_check(disk, cfg, oracle, &out))
+    });
     report
 }
 
@@ -351,24 +359,13 @@ fn short_read_scenario(protected: bool, batches: &[Vec<KvOp>], oracle: &KvOracle
 /// is the demonstrable failure.
 fn enospc_scenario(protected: bool, batches: &[Vec<KvOp>], oracle: &KvOracle) -> DiskScenarioReport {
     let cfg = store_cfg(true, true, true);
-    let mut report = DiskScenarioReport {
-        scenario: DiskFault::EnospcBreaker.name().to_string(),
-        protected,
-        crash_points: 1,
-        recoveries: 0,
-        compactions: 0,
-        violations: 0,
-        first_violation: String::new(),
-        index_probes: 0,
-        breaker_tripped: false,
-        panicked: false,
-    };
-    let half = batches.len() / 2;
+    let mut report = DiskScenarioReport::new(DiskFault::EnospcBreaker, protected);
     let breaker = CircuitBreaker::named("wal_append", BreakerConfig::default());
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
+    let label = |msg: Option<String>| msg.unwrap_or_else(|| "panic on ENOSPC".into());
+    report.run_case(label, || {
         let mut store =
             DurableStore::create(SimDisk::new(), cfg).expect("clean create cannot fail");
-        let out = feed(&mut store, &batches[..half]);
+        let out = feed(&mut store, &batches[..batches.len() / 2]);
         assert!(!out.crashed);
         let at = store.medium_mut().ops();
         store.medium_mut().arm(FaultSpec::NoSpaceAt { op: at, times: 1_000_000 });
@@ -382,36 +379,17 @@ fn enospc_scenario(protected: bool, batches: &[Vec<KvOp>], oracle: &KvOracle) ->
                     );
                     breaker.force_open(TripReason::ResourceExhausted);
                 }
-                other => return (out, Err(format!("expected NoSpace, got {other:?}")), 0),
+                other => {
+                    return Some(Checked::violated(format!("expected NoSpace, got {other:?}")))
+                }
             }
         } else {
             // Error-path-free code: unwrap. This panics — the point.
             store.put(KEY_SPACE + 1, 1).unwrap();
         }
         // The store must still serve every committed read.
-        let state = store.committed_state();
-        let prefix = oracle
-            .check_prefix(&state, out.acked, out.acked)
-            .map_err(|v| v.to_string());
-        match check_run_indexes(&store) {
-            Ok(p) => (out, prefix.map(|_| ()), p),
-            Err(v) => (out, Err(v.to_string()), 0),
-        }
-    }));
-    match outcome {
-        Err(_) => {
-            report.panicked = true;
-            report.first_violation = "panic on ENOSPC".to_string();
-        }
-        Ok((_, check, probes)) => {
-            report.recoveries = 1;
-            report.index_probes = probes;
-            if let Err(msg) = check {
-                report.violations = 1;
-                report.first_violation = msg;
-            }
-        }
-    }
+        Some(check_store(&store, oracle, &out))
+    });
     report.breaker_tripped = breaker.trips() > 0;
     report
 }
@@ -433,40 +411,9 @@ pub fn run_scenario(
     // all of them.
     let stride = if protected { stride.max(1) } else { 1 };
     match fault {
-        DiskFault::KillBeforeFsync => crash_matrix(
-            fault.name(),
-            protected,
-            store_cfg(true, protected, true),
-            seed,
-            stride,
-            &batches,
-            &oracle,
-            |_| TailPolicy::DropAll,
-        ),
-        DiskFault::TornTail => crash_matrix(
-            fault.name(),
-            protected,
-            store_cfg(true, protected, true),
-            seed,
-            stride,
-            &batches,
-            &oracle,
-            |_| TailPolicy::Torn,
-        ),
-        DiskFault::BitFlip => crash_matrix(
-            fault.name(),
-            protected,
-            store_cfg(protected, true, true),
-            seed,
-            stride,
-            &batches,
-            &oracle,
-            // Cycle the flip across the first 40 tail bytes — covering
-            // frame headers, tags, keys, and values — and all 8 bits.
-            |point| TailPolicy::BitFlip { offset: (point * 13) % 40, bit: (point % 8) as u8 },
-        ),
         DiskFault::SilentShortRead => short_read_scenario(protected, &batches, &oracle),
         DiskFault::EnospcBreaker => enospc_scenario(protected, &batches, &oracle),
+        crash => crash_matrix(crash, protected, seed, stride, &batches, &oracle),
     }
 }
 

@@ -31,11 +31,16 @@
 //! * [`steering`] — guarded plan steering with a per-query latency
 //!   budget enforced by `Env::run_with_timeout`;
 //! * [`chaos`] — the deterministic fault-injection harness that proves
-//!   the above: nine failure modes, each run guarded and raw, with a
+//!   the above: nine failure modes, each one probe loop over whichever
+//!   object answers — the raw learned component or its guard — with a
 //!   seeded byte-stable report;
-//! * [`ctlchaos`] — fault families aimed at the autonomous controller
-//!   itself (lying sensors, actuator failures, trigger storms,
-//!   crash-mid-action), consumed by the `ml4db-ctl` chaos harness.
+//! * [`diskchaos`] — the same proof for the durable storage tier: a
+//!   crash at every I/O operation, each recovery checked one way;
+//! * [`lifecycle`] — the link from a tripped breaker to the model
+//!   registry's rollback.
+//!
+//! The faults aimed at the autonomous controller itself live beside the
+//! harness that drives them, in `ml4db_ctl::chaos`.
 //!
 //! The design invariant throughout: **a tripped guard costs nothing** —
 //! while Open, the guarded component behaves exactly like its classical
@@ -46,7 +51,6 @@
 
 pub mod breaker;
 pub mod chaos;
-pub mod ctlchaos;
 pub mod diskchaos;
 pub mod estimator;
 pub mod index_guard;
@@ -56,7 +60,6 @@ pub mod steering;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, Judged, TripReason};
 pub use chaos::{run_all, run_scenario, Fault, ScenarioReport};
-pub use ctlchaos::{ActuatorClock, ActuatorTransient, CtlFault};
 pub use diskchaos::{DiskFault, DiskScenarioReport};
 pub use estimator::GuardedCardEstimator;
 pub use lifecycle::LifecycleLink;

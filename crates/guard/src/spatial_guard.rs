@@ -166,6 +166,20 @@ impl<L: SpatialModel> GuardedSpatial<L> {
     }
 }
 
+/// The guard is a drop-in for the model it wraps: it answers with what it
+/// serves (ranges sorted, which "any order" allows).
+impl<L: SpatialModel> SpatialModel for GuardedSpatial<L> {
+    fn range(&self, query: &Rect) -> Vec<usize> {
+        self.range_query(query)
+    }
+    fn knn(&self, point: &Point, k: usize) -> Vec<usize> {
+        GuardedSpatial::knn(self, point, k) // the inherent, guarded kNN
+    }
+    fn len(&self) -> usize {
+        self.classical.len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -242,17 +242,6 @@ pub enum Event {
         /// Whether the probe was answered by the learned index.
         hit: bool,
     },
-    /// The autonomous controller decided (or declined) one action — see
-    /// `ml4db-ctl`. Every decision also lands in the controller's own
-    /// canonical decision log; this event mirrors it into the trace.
-    CtlDecision {
-        /// Control tick (epoch index) the decision belongs to.
-        tick: u64,
-        /// Action name ("retrain", "promote", "rollback", ...).
-        action: &'static str,
-        /// Outcome label ("executed", "rejected_gate", "deferred", ...).
-        outcome: &'static str,
-    },
     /// A logical span opened.
     SpanStart {
         /// Span name.
@@ -290,7 +279,6 @@ impl Event {
             Event::RunFlush { .. } => "run_flush",
             Event::MatrixCell { .. } => "matrix_cell",
             Event::IndexProbe { .. } => "index_probe",
-            Event::CtlDecision { .. } => "ctl_decision",
             Event::SpanStart { .. } => "span_start",
             Event::SpanEnd { .. } => "span_end",
         }
@@ -431,11 +419,6 @@ impl Event {
                 o.insert("index".into(), Value::String(index.into()));
                 o.insert("hit".into(), Value::Bool(hit));
             }
-            Event::CtlDecision { tick, action, outcome } => {
-                o.insert("tick".into(), Value::Number(tick as f64));
-                o.insert("action".into(), Value::String(action.into()));
-                o.insert("outcome".into(), Value::String(outcome.into()));
-            }
             Event::SpanStart { name } | Event::SpanEnd { name } => {
                 o.insert("name".into(), Value::String(name.into()));
             }
@@ -531,9 +514,6 @@ impl Event {
             ),
             Event::IndexProbe { index, hit } => {
                 format!("index[{index}] probe {}", if hit { "hit" } else { "miss" })
-            }
-            Event::CtlDecision { tick, action, outcome } => {
-                format!("ctl[t{tick}] {action} -> {outcome}")
             }
             Event::SpanStart { name } => format!("span {name} {{"),
             Event::SpanEnd { name } => format!("}} span {name}"),

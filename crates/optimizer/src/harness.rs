@@ -7,7 +7,6 @@
 //! validation gate, and is re-promoted.
 
 use std::collections::BTreeSet;
-use std::hash::{Hash, Hasher};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -269,13 +268,10 @@ pub struct ShiftRecoveryReport {
 }
 
 impl ShiftRecoveryReport {
-    /// 64-bit fingerprint of every field (the `Debug` rendering, which
-    /// prints floats round-trip exactly) — two runs are "the same" iff
-    /// their bits agree.
+    /// 64-bit fingerprint of every field ([`ml4db_obs::debug_bits`]) —
+    /// two runs are "the same" iff their bits agree.
     pub fn bits(&self) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        format!("{self:?}").hash(&mut h);
-        h.finish()
+        ml4db_obs::debug_bits(self)
     }
 }
 

@@ -13,7 +13,7 @@ use ml4db_core::ctl::{
     run_world, CtlWorldConfig, NoopController, OracleController, RuleController,
 };
 use ml4db_core::datagen::{ScenarioKind, ScenarioSpec, ShiftKind};
-use ml4db_core::guard::ctlchaos::CtlFault;
+use ml4db_core::ctl::chaos::CtlFault;
 
 fn main() {
     let cfg = CtlWorldConfig::default();

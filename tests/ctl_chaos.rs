@@ -1,5 +1,5 @@
 //! Controller-targeted chaos: every fault family in
-//! `ml4db_guard::ctlchaos` aimed at the closed-loop controller, with
+//! `ml4db_ctl::chaos` aimed at the closed-loop controller, with
 //! the do-no-harm bound checked per cell — and a naive controller as
 //! the negative control proving the faults have real teeth.
 //!
@@ -19,7 +19,7 @@ use ml4db_ctl::{
     run_world, CtlWorldConfig, NaiveController, NoopController, RuleController, WorldReport,
 };
 use ml4db_datagen::{ScenarioKind, ScenarioSpec, ShiftKind};
-use ml4db_guard::ctlchaos::CtlFault;
+use ml4db_ctl::chaos::CtlFault;
 
 const TIE_EPS: f64 = 1e-6;
 

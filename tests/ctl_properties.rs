@@ -14,7 +14,7 @@ use ml4db_ctl::{
     run_ctl_matrix, run_world, CtlWorldConfig, NoopController, RuleController,
 };
 use ml4db_datagen::ScenarioSpec;
-use ml4db_guard::ctlchaos::CtlFault;
+use ml4db_ctl::chaos::CtlFault;
 use proptest::prelude::*;
 
 fn quick() -> CtlWorldConfig {
