@@ -13,7 +13,9 @@
 //!   replay.
 //! - [`run`] — immutable sorted runs with footer CRCs, each carrying a
 //!   per-run PGM learned index promoted (or rejected) through the
-//!   lifecycle gate and probed via `predict_range` + last-mile search.
+//!   lifecycle gate and probed via `predict_range` + last-mile search,
+//!   behind an in-memory key filter that lets a `get` skip runs that
+//!   cannot hold its key.
 //! - [`store`] — [`store::DurableStore`]: the commit / flush /
 //!   checkpoint / compaction / recovery protocol tying the layers
 //!   together (runs are merged size-tiered, so reads probe a

@@ -65,7 +65,14 @@
 //!
 //! ## Reads
 //! [`DurableStore::get`] checks the memtable, then runs newest-first
-//! through their gated learned indexes, and allocates nothing.
+//! through their gated learned indexes, and allocates nothing. Each run's
+//! key filter ([`Run::may_contain`]) is asked first, and a run it rules
+//! out is passed over without an index search: all runs but the one
+//! holding the key would answer "absent", and a filter check (~9 ns) is a
+//! fraction of a search (55–120 ns). So a `get` searches ~1.07 runs where
+//! it used to search ~5.9 (`BENCH_storage.json`: `mean_runs_searched_per_get` against
+//! `mean_runs_probed_per_get`). The check lives here, not in
+//! [`Run::get`], which stays the index search alone.
 //!
 //! [`DurableStore::range`] is one pass of the tier's one merge cursor
 //! (`run::merge_newest_wins`, the same loop compaction runs). Each run
@@ -526,14 +533,15 @@ impl<M: StorageMedium> DurableStore<M> {
     }
 
     /// Reads the committed value of `key` (memtable first, then runs
-    /// newest-first through their gated indexes).
+    /// newest-first through their gated indexes, each behind its key
+    /// filter).
     pub fn get(&self, key: u64) -> Option<u64> {
         match self.memtable.get(&key) {
             Some(MemVal::Put(v)) => return Some(*v),
             Some(MemVal::Tombstone) => return None,
             None => {}
         }
-        for run in self.runs.iter().rev() {
+        for run in self.runs.iter().rev().filter(|run| run.may_contain(key)) {
             match run.get(key) {
                 Some(RunEntry::Put { value, .. }) => return Some(value),
                 Some(RunEntry::Tombstone { .. }) => return None,

@@ -6,7 +6,7 @@
 //! to do, allocates a tree node per ~8 entries touched (13 leaves alone
 //! for a 100-key range over a dozen runs) before the result is even
 //! started; this gate is the host-independent form of that difference. A
-//! `get` allocates nothing at all.
+//! `get` allocates nothing at all, the run key filters it asks included.
 //!
 //! Alone in its file: see `common/counting_alloc.rs`.
 
@@ -59,8 +59,18 @@ fn a_range_allocates_a_handful_of_vectors_and_a_get_none() {
          more than the {MAX_RANGE_ALLOCATIONS} its vectors account for"
     );
 
-    // Memtable hit, memtable tombstone, a key in some run, a key in none.
-    for (key, want) in [(4_010, Some(1)), (4_020, None), (77, Some(77)), (8_500_000, None)] {
+    // A key only the oldest run holds: its `get` asks every run's key
+    // filter on the way down.
+    let oldest = store.runs()[0].entries()[0].key();
+    assert!(
+        store.runs()[1..].iter().all(|run| run.get_unindexed(oldest).is_none()),
+        "key {oldest} must be held by the oldest run alone"
+    );
+    // Memtable hit, memtable tombstone, a key in some run, a key in the
+    // oldest run alone, a key in none.
+    for (key, want) in
+        [(4_010, Some(1)), (4_020, None), (77, Some(77)), (oldest, Some(oldest)), (8_500_000, None)]
+    {
         let (getting, got) = allocations_of(|| store.get(key));
         assert_eq!(got, want, "get({key})");
         assert_eq!(getting, 0, "get({key}) allocated");
