@@ -34,7 +34,6 @@
 //! (admission control, virtual workers, virtual clock).
 
 use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -408,9 +407,7 @@ impl MatrixReport {
     /// 64-bit fingerprint of the canonical JSON — two runs are "the
     /// same" iff their bits agree.
     pub fn bits(&self) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.to_canonical_json().to_string().hash(&mut h);
-        h.finish()
+        obs::digest::Fingerprint::new().str(&self.to_canonical_json().to_string()).finish()
     }
 }
 

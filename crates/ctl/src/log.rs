@@ -10,8 +10,8 @@
 //! rendering from both threading modes.
 
 use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
 
+use ml4db_obs::digest::Fingerprint;
 use serde_json::Value;
 
 /// One logged controller decision: an observation verdict ("observe"
@@ -134,9 +134,7 @@ impl DecisionLog {
 
     /// 64-bit fingerprint of the canonical string.
     pub fn bits(&self) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.canonical_string().hash(&mut h);
-        h.finish()
+        Fingerprint::new().str(&self.canonical_string()).finish()
     }
 }
 

@@ -9,11 +9,11 @@
 //! determinism check.
 
 use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
 
 use serde_json::Value;
 
 use ml4db_datagen::{ScenarioKind, ScenarioSpec};
+use ml4db_obs::digest::Fingerprint;
 use ml4db_optimizer::harness::{DRIFT_THRESHOLD, MSCN_HIDDEN};
 
 use crate::chaos::CtlFault;
@@ -156,9 +156,7 @@ impl CtlMatrixReport {
 
     /// 64-bit fingerprint of the canonical rendering.
     pub fn bits(&self) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.to_canonical_json().to_string().hash(&mut h);
-        h.finish()
+        Fingerprint::new().str(&self.to_canonical_json().to_string()).finish()
     }
 }
 

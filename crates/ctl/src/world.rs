@@ -184,21 +184,10 @@ impl WorldReport {
 /// weights, which is what turns spurious retrains into provable no-ops
 /// and makes crash re-execution of a retrain idempotent.
 fn train_seed(world_seed: u64, stream: &[Query], poisoned: bool) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    mix(world_seed);
-    for q in stream {
-        mix(q.fingerprint());
-    }
-    if poisoned {
-        mix(SALT_POISON);
-    }
-    h
+    let words = std::iter::once(world_seed)
+        .chain(stream.iter().map(Query::fingerprint))
+        .chain(poisoned.then_some(SALT_POISON));
+    ml4db_obs::digest::fnv1a(&words.flat_map(u64::to_le_bytes).collect::<Vec<u8>>())
 }
 
 /// One epoch of serving: plans with the serving estimator under the

@@ -29,6 +29,7 @@ use std::collections::BTreeMap;
 
 use serde_json::Value;
 
+use crate::digest::fnv1a;
 use crate::metrics::Histogram;
 use crate::trace::{Event, Trace};
 
@@ -365,8 +366,7 @@ impl HealthSnapshot {
     }
 
     /// FNV-1a 64 over the canonical string — stable across processes,
-    /// platforms, and thread counts (unlike `DefaultHasher`, which is
-    /// only documented stable within one release).
+    /// platforms, and thread counts.
     pub fn digest(&self) -> u64 {
         fnv1a(self.canonical_string().as_bytes())
     }
@@ -376,15 +376,6 @@ impl HealthSnapshot {
         let digest = self.digest();
         SealedSnapshot { snapshot: self, digest }
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// A snapshot plus the digest it had at sealing time. The chaos

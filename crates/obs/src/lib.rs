@@ -58,10 +58,12 @@
 
 #![warn(missing_docs)]
 
+pub mod digest;
 pub mod health;
 pub mod metrics;
 pub mod trace;
 
+pub use digest::debug_bits;
 pub use health::{HealthSnapshot, SealedSnapshot, TenantCounters};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use trace::{strip_nondeterministic, Event, Trace, WallStat, NONDETERMINISTIC_KEY};
@@ -170,22 +172,6 @@ impl Drop for ModeGuard {
 pub fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// 64-bit fingerprint of a report's `Debug` rendering (which prints
-/// floats round-trip exactly) — the `bits()` of every harness report:
-/// two runs are "the same" iff their bits agree.
-///
-/// The hash is std's `DefaultHasher`, whose output is documented stable
-/// only within one Rust release: every digest pinned as a constant (the
-/// chaos and disk-chaos pins under `tests/`) is tied to the toolchain
-/// that computed it, and a compiler upgrade that moves them is not a
-/// behaviour change.
-pub fn debug_bits(report: &impl std::fmt::Debug) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    format!("{report:?}").hash(&mut h);
-    h.finish()
 }
 
 thread_local! {

@@ -25,12 +25,8 @@ impl Dq {
     }
 
     fn state(query: &Query, mask: u64) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in query.template_signature().bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h ^ mask.wrapping_mul(0x9e3779b97f4a7c15)
+        ml4db_obs::digest::fnv1a(query.template_signature().as_bytes())
+            ^ mask.wrapping_mul(0x9e3779b97f4a7c15)
     }
 
     /// Trains on a workload: per-step reward is the negative log of the

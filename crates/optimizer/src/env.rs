@@ -46,12 +46,10 @@
 //! the number of calls the guard's breaker has seen.
 
 use std::collections::hash_map::{Entry, HashMap};
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use ml4db_plan::{
-    cache::{epoch_of, CacheKey, PlanCache},
+    cache::{epoch_of, CacheKey, PlanCache, Shards},
     execute_columnar_with_timeout, CardEstimator, ClassicEstimator, CostModel, HintSet, JoinAlgo,
     PlanNode, PlanOp, Planner, Query, ScanAlgo,
 };
@@ -93,49 +91,6 @@ pub fn plan_features(plan: &PlanNode) -> Vec<f32> {
     ]
 }
 
-/// Sharded expert-latency memo: the serving hot path reads this on
-/// every request that charges a baseline, so it gets the same
-/// contention treatment as the plan cache — independent mutex-guarded
-/// maps selected by key hash, values computed outside the lock, and
-/// poison recovery on every acquisition (an f64 map is always valid
-/// data no matter where a panic landed).
-struct LatencyShards {
-    shards: Vec<Mutex<HashMap<CacheKey, f64>>>,
-}
-
-impl LatencyShards {
-    fn new(n: usize) -> Self {
-        Self { shards: (0..n.max(1)).map(|_| Mutex::new(HashMap::new())).collect() }
-    }
-
-    fn shard(&self, key: &CacheKey) -> &Mutex<HashMap<CacheKey, f64>> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() % self.shards.len() as u64) as usize]
-    }
-
-    fn get(&self, key: &CacheKey) -> Option<f64> {
-        self.shard(key).lock().unwrap_or_else(|e| e.into_inner()).get(key).copied()
-    }
-
-    fn insert(&self, key: CacheKey, v: f64) {
-        self.shard(&key).lock().unwrap_or_else(|e| e.into_inner()).insert(key, v);
-    }
-
-    /// Poisons one shard the way a panicking worker would (test hook for
-    /// the serving poison-regression suite).
-    #[doc(hidden)]
-    fn poison_first_shard(&self) {
-        let _ = std::thread::scope(|s| {
-            s.spawn(|| {
-                let _guard = self.shards[0].lock().unwrap();
-                panic!("poison the latency shard");
-            })
-            .join()
-        });
-    }
-}
-
 /// The environment: database + expert planner + executor, with a
 /// process-wide-safe [`PlanCache`] memoizing every `plan_with_hint` call.
 ///
@@ -161,7 +116,7 @@ pub struct Env<'a> {
     /// deterministic, so one execution per (query, epoch) suffices for
     /// all regression accounting. Sharded like the plan cache — this is
     /// read on every served request that charges a baseline.
-    expert_latency_cache: LatencyShards,
+    expert_latency_cache: Shards<f64>,
     /// Model generation folded into [`Env::epoch`]: the lifecycle
     /// registry's generation counter is mirrored here on every promotion
     /// and rollback, so plans cached under one model version are never
@@ -178,7 +133,7 @@ impl<'a> Env<'a> {
             cost_model: CostModel::default(),
             estimator: ClassicEstimator,
             plan_cache: PlanCache::new(),
-            expert_latency_cache: LatencyShards::new(16),
+            expert_latency_cache: Shards::new(16),
             model_epoch: AtomicU64::new(0),
         }
     }
@@ -332,12 +287,12 @@ impl<'a> Env<'a> {
         Some(lat)
     }
 
-    /// Poisons one expert-latency shard exactly the way a panicking
+    /// Poisons every expert-latency shard exactly the way a panicking
     /// worker would, so serving suites can regression-test that a
     /// poisoned shard never wedges the hot path. Test hook only.
     #[doc(hidden)]
-    pub fn poison_latency_shard_for_test(&self) {
-        self.expert_latency_cache.poison_first_shard();
+    pub fn poison_latency_shards_for_test(&self) {
+        self.expert_latency_cache.poison_for_test();
     }
 
     /// A cheap per-session view of this engine. See [`SessionView`].
@@ -553,16 +508,7 @@ mod tests {
         let baseline = env.expert_latency(&q).unwrap();
         // Poison every latency shard from panicking threads, the way a
         // faulty learned planner inside a par_map worker would.
-        for shard in &env.expert_latency_cache.shards {
-            let _ = std::thread::scope(|s| {
-                s.spawn(|| {
-                    let _guard = shard.lock().unwrap();
-                    panic!("poison the latency cache");
-                })
-                .join()
-            });
-            assert!(shard.is_poisoned());
-        }
+        env.poison_latency_shards_for_test();
         // Lookups must keep working (and stay deterministic) afterwards.
         assert_eq!(env.expert_latency(&q).unwrap(), baseline);
     }

@@ -24,8 +24,9 @@
 //! # Concurrency and determinism
 //!
 //! Entries live in [`SHARDS`](PlanCache::with_shards) independent
-//! mutex-guarded maps selected by key hash, so parallel evaluation
-//! threads rarely contend. Values are computed *outside* the shard lock:
+//! mutex-guarded maps ([`Shards`]) selected by [`CacheKey::shard`], so
+//! parallel evaluation threads rarely contend. Values are computed
+//! *outside* the shard lock:
 //! two threads racing on the same key may both plan, but the planner is
 //! deterministic, so whichever insert lands last is byte-identical to
 //! the other — cached results can never depend on scheduling. Hit/miss
@@ -33,9 +34,8 @@
 //! keeps the accounting honest about work actually performed).
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use ml4db_storage::CostWeights;
 
@@ -47,7 +47,7 @@ use crate::query::Query;
 /// so any observable change to any weight — however small — moves to a
 /// fresh epoch (and `-0.0` vs `0.0` conservatively count as different).
 pub fn epoch_of(weights: &CostWeights) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+    let mut h = ml4db_obs::digest::Fingerprint::new();
     for w in [
         weights.seq_page,
         weights.random_page,
@@ -57,7 +57,7 @@ pub fn epoch_of(weights: &CostWeights) -> u64 {
         weights.hash_probe,
         weights.sort_op,
     ] {
-        w.to_bits().hash(&mut h);
+        h.u64(w.to_bits());
     }
     h.finish()
 }
@@ -99,6 +99,65 @@ impl CacheKey {
             epoch: base.epoch,
         }
     }
+
+    /// The key's shard among `n`: the multiply-high of the golden-ratio
+    /// mix of both halves onto `0..n`. Both halves are hashes already, so
+    /// one multiply spreads them.
+    pub fn shard(&self, n: usize) -> usize {
+        let mixed = (self.fingerprint ^ self.epoch).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        ((u128::from(mixed) * n as u128) >> 64) as usize
+    }
+}
+
+/// One mutex-guarded map per shard, a key's shard picked by
+/// [`CacheKey::shard`]: [`PlanCache`]'s plans and `ml4db-optimizer`'s
+/// expert-latency memo. Every lock recovers from poisoning: a worker that
+/// panicked holding one (e.g. a faulty learned component inside a
+/// `par_map` evaluation) must not take the cache down, and the maps only
+/// ever hold fully-constructed values.
+pub struct Shards<V> {
+    maps: Vec<Mutex<HashMap<CacheKey, V>>>,
+}
+
+impl<V: Clone + Send> Shards<V> {
+    /// `n` empty shards (minimum 1).
+    pub fn new(n: usize) -> Self {
+        Self { maps: (0..n.max(1)).map(|_| Mutex::new(HashMap::new())).collect() }
+    }
+
+    fn lock(map: &Mutex<HashMap<CacheKey, V>>) -> MutexGuard<'_, HashMap<CacheKey, V>> {
+        map.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn shard(&self, key: &CacheKey) -> MutexGuard<'_, HashMap<CacheKey, V>> {
+        Self::lock(&self.maps[key.shard(self.maps.len())])
+    }
+
+    /// A copy of the value stored under `key`.
+    pub fn get(&self, key: &CacheKey) -> Option<V> {
+        self.shard(key).get(key).cloned()
+    }
+
+    /// Stores `value` under `key`.
+    pub fn insert(&self, key: CacheKey, value: V) {
+        self.shard(&key).insert(key, value);
+    }
+
+    /// Poisons every shard the way a panicking worker would, so tests
+    /// can prove a poisoned shard never wedges a caller. Test hook only.
+    #[doc(hidden)]
+    pub fn poison_for_test(&self) {
+        for m in &self.maps {
+            let _ = std::thread::scope(|s| {
+                s.spawn(|| {
+                    let _guard = m.lock().unwrap();
+                    panic!("poison the shard");
+                })
+                .join()
+            });
+            assert!(m.is_poisoned());
+        }
+    }
 }
 
 /// Sharded memoization of `best_plan` results, keyed by
@@ -108,7 +167,7 @@ impl CacheKey {
 /// cached too — re-probing an impossible hint set should be as cheap as
 /// re-probing a possible one.
 pub struct PlanCache {
-    shards: Vec<Mutex<HashMap<CacheKey, Option<PlanNode>>>>,
+    shards: Shards<Option<PlanNode>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -122,7 +181,7 @@ impl Default for PlanCache {
 impl std::fmt::Debug for PlanCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PlanCache")
-            .field("shards", &self.shards.len())
+            .field("shards", &self.shards.maps.len())
             .field("entries", &self.len())
             .field("hits", &self.hits())
             .field("misses", &self.misses())
@@ -140,29 +199,11 @@ impl PlanCache {
     /// contention under parallel evaluation; 16 is plenty for the pool
     /// sizes `ml4db_par` will spawn.
     pub fn with_shards(n: usize) -> Self {
-        let n = n.max(1);
         Self {
-            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: Shards::new(n),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
-    }
-
-    fn shard(&self, key: &CacheKey) -> &Mutex<HashMap<CacheKey, Option<PlanNode>>> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() % self.shards.len() as u64) as usize]
-    }
-
-    /// Locks a shard, recovering from poisoning. A worker thread that
-    /// panicked while holding a shard lock (e.g. a faulty learned
-    /// component inside a `par_map` evaluation) must not take the whole
-    /// cache down with it: the maps only ever hold fully-constructed
-    /// plans, so the data is valid regardless of where the panic landed.
-    fn lock_shard<'s>(
-        shard: &'s Mutex<HashMap<CacheKey, Option<PlanNode>>>,
-    ) -> std::sync::MutexGuard<'s, HashMap<CacheKey, Option<PlanNode>>> {
-        shard.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Returns the cached plan for `key`, or computes it with `plan_fn`,
@@ -173,15 +214,15 @@ impl PlanCache {
         key: CacheKey,
         plan_fn: impl FnOnce() -> Option<PlanNode>,
     ) -> Option<PlanNode> {
-        if let Some(cached) = Self::lock_shard(self.shard(&key)).get(&key) {
+        if let Some(cached) = self.shards.get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             Self::observe_lookup(true);
-            return cached.clone();
+            return cached;
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         Self::observe_lookup(false);
         let value = plan_fn();
-        Self::lock_shard(self.shard(&key)).insert(key, value.clone());
+        self.shards.insert(key, value.clone());
         value
     }
 
@@ -194,7 +235,7 @@ impl PlanCache {
 
     /// Probes without computing on miss.
     pub fn get(&self, key: &CacheKey) -> Option<Option<PlanNode>> {
-        let found = Self::lock_shard(self.shard(key)).get(key).cloned();
+        let found = self.shards.get(key);
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -226,7 +267,7 @@ impl PlanCache {
 
     /// Entries currently resident (across every epoch still stored).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| Self::lock_shard(s).len()).sum()
+        self.shards.maps.iter().map(|m| Shards::lock(m).len()).sum()
     }
 
     /// True when no entries are resident.
@@ -236,8 +277,8 @@ impl PlanCache {
 
     /// Drops all entries and zeroes the counters.
     pub fn clear(&self) {
-        for s in &self.shards {
-            Self::lock_shard(s).clear();
+        for m in &self.shards.maps {
+            Shards::lock(m).clear();
         }
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
@@ -269,6 +310,15 @@ mod tests {
         Query::new(&["title", "cast_info"])
             .join(0, "id", 1, "movie_id")
             .filter(0, "year", CmpOp::Ge, year)
+    }
+
+    /// Both constants were computed with std's default hasher before the
+    /// fingerprint moved to `ml4db_obs::digest`: every plan-cache key,
+    /// training seed and golden trace id rests on them.
+    #[test]
+    fn query_fingerprint_and_epoch_are_pinned() {
+        assert_eq!(format!("{:016x}", two_way(2000.0).fingerprint()), "9018f9d3f97be403");
+        assert_eq!(format!("{:016x}", epoch_of(&CostModel::default().weights)), "5c01bbd33a8f5b83");
     }
 
     #[test]
@@ -346,14 +396,7 @@ mod tests {
         let key = CacheKey { fingerprint: 42, epoch: 1 };
         cache.get_or_insert_with(key, || None);
         // Poison the single shard from a panicking thread.
-        let _ = std::thread::scope(|s| {
-            s.spawn(|| {
-                let _guard = cache.shards[0].lock().unwrap();
-                panic!("poison the shard");
-            })
-            .join()
-        });
-        assert!(cache.shards[0].is_poisoned());
+        cache.shards.poison_for_test();
         // Reads, writes, len and clear must all keep working.
         assert_eq!(cache.get(&key), Some(None));
         let other = CacheKey { fingerprint: 43, epoch: 1 };

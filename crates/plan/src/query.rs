@@ -207,19 +207,18 @@ impl Query {
     /// and result sets must be equal). This is the plan-cache key; the
     /// constant-blind counterpart is [`Query::template_signature`].
     pub fn fingerprint(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.tables.len().hash(&mut h);
+        let mut h = ml4db_obs::digest::Fingerprint::new();
+        h.usize(self.tables.len());
         for t in &self.tables {
-            t.table.hash(&mut h);
+            h.str(&t.table);
         }
-        self.joins.len().hash(&mut h);
+        h.usize(self.joins.len());
         for e in &self.joins {
-            (e.left, e.left_col.as_str(), e.right, e.right_col.as_str()).hash(&mut h);
+            h.usize(e.left).str(&e.left_col).usize(e.right).str(&e.right_col);
         }
-        self.predicates.len().hash(&mut h);
+        h.usize(self.predicates.len());
         for p in &self.predicates {
-            (p.table, p.column.as_str(), p.op as u8, p.value.to_bits()).hash(&mut h);
+            h.usize(p.table).str(&p.column).u8(p.op as u8).u64(p.value.to_bits());
         }
         h.finish()
     }

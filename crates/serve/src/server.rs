@@ -759,7 +759,7 @@ impl<'e, 'db> Server<'e, 'db> {
         assert!(self.serve_hook.set(Box::new(hook)).is_ok(), "one hook per server");
     }
 
-    /// Poisons one response shard and one expert-latency shard the way
+    /// Poisons one response shard and every expert-latency shard the way
     /// a panicking worker would — regression hook proving a poisoned
     /// shard cannot wedge serving. Test use only.
     #[doc(hidden)]
@@ -772,7 +772,7 @@ impl<'e, 'db> Server<'e, 'db> {
             })
             .join()
         });
-        self.env.poison_latency_shard_for_test();
+        self.env.poison_latency_shards_for_test();
     }
 }
 

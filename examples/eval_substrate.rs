@@ -10,27 +10,9 @@
 
 use std::time::Instant;
 
-use ml4db_core::optimizer::{evaluate, harness::EvalReport, Env};
+use ml4db_core::optimizer::{evaluate, Env};
 use ml4db_core::par;
 use ml4db_core::prelude::*;
-
-/// Exact bit digest of a report — equal digests mean numerically
-/// identical reports, down to the last ulp.
-fn digest(r: &EvalReport) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a over every field's bits
-    let mut eat = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for l in &r.latencies {
-        eat(l.to_bits());
-    }
-    for v in [r.tail.mean, r.tail.p50, r.tail.p90, r.tail.p99, r.tail.max, r.relative_total] {
-        eat(v.to_bits());
-    }
-    eat(r.regressions as u64);
-    h
-}
 
 fn main() {
     let db = demo_database(300, 42);
@@ -107,7 +89,9 @@ fn main() {
             })
         });
         let wall = t.elapsed();
-        let d = digest(&report);
+        // Equal digests mean numerically identical reports, down to the
+        // last ulp: `Debug` prints floats round-trip exactly.
+        let d = ml4db_core::obs::debug_bits(&report);
         println!(
             "threads={threads}: wall {wall:>9.1?}, report digest {d:016x}, \
              rel.total {:.4}, regressions {}",

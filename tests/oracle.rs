@@ -7,6 +7,7 @@
 //! Run with `cargo test --test oracle`; CI runs it under both default
 //! threading and `ML4DB_THREADS=1`.
 
+use ml4db_obs::digest::Fingerprint;
 use ml4db_oracle::cost_check::{
     check_histogram_cdf, check_plan_cost_tracks_latency, check_plan_operator_costs,
 };
@@ -304,10 +305,9 @@ fn mixed_type_join_edge_is_rejected_not_answered_differently_per_algorithm() {
 /// conditions) on an unindexed and an indexed `joblite`, each planned under
 /// all 21 hint sets and by two random plans. Returns the digest and the
 /// number of plans run. Hashed the way the repo's other `bits()`
-/// fingerprints are: `DefaultHasher` over `Debug`.
+/// fingerprints are: a `Fingerprint` over `Debug`.
 fn executor_digest() -> (u64, usize) {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+    let mut h = Fingerprint::new();
     let (mut plans_run, mut wide_plans) = (0usize, 0usize);
     let unindexed =
         ml4db_storage::datasets::joblite_db(90, &[], &mut StdRng::seed_from_u64(71));
@@ -336,11 +336,10 @@ fn executor_digest() -> (u64, usize) {
                 let r = execute(&db, q, p).expect("plan executes");
                 let half = execute_with_timeout(&db, q, p, r.latency_us / 2.0).expect("executes");
                 let timed_out = matches!(half, ExecOutcome::TimedOut { .. });
-                format!(
+                h.str(&format!(
                     "{:?}",
                     (&r.rows, &r.stats, &r.layout, r.latency_us.to_bits(), timed_out)
-                )
-                .hash(&mut h);
+                ));
                 plans_run += 1;
                 wide_plans += (q.num_tables() >= 3) as usize;
             }
@@ -404,8 +403,7 @@ const BOTH_SHAPES: [PlanShape; 2] = [PlanShape::Bushy, PlanShape::LeftDeep];
 /// over the population × both shapes × all 21 hint sets. Returns
 /// `(digest, answers, nones, answers over ≥ 3 tables)`.
 fn enumeration_digest() -> (u64, usize, usize, usize) {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+    let mut h = Fingerprint::new();
     let (mut answers, mut nones, mut wide) = (0usize, 0usize, 0usize);
     for (db, queries) in enumeration_population() {
         for q in &queries {
@@ -413,7 +411,7 @@ fn enumeration_digest() -> (u64, usize, usize, usize) {
                 for hint in all_hint_sets() {
                     let plan = Planner { hint, shape, ..Default::default() }
                         .best_plan(&db, q, &ClassicEstimator);
-                    format!("{plan:?}").hash(&mut h);
+                    h.str(&format!("{plan:?}"));
                     answers += 1;
                     nones += plan.is_none() as usize;
                     wide += (q.num_tables() >= 3) as usize;
@@ -443,9 +441,7 @@ impl CardEstimator for PerturbingEstimator {
 /// `(plans digest, mask-log digest, estimator calls)` of the one-hint DP
 /// driven by one [`PerturbingEstimator`] per database.
 fn perturbed_enumeration_digest() -> (u64, u64, usize) {
-    use std::hash::{Hash, Hasher};
-    let mut plans = std::collections::hash_map::DefaultHasher::new();
-    let mut masks = std::collections::hash_map::DefaultHasher::new();
+    let (mut plans, mut masks) = (Fingerprint::new(), Fingerprint::new());
     let mut calls = 0usize;
     for (db, queries) in enumeration_population() {
         let est = PerturbingEstimator { log: Default::default() };
@@ -454,13 +450,17 @@ fn perturbed_enumeration_digest() -> (u64, u64, usize) {
                 for hint in all_hint_sets() {
                     let plan =
                         Planner { hint, shape, ..Default::default() }.best_plan(&db, q, &est);
-                    format!("{plan:?}").hash(&mut plans);
+                    plans.str(&format!("{plan:?}"));
                 }
             }
         }
         let log = est.log.into_inner();
         calls += log.len();
-        log.hash(&mut masks);
+        // The pinned encoding of the mask log: its length, then each mask.
+        masks.usize(log.len());
+        for &m in &log {
+            masks.u64(m);
+        }
     }
     (plans.finish(), masks.finish(), calls)
 }
