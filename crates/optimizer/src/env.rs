@@ -50,7 +50,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use ml4db_plan::{
     cache::{epoch_of, CacheKey, PlanCache, Shards},
-    execute_columnar_with_timeout, CardEstimator, ClassicEstimator, CostModel, HintSet, JoinAlgo,
+    execute_summary_with_timeout, CardEstimator, ClassicEstimator, CostModel, HintSet, JoinAlgo,
     PlanNode, PlanOp, Planner, Query, ScanAlgo,
 };
 use ml4db_storage::Database;
@@ -315,9 +315,10 @@ impl<'a> Env<'a> {
         self.run_with_timeout(query, plan, f64::INFINITY).expect("infinite budget cannot time out")
     }
 
-    /// Executes with a latency budget; `None` means timed out.
+    /// Executes with a latency budget; `None` means timed out. Reads the
+    /// answer's row count and latency only, so no value is copied out.
     pub fn run_with_timeout(&self, query: &Query, plan: &PlanNode, budget_us: f64) -> Option<f64> {
-        let r = execute_columnar_with_timeout(self.db, query, plan, budget_us)
+        let r = execute_summary_with_timeout(self.db, query, plan, budget_us)
             .expect("valid plan")?;
         ml4db_obs::emit_with(|| ml4db_obs::Event::Executed {
             latency_us: r.latency_us,

@@ -130,7 +130,7 @@ impl ParamTree {
 pub fn collect_observations(env: &Env, queries: &[Query]) -> Vec<Observation> {
     let per_query: Vec<Option<Observation>> = ml4db_par::par_map(queries, |q| {
         let plan = env.expert_plan(q)?;
-        let result = ml4db_plan::execute_columnar(env.db, q, &plan).ok()?;
+        let result = ml4db_plan::execute_summary(env.db, q, &plan).ok()?;
         Some(Observation { stats: result.stats, latency_us: result.latency_us })
     });
     per_query.into_iter().flatten().collect()
@@ -161,7 +161,7 @@ pub fn collect_observations_diverse<R: rand::Rng + ?Sized>(
             .random_plans(env.db, q, &env.estimator, per_query, &mut qrng)
             .iter()
             .filter_map(|plan| {
-                let result = ml4db_plan::execute_columnar(env.db, q, plan).ok()?;
+                let result = ml4db_plan::execute_summary(env.db, q, plan).ok()?;
                 Some(Observation { stats: result.stats, latency_us: result.latency_us })
             })
             .collect()

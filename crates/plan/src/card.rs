@@ -214,7 +214,7 @@ impl CardEstimator for TrueCardinality {
         }
         let rows = match plan {
             None => 0.0,
-            Some(p) => crate::executor::execute_columnar(db, query, &p)
+            Some(p) => crate::executor::execute_summary(db, query, &p)
                 .map_or(0.0, |r| r.num_rows as f64),
         };
         let rows = rows.max(1.0);

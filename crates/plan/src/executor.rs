@@ -2,10 +2,15 @@
 //! plus instrumented statistics and simulated latency. Supports the
 //! simulated timeout that Balsa's safe-execution framework \[51\] relies on.
 //!
-//! There is one executor: [`execute_columnar`] runs the plan over
-//! [`Batch`]es of row ids and copies values out once, column-wise, at the
-//! result boundary. [`execute`] is that run followed by a conversion to
-//! heap rows, for callers that compare answers.
+//! There is one executor: a private run over [`Batch`]es of row ids whose
+//! final batch *is* the answer, and two result boundaries on top of it.
+//! [`execute_summary`] reads only that batch's length, the work counters
+//! and the simulated latency — no value is copied — and is what the
+//! serving path, cardinality labels and latency labels use.
+//! [`execute_columnar`] is the same run followed by one column-wise copy
+//! of the values, and [`execute`] that copy converted to heap rows, for
+//! callers that compare answers. Stats, latency and timeout verdicts are a
+//! function of cardinalities only, so the boundaries always agree on them.
 
 use ml4db_storage::exec::{self, Batch, ColRef, ExecStats, Predicate, TRUE_WEIGHTS};
 use ml4db_storage::{rows_of, CmpOp, ColumnData, Database, Row};
@@ -57,8 +62,20 @@ pub struct ExecResult {
     pub layout: Vec<usize>,
 }
 
-/// Result of executing a plan to completion, as columns: the form the
-/// executor produces and the serving path consumes.
+/// Result of executing a plan to completion, reduced to what a caller that
+/// reads no values needs: no value of the answer is copied out.
+#[derive(Clone, Copy, Debug)]
+pub struct ExecSummary {
+    /// Output rows.
+    pub num_rows: usize,
+    /// Accumulated work counters.
+    pub stats: ExecStats,
+    /// Simulated latency in microseconds under the engine's true weights.
+    pub latency_us: f64,
+}
+
+/// Result of executing a plan to completion, as columns: the answer copied
+/// out once, column-wise, at the result boundary.
 #[derive(Clone, Debug)]
 pub struct ColumnarResult {
     /// One typed vector per output column: the tables of `layout` in
@@ -148,15 +165,60 @@ pub fn execute_columnar_with_timeout(
     plan: &PlanNode,
     budget_us: f64,
 ) -> Result<Option<ColumnarResult>, String> {
+    Ok(run(db, query, plan, budget_us)?.map(|(batch, layout, stats)| ColumnarResult {
+        columns: batch.columns(),
+        num_rows: batch.num_rows(),
+        stats,
+        latency_us: stats.latency_us(&TRUE_WEIGHTS),
+        layout,
+    }))
+}
+
+/// Executes `plan` against `db`, returning its row count, work counters and
+/// latency without copying out a value.
+///
+/// # Errors
+/// As [`execute`].
+pub fn execute_summary(
+    db: &Database,
+    query: &Query,
+    plan: &PlanNode,
+) -> Result<ExecSummary, String> {
+    Ok(execute_summary_with_timeout(db, query, plan, f64::INFINITY)?
+        .expect("infinite budget cannot time out"))
+}
+
+/// [`execute_summary`] under a simulated latency budget in microseconds;
+/// `None` means the accumulated simulated cost exceeded it. Agrees with
+/// [`execute_columnar_with_timeout`] on everything but the values.
+///
+/// # Errors
+/// As [`execute`].
+pub fn execute_summary_with_timeout(
+    db: &Database,
+    query: &Query,
+    plan: &PlanNode,
+    budget_us: f64,
+) -> Result<Option<ExecSummary>, String> {
+    Ok(run(db, query, plan, budget_us)?.map(|(batch, _, stats)| ExecSummary {
+        num_rows: batch.num_rows(),
+        stats,
+        latency_us: stats.latency_us(&TRUE_WEIGHTS),
+    }))
+}
+
+/// The one run both result boundaries share: the final batch of row ids,
+/// its layout and the accumulated work counters, or `None` on timeout
+/// (reported to the observability sink here, once per run).
+fn run<'a>(
+    db: &'a Database,
+    query: &Query,
+    plan: &PlanNode,
+    budget_us: f64,
+) -> Result<Option<(Batch<'a>, Vec<usize>, ExecStats)>, String> {
     let mut total = ExecStats::default();
     match run_node(db, query, plan, &mut total, budget_us)? {
-        Some((batch, layout)) => Ok(Some(ColumnarResult {
-            columns: batch.columns(),
-            num_rows: batch.num_rows(),
-            stats: total,
-            latency_us: total.latency_us(&TRUE_WEIGHTS),
-            layout,
-        })),
+        Some((batch, layout)) => Ok(Some((batch, layout, total))),
         None => {
             ml4db_obs::emit_with(|| ml4db_obs::Event::ExecTimeout { budget_us });
             ml4db_obs::counter_add("executor.timeout", 1);

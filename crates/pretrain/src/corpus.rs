@@ -62,7 +62,7 @@ pub fn build_corpus<R: Rng + ?Sized>(
         ));
         for mut p in plans {
             cost_model.cost_plan(db, &q, &mut p, &ClassicEstimator);
-            if let Ok(result) = ml4db_plan::execute_columnar(db, &q, &p) {
+            if let Ok(result) = ml4db_plan::execute_summary(db, &q, &p) {
                 items.push((db.clone(), q.clone(), p, result.latency_us));
             }
         }

@@ -194,7 +194,7 @@ mod tests {
             let plans = planner.random_plans(db, &q, &ClassicEstimator, 2, rng);
             for mut p in plans {
                 CostModel::default().cost_plan(db, &q, &mut p, &ClassicEstimator);
-                let latency = ml4db_plan::execute_columnar(db, &q, &p).unwrap().latency_us;
+                let latency = ml4db_plan::execute_summary(db, &q, &p).unwrap().latency_us;
                 out.push(LabeledPlan { query: q.clone(), plan: p, latency_us: latency });
             }
             let _ = &oracle;

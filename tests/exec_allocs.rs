@@ -1,8 +1,10 @@
 //! The executor holds tuples by reference, so the heap allocations of one
 //! served query are a function of the plan's shape — a few vectors per
-//! operator, one per output column — and not of how many rows flow through
-//! it. A row-at-a-time executor allocates per scanned row and twice per
-//! joined row; this gate is the host-independent form of that difference.
+//! operator — and not of how many rows flow through it. A row-at-a-time
+//! executor allocates per scanned row and twice per joined row; this gate
+//! is the host-independent form of that difference. The serving path
+//! (`Env::run`) reads no value of the answer, so it also makes at least
+//! one allocation per output column fewer than copying the answer out.
 //!
 //! Alone in its file: see `common/counting_alloc.rs`.
 
@@ -37,15 +39,22 @@ fn allocations_of_one_run_do_not_scale_with_rows() {
             let db = joblite_db(base_rows, &[], &mut StdRng::seed_from_u64(7));
             let env = Env::new(&db);
             let (allocations, latency) = allocations_of(|| env.run(&q, &plan));
-
-            let result = execute_columnar(&db, &q, &plan).expect("plan executes");
-            assert_eq!(result.latency_us, latency);
-            let ceiling = (64 * plan.size() + result.columns.len()) as u64;
+            let (copying, result) =
+                allocations_of(|| execute_columnar(&db, &q, &plan).expect("plan executes"));
+            assert_eq!(result.latency_us.to_bits(), latency.to_bits());
+            let ceiling = (64 * plan.size()) as u64;
             assert!(
                 allocations < ceiling,
                 "{algo:?} at base_rows {base_rows}: {allocations} allocations for {} rows \
                  (ceiling {ceiling})",
                 result.num_rows
+            );
+            assert!(
+                allocations + result.columns.len() as u64 <= copying,
+                "{algo:?} at base_rows {base_rows}: env.run made {allocations} allocations, \
+                 copying the {} result columns out made {copying} — the serving path must \
+                 not copy out an answer",
+                result.columns.len()
             );
             if let Some((fewer, fewer_rows)) = previous {
                 assert!(result.num_rows > fewer_rows, "doubling base_rows must grow the result");

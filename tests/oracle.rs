@@ -20,7 +20,10 @@ use ml4db_oracle::workload::{
     joblite_db, sample_query, tpchlite_db, JOBLITE_EDGES, TPCHLITE_EDGES,
 };
 use ml4db_oracle::{assert_no_discrepancies, Discrepancy};
-use ml4db_plan::executor::{canonical_multiset, execute, execute_with_timeout, ExecOutcome};
+use ml4db_plan::executor::{
+    canonical_multiset, execute, execute_columnar_with_timeout, execute_summary_with_timeout,
+    execute_with_timeout, ExecOutcome,
+};
 use ml4db_plan::hints::all_hint_sets;
 use ml4db_plan::plan::{JoinAlgo, PlanNode, ScanAlgo};
 use ml4db_plan::{
@@ -298,41 +301,62 @@ fn mixed_type_join_edge_is_rejected_not_answered_differently_per_algorithm() {
     same.validate(&db).expect("Int = Int validates");
 }
 
+/// A query and the plans the executor pins run for it.
+type PlannedQuery = (Query, Vec<PlanNode>);
+
+/// The executor pins' plan population: 16 sampled queries (plus three
+/// cyclic ones, for residual join conditions) on an unindexed and an
+/// indexed `joblite`, each planned under all 21 hint sets and by two
+/// random plans — 608 plans, a third of them joining ≥ 3 tables.
+fn executor_population() -> Vec<(Database, Vec<PlannedQuery>)> {
+    let unindexed =
+        ml4db_storage::datasets::joblite_db(90, &[], &mut StdRng::seed_from_u64(71));
+    [(unindexed, 211), (joblite_db(90, 72), 223)]
+        .into_iter()
+        .map(|(db, seed)| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut queries: Vec<Query> = (0..16)
+                .map(|i| sample_query(&db, JOBLITE_EDGES, 4, &mut rng, i % 4 != 0))
+                .collect();
+            for year in [1975.0, 1995.0, 2010.0] {
+                queries.push(
+                    Query::new(&["title", "cast_info", "movie_info"])
+                        .join(0, "id", 1, "movie_id")
+                        .join(0, "id", 2, "movie_id")
+                        .join(1, "movie_id", 2, "movie_id")
+                        .filter(0, "year", ml4db_storage::CmpOp::Ge, year),
+                );
+            }
+            let planned = queries
+                .into_iter()
+                .map(|q| {
+                    let mut plans = Vec::new();
+                    for hint in all_hint_sets() {
+                        let planner = Planner { hint, ..Default::default() };
+                        plans.extend(planner.best_plan(&db, &q, &ClassicEstimator));
+                    }
+                    plans.extend(
+                        Planner::default().random_plans(&db, &q, &ClassicEstimator, 2, &mut rng),
+                    );
+                    (q, plans)
+                })
+                .collect();
+            (db, planned)
+        })
+        .collect()
+}
+
 /// Digest of everything a caller can observe of the executor — rows in
 /// output order, `ExecStats`, layout, latency bits, and whether a run under
-/// half the latency as budget times out — over a fixed seeded population of
-/// 16 sampled queries (plus three cyclic ones, for residual join
-/// conditions) on an unindexed and an indexed `joblite`, each planned under
-/// all 21 hint sets and by two random plans. Returns the digest and the
-/// number of plans run. Hashed the way the repo's other `bits()`
-/// fingerprints are: a `Fingerprint` over `Debug`.
+/// half the latency as budget times out — over [`executor_population`].
+/// Returns the digest and the number of plans run. Hashed the way the
+/// repo's other `bits()` fingerprints are: a `Fingerprint` over `Debug`.
 fn executor_digest() -> (u64, usize) {
     let mut h = Fingerprint::new();
     let (mut plans_run, mut wide_plans) = (0usize, 0usize);
-    let unindexed =
-        ml4db_storage::datasets::joblite_db(90, &[], &mut StdRng::seed_from_u64(71));
-    for (db, seed) in [(unindexed, 211), (joblite_db(90, 72), 223)] {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut queries: Vec<Query> = (0..16)
-            .map(|i| sample_query(&db, JOBLITE_EDGES, 4, &mut rng, i % 4 != 0))
-            .collect();
-        for year in [1975.0, 1995.0, 2010.0] {
-            queries.push(
-                Query::new(&["title", "cast_info", "movie_info"])
-                    .join(0, "id", 1, "movie_id")
-                    .join(0, "id", 2, "movie_id")
-                    .join(1, "movie_id", 2, "movie_id")
-                    .filter(0, "year", ml4db_storage::CmpOp::Ge, year),
-            );
-        }
-        for q in &queries {
-            let mut plans = Vec::new();
-            for hint in all_hint_sets() {
-                let planner = Planner { hint, ..Default::default() };
-                plans.extend(planner.best_plan(&db, q, &ClassicEstimator));
-            }
-            plans.extend(Planner::default().random_plans(&db, q, &ClassicEstimator, 2, &mut rng));
-            for p in &plans {
+    for (db, planned) in executor_population() {
+        for (q, plans) in &planned {
+            for p in plans {
                 let r = execute(&db, q, p).expect("plan executes");
                 let half = execute_with_timeout(&db, q, p, r.latency_us / 2.0).expect("executes");
                 let timed_out = matches!(half, ExecOutcome::TimedOut { .. });
@@ -362,6 +386,36 @@ fn executor_digest_is_pinned_to_the_row_at_a_time_executor() {
         "24c70a401a1f7d4a",
         "rows, stats, layouts, latency bits or timeout verdicts differ from the parent commit"
     );
+}
+
+/// The two result boundaries are one run: over the pinned population, at
+/// an unbounded budget and at half the plan's latency, the summary the
+/// serving path reads agrees with the copied-out answer on row count,
+/// stats, latency bits and the timeout verdict.
+#[test]
+fn summary_boundary_agrees_with_the_columnar_one() {
+    let mut compared = 0usize;
+    for (db, planned) in executor_population() {
+        for (q, plans) in &planned {
+            for p in plans {
+                let full = execute_columnar_with_timeout(&db, q, p, f64::INFINITY)
+                    .expect("plan executes")
+                    .expect("infinite budget cannot time out");
+                for budget in [f64::INFINITY, full.latency_us / 2.0] {
+                    let summary = execute_summary_with_timeout(&db, q, p, budget).expect("executes");
+                    let columnar =
+                        execute_columnar_with_timeout(&db, q, p, budget).expect("executes");
+                    assert_eq!(
+                        summary.map(|s| (s.num_rows, s.stats, s.latency_us.to_bits())),
+                        columnar.map(|c| (c.num_rows, c.stats, c.latency_us.to_bits())),
+                        "budget {budget}: the boundaries disagree on {p:?}"
+                    );
+                    compared += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(compared, 2 * 608, "the plan population itself moved");
 }
 
 // ---------------------------------------------------------------------------
