@@ -26,8 +26,8 @@ fn table_bucket(name: &str) -> usize {
 /// gt fraction], and the classical estimate in log space — the "injected
 /// statistics" channel that lets learned models start from the textbook
 /// estimate and learn its correction.
-pub fn query_features(db: &Database, query: &Query, mask: u64) -> Vec<f32> {
-    let mut f = vec![0.0f32; QUERY_DIM];
+pub fn query_features(db: &Database, query: &Query, mask: u64) -> [f32; QUERY_DIM] {
+    let mut f = [0.0f32; QUERY_DIM];
     let mut n_tables = 0;
     for (t, tref) in query.tables.iter().enumerate() {
         if mask & (1 << t) != 0 {
@@ -35,29 +35,31 @@ pub fn query_features(db: &Database, query: &Query, mask: u64) -> Vec<f32> {
             n_tables += 1;
         }
     }
-    let joins = query.edges_within(mask).len();
-    let preds: Vec<_> = query
-        .predicates
-        .iter()
-        .filter(|p| mask & (1 << p.table) != 0)
-        .collect();
+    // One pass over the contained predicates: count, selectivity sum and
+    // minimum, and per-operator counts.
+    let (mut preds, mut sel_sum, mut sel_min) = (0usize, 0.0f64, 1.0f64);
+    let mut ops = [0usize; 3]; // Eq, Lt | Le, Gt | Ge
+    for p in query.predicates.iter().filter(|p| mask & (1 << p.table) != 0) {
+        let sel = ClassicEstimator::predicate_selectivity(db, query, p);
+        preds += 1;
+        sel_sum += sel;
+        sel_min = sel_min.min(sel);
+        ops[match p.op {
+            CmpOp::Eq => 0,
+            CmpOp::Lt | CmpOp::Le => 1,
+            CmpOp::Gt | CmpOp::Ge => 2,
+        }] += 1;
+    }
     let base = TABLE_BUCKETS;
     f[base] = n_tables as f32 / 6.0;
-    f[base + 1] = joins as f32 / 5.0;
-    f[base + 2] = preds.len() as f32 / 6.0;
-    if !preds.is_empty() {
-        let sels: Vec<f64> = preds
-            .iter()
-            .map(|p| ClassicEstimator::predicate_selectivity(db, query, p))
-            .collect();
-        f[base + 3] = (sels.iter().sum::<f64>() / sels.len() as f64) as f32;
-        f[base + 4] = sels.iter().copied().fold(1.0, f64::min) as f32;
-        let frac = |pred: fn(CmpOp) -> bool| {
-            preds.iter().filter(|p| pred(p.op)).count() as f32 / preds.len() as f32
-        };
-        f[base + 5] = frac(|op| op == CmpOp::Eq);
-        f[base + 6] = frac(|op| matches!(op, CmpOp::Lt | CmpOp::Le));
-        f[base + 7] = frac(|op| matches!(op, CmpOp::Gt | CmpOp::Ge));
+    f[base + 1] = query.edges_within(mask).count() as f32 / 5.0;
+    f[base + 2] = preds as f32 / 6.0;
+    if preds > 0 {
+        f[base + 3] = (sel_sum / preds as f64) as f32;
+        f[base + 4] = sel_min as f32;
+        for (slot, &n) in f[base + 5..base + 8].iter_mut().zip(&ops) {
+            *slot = n as f32 / preds as f32;
+        }
     }
     let classic = ClassicEstimator.estimate(db, query, mask);
     f[base + 8] = ((classic + 1.0).log10() / 7.0) as f32;

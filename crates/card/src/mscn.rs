@@ -63,7 +63,7 @@ impl MscnEstimator {
         lr: f32,
         rng: &mut R,
     ) -> f32 {
-        let feats: Vec<Vec<f32>> = samples
+        let feats: Vec<[f32; QUERY_DIM]> = samples
             .iter()
             .map(|s| query_features(db, &s.query, s.mask))
             .collect();
@@ -77,11 +77,15 @@ impl MscnEstimator {
             let mut total = 0.0;
             for chunk in order.chunks(16) {
                 self.model.zero_grad();
-                let x = Matrix::from_rows(
-                    &chunk.iter().map(|&i| feats[i].clone()).collect::<Vec<_>>(),
+                let x = Matrix::from_vec(
+                    chunk.len(),
+                    QUERY_DIM,
+                    chunk.iter().flat_map(|&i| feats[i]).collect(),
                 );
-                let t = Matrix::from_rows(
-                    &chunk.iter().map(|&i| vec![targets[i]]).collect::<Vec<_>>(),
+                let t = Matrix::from_vec(
+                    chunk.len(),
+                    1,
+                    chunk.iter().map(|&i| targets[i]).collect(),
                 );
                 let (y, cache) = self.model.forward(&x);
                 let (l, dy) = loss::huber(&y, &t, 0.1);
@@ -102,9 +106,9 @@ impl MscnEstimator {
 
 impl CardEstimator for MscnEstimator {
     fn estimate(&self, db: &Database, query: &Query, mask: u64) -> f64 {
-        let f = query_features(db, query, mask);
-        let y = self.model.predict(&Matrix::row(f));
-        target_to_card(y[(0, 0)]).max(1.0)
+        let mut y = [0.0];
+        self.model.predict(&query_features(db, query, mask), &mut y);
+        target_to_card(y[0]).max(1.0)
     }
 }
 

@@ -33,7 +33,7 @@ impl NngpEstimator {
         let start = std::time::Instant::now();
         let x: Vec<Vec<f32>> = samples
             .iter()
-            .map(|s| query_features(db, &s.query, s.mask))
+            .map(|s| query_features(db, &s.query, s.mask).to_vec())
             .collect();
         let y: Vec<f32> = samples.iter().map(|s| card_to_target(s.card)).collect();
         self.gp.fit(&x, &y);

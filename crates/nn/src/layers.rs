@@ -31,12 +31,24 @@ pub enum Activation {
 impl Activation {
     /// Applies the activation elementwise.
     pub fn forward(self, x: &Matrix) -> Matrix {
+        let mut y = x.clone();
+        self.apply(y.as_mut_slice());
+        y
+    }
+
+    /// Applies the activation elementwise, in place.
+    fn apply(self, xs: &mut [f32]) {
+        fn each(xs: &mut [f32], f: impl Fn(f32) -> f32) {
+            for v in xs {
+                *v = f(*v);
+            }
+        }
         match self {
-            Activation::Identity => x.clone(),
-            Activation::Relu => x.map(|v| v.max(0.0)),
-            Activation::LeakyRelu => x.map(|v| if v > 0.0 { v } else { 0.01 * v }),
-            Activation::Tanh => x.map(f32::tanh),
-            Activation::Sigmoid => x.map(sigmoid),
+            Activation::Identity => {}
+            Activation::Relu => each(xs, |v| v.max(0.0)),
+            Activation::LeakyRelu => each(xs, |v| if v > 0.0 { v } else { 0.01 * v }),
+            Activation::Tanh => each(xs, f32::tanh),
+            Activation::Sigmoid => each(xs, sigmoid),
         }
     }
 
@@ -101,12 +113,18 @@ impl Linear {
 
     /// Computes `x W + b`; `x` is `batch x in_dim`.
     pub fn forward(&self, x: &Matrix) -> (Matrix, LinearCache) {
-        (self.apply(x), LinearCache { x: x.clone() })
+        let y = x.matmul(&self.w.value).add_row_broadcast(&self.b.value);
+        (y, LinearCache { x: x.clone() })
     }
 
-    /// [`Linear::forward`] without the backward cache.
-    pub fn apply(&self, x: &Matrix) -> Matrix {
-        x.matmul(&self.w.value).add_row_broadcast(&self.b.value)
+    /// [`Linear::forward`] of the one-row batch `x`, written into `out`
+    /// without a cache: per output, the same additions in the same order.
+    fn apply_row(&self, x: &[f32], out: &mut [f32]) {
+        out.fill(0.0);
+        self.w.value.add_row_product(x, out);
+        for (o, &b) in out.iter_mut().zip(self.b.value.as_slice()) {
+            *o += b;
+        }
     }
 
     /// Accumulates `dW`, `db`, and returns `dx`.
@@ -259,6 +277,9 @@ impl Dropout {
     }
 }
 
+/// Widest hidden layer [`Mlp::predict`] keeps on the stack.
+const PREDICT_STACK_WIDTH: usize = 64;
+
 /// Multi-layer perceptron: a stack of [`Linear`] layers with a shared hidden
 /// activation and an identity output layer.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -309,15 +330,41 @@ impl Mlp {
         (h, MlpCache { linear_caches, activations })
     }
 
-    /// Inference-only forward: [`Mlp::forward`]'s output, computed by the
-    /// same operations in the same order, without building its caches.
-    pub fn predict(&self, x: &Matrix) -> Matrix {
+    /// Inference on one example: writes [`Mlp::forward`]'s output for the
+    /// one-row batch `x` into `out`, bit for bit. Each layer runs the same
+    /// operations in the same order as `forward`'s matmul → bias →
+    /// activation: every output accumulates over the inputs in ascending
+    /// order, skipping inputs equal to 0.0, and adds its bias after. Hidden
+    /// activations live in two stack buffers while every hidden layer is at
+    /// most 64 wide, so such a call never allocates; a wider layer costs one
+    /// heap buffer.
+    ///
+    /// # Panics
+    /// Panics if `x` is not `in_dim` wide or `out` is not `out_dim` wide.
+    pub fn predict(&self, x: &[f32], out: &mut [f32]) {
+        assert_eq!(x.len(), self.in_dim(), "Mlp::predict: input width");
+        assert_eq!(out.len(), self.out_dim(), "Mlp::predict: output width");
         let (last, hidden) = self.layers.split_last().expect("mlp has layers");
-        let mut h: Option<Matrix> = None;
+        let width = hidden.iter().map(Linear::out_dim).max().unwrap_or(0);
+        let mut stack = [0.0f32; 2 * PREDICT_STACK_WIDTH];
+        let mut heap = Vec::new();
+        let buf = if width <= PREDICT_STACK_WIDTH {
+            &mut stack[..2 * width]
+        } else {
+            heap.resize(2 * width, 0.0);
+            &mut heap[..]
+        };
+        let (mut h, mut next) = buf.split_at_mut(width);
+        // The width of the activations in `h`; `None` while the input is `x`.
+        let mut h_width = None;
         for layer in hidden {
-            h = Some(self.activation.forward(&layer.apply(h.as_ref().unwrap_or(x))));
+            let y = &mut next[..layer.out_dim()];
+            layer.apply_row(h_width.map_or(x, |n| &h[..n]), y);
+            self.activation.apply(y);
+            h_width = Some(y.len());
+            std::mem::swap(&mut h, &mut next);
         }
-        last.apply(h.as_ref().unwrap_or(x))
+        last.apply_row(h_width.map_or(x, |n| &h[..n]), out);
     }
 
     /// Backward pass; accumulates all layer gradients and returns `dx`.
@@ -387,7 +434,13 @@ mod tests {
     #[test]
     fn predict_equals_forward_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(4);
-        let x = Matrix::uniform(3, 4, 2.0, &mut rng);
+        let mut x = Matrix::uniform(3, 4, 2.0, &mut rng);
+        // `matmul` skips inputs equal to 0.0 (of either sign), and so must
+        // the one-row kernel; ReLU feeds it exact zeros between layers too.
+        x[(0, 1)] = 0.0;
+        x[(1, 0)] = -0.0;
+        x[(1, 3)] = 0.0;
+        let (limit, above) = (PREDICT_STACK_WIDTH, PREDICT_STACK_WIDTH + 1);
         for activation in [
             Activation::Identity,
             Activation::Relu,
@@ -395,13 +448,18 @@ mod tests {
             Activation::Tanh,
             Activation::Sigmoid,
         ] {
-            for dims in [&[4, 2][..], &[4, 6, 5, 2]] {
+            for dims in [&[4, 2][..], &[4, 6, 5, 2], &[4, limit, 7, 2], &[4, 9, above, 2]] {
                 let mlp = Mlp::new(dims, activation, &mut rng);
-                let bits =
-                    |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                let (y, p) = (mlp.forward(&x).0, mlp.predict(&x));
-                assert_eq!((p.rows(), p.cols()), (3, 2));
-                assert_eq!(bits(&p), bits(&y), "{activation:?} over {dims:?}");
+                let y = mlp.forward(&x).0;
+                for r in 0..x.rows() {
+                    let mut p = [0.0f32; 2];
+                    mlp.predict(x.row_slice(r), &mut p);
+                    assert_eq!(
+                        p.map(f32::to_bits),
+                        [y[(r, 0)].to_bits(), y[(r, 1)].to_bits()],
+                        "{activation:?} over {dims:?}, row {r}"
+                    );
+                }
             }
         }
     }

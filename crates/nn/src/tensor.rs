@@ -154,21 +154,29 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Matrix::zeros(self.rows, other.cols);
-        // i-k-j loop order keeps the inner loop streaming over contiguous rows.
         for i in 0..self.rows {
             let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-            let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-            for (k, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = &other.data[k * other.cols..(k + 1) * other.cols];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
+            other.add_row_product(a_row, &mut out.data[i * other.cols..(i + 1) * other.cols]);
         }
         out
+    }
+
+    /// `out += a * self` for a row vector `a` (`self.rows()` wide) and an
+    /// output row `out` (`self.cols()` wide): one row of [`Matrix::matmul`].
+    /// Each output accumulates over `a` in ascending order, skipping the
+    /// entries equal to 0.0; the k-j loop order keeps the inner loop
+    /// streaming over contiguous rows of `self`.
+    #[inline]
+    pub(crate) fn add_row_product(&self, a: &[f32], out: &mut [f32]) {
+        debug_assert_eq!((a.len(), out.len()), (self.rows, self.cols));
+        for (k, &a) in a.iter().enumerate() {
+            if a == 0.0 {
+                continue;
+            }
+            for (o, &b) in out.iter_mut().zip(self.row_slice(k)) {
+                *o += a * b;
+            }
+        }
     }
 
     /// `self^T * other` without materializing the transpose.

@@ -24,6 +24,9 @@ pub struct Bao {
     /// The arm collection (hand-crafted in Bao; discovered in AutoSteer).
     pub arms: Vec<HintSet>,
     model: BayesianLinearRegression,
+    /// `model`'s posterior mean, solved once per [`Bao::observe`] rather
+    /// than once per greedy decision.
+    mean: Vec<f64>,
     window: Vec<Experience>,
     /// Sliding-window capacity; the model retrains from this window.
     pub window_size: usize,
@@ -42,12 +45,8 @@ impl Bao {
     /// Creates a Bao instance over the given arms.
     pub fn new(arms: Vec<HintSet>) -> Self {
         assert!(!arms.is_empty(), "Bao needs at least one arm");
-        Self {
-            arms,
-            model: BayesianLinearRegression::new(PLAN_FEATURE_DIM, 1.0, 4.0),
-            window: Vec::new(),
-            window_size: 200,
-        }
+        let model = BayesianLinearRegression::new(PLAN_FEATURE_DIM, 1.0, 4.0);
+        Self { arms, mean: model.posterior_mean(), model, window: Vec::new(), window_size: 200 }
     }
 
     /// Plans every arm in order on the calling thread (one DP pass for all
@@ -97,9 +96,8 @@ impl Bao {
     /// hint sets are discovered per query rather than fixed up front. The
     /// returned `arm` indexes into `arms`.
     pub fn choose_greedy_among(&self, env: &Env, query: &Query, arms: &[HintSet]) -> BaoChoice {
-        let mean = self.model.posterior_mean();
         Self::sweep_arms(env, query, arms, |plan| {
-            BayesianLinearRegression::predict_with(&mean, &plan_features(plan))
+            BayesianLinearRegression::predict_with(&self.mean, &plan_features(plan))
         })
     }
 
@@ -121,6 +119,7 @@ impl Bao {
         for e in &self.window {
             self.model.observe(&e.features, e.log_latency);
         }
+        self.mean = self.model.posterior_mean();
     }
 
     /// Number of experiences currently in the window.

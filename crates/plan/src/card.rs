@@ -8,10 +8,11 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-use ml4db_storage::{CmpOp, Database};
+use ml4db_storage::stats::{ColumnStats, TableStats};
+use ml4db_storage::{CmpOp, Database, Schema};
 
 use crate::plan::{JoinAlgo, PlanNode, ScanAlgo};
-use crate::query::Query;
+use crate::query::{Query, TablePredicate};
 
 /// Upper clamp for sanitized cardinalities (rows). Far above any join the
 /// suite can produce, yet finite so downstream cost arithmetic stays
@@ -67,19 +68,42 @@ pub struct ClassicEstimator;
 
 impl ClassicEstimator {
     /// Selectivity of one predicate from the column's statistics.
-    pub fn predicate_selectivity(db: &Database, query: &Query, p: &crate::query::TablePredicate) -> f64 {
-        let table = &query.tables[p.table].table;
-        let Some(stats) = db.table_stats(table) else {
+    pub fn predicate_selectivity(db: &Database, query: &Query, p: &TablePredicate) -> f64 {
+        ResolvedTable::new(db, query, p.table).selectivity(p)
+    }
+}
+
+/// One query table's statistics and schema, each looked up by name once and
+/// then shared by all of the table's predicates and join columns.
+#[derive(Clone, Copy, Default)]
+struct ResolvedTable<'a> {
+    stats: Option<&'a TableStats>,
+    schema: Option<&'a Schema>,
+}
+
+impl<'a> ResolvedTable<'a> {
+    fn new(db: &'a Database, query: &Query, t: usize) -> Self {
+        let name = &query.tables[t].table;
+        Self { stats: db.table_stats(name), schema: db.catalog.table(name).map(|t| &t.schema) }
+    }
+
+    /// Row count, 1000 without statistics.
+    fn rows(self) -> f64 {
+        self.stats.map_or(1000.0, |s| s.rows as f64)
+    }
+
+    /// The table's statistics and `column`'s, when both exist.
+    fn column(self, column: &str) -> Option<(&'a TableStats, &'a ColumnStats)> {
+        let stats = self.stats?;
+        let ci = self.schema?.column_index(column)?;
+        Some((stats, &stats.columns[ci]))
+    }
+
+    /// Selectivity of one predicate on this table; 0.1 without statistics.
+    fn selectivity(self, p: &TablePredicate) -> f64 {
+        let Some((stats, cs)) = self.column(&p.column) else {
             return 0.1;
         };
-        let Some(ci) = db
-            .catalog
-            .table(table)
-            .and_then(|t| t.schema.column_index(&p.column))
-        else {
-            return 0.1;
-        };
-        let cs = &stats.columns[ci];
         let sel = match p.op {
             CmpOp::Eq => {
                 // MCV hit gives an exact frequency; otherwise assume the
@@ -100,42 +124,33 @@ impl ClassicEstimator {
         sel.clamp(1e-6, 1.0)
     }
 
-    /// Number of distinct values of a join column.
-    fn ndv(db: &Database, query: &Query, table: usize, column: &str) -> f64 {
-        let tname = &query.tables[table].table;
-        db.table_stats(tname)
-            .and_then(|s| {
-                db.catalog
-                    .table(tname)
-                    .and_then(|t| t.schema.column_index(column))
-                    .map(|ci| s.columns[ci].distinct as f64)
-            })
-            .unwrap_or(1000.0)
-            .max(1.0)
+    /// Number of distinct values of a join column; 1000 without statistics.
+    fn ndv(self, column: &str) -> f64 {
+        self.column(column).map_or(1000.0, |(_, cs)| cs.distinct as f64).max(1.0)
     }
 }
 
 impl CardEstimator for ClassicEstimator {
+    /// Looks each table of `mask` up once, then multiplies in its rows and
+    /// predicate selectivities (tables ascending, predicates in query order)
+    /// and divides by `max(ndv)` per contained edge (in query order).
     fn estimate(&self, db: &Database, query: &Query, mask: u64) -> f64 {
+        let mut tables = [ResolvedTable::default(); 64];
         let mut rows = 1.0f64;
-        for t in 0..query.num_tables() {
-            if mask & (1 << t) == 0 {
-                continue;
-            }
-            let base = db
-                .table_stats(&query.tables[t].table)
-                .map(|s| s.rows as f64)
-                .unwrap_or(1000.0);
+        let mut members = mask & query.full_mask();
+        while members != 0 {
+            let t = members.trailing_zeros() as usize;
+            members &= members - 1;
+            let table = ResolvedTable::new(db, query, t);
             let mut sel = 1.0;
             for p in query.predicates_on(t) {
-                sel *= Self::predicate_selectivity(db, query, p);
+                sel *= table.selectivity(p);
             }
-            rows *= base * sel;
+            rows *= table.rows() * sel;
+            tables[t] = table;
         }
         for e in query.edges_within(mask) {
-            let ndv_l = Self::ndv(db, query, e.left, &e.left_col);
-            let ndv_r = Self::ndv(db, query, e.right, &e.right_col);
-            rows /= ndv_l.max(ndv_r);
+            rows /= tables[e.left].ndv(&e.left_col).max(tables[e.right].ndv(&e.right_col));
         }
         rows.max(1.0)
     }

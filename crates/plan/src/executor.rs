@@ -386,7 +386,6 @@ pub fn naive_execute(db: &Database, query: &Query) -> Result<Vec<Row>, String> {
         let t = db.catalog.table(&tref.table).ok_or("unknown table")?;
         let preds: Vec<Predicate> = query
             .predicates_on(pos)
-            .into_iter()
             .map(|p| {
                 t.schema
                     .column_index(&p.column)

@@ -67,7 +67,7 @@ pub struct PlanNode {
 impl PlanNode {
     /// A scan leaf for `table` with its pushed-down predicates.
     pub fn scan(query: &Query, table: usize, algo: ScanAlgo, index_column: Option<String>) -> Self {
-        let predicates = query.predicates_on(table).into_iter().cloned().collect();
+        let predicates = query.predicates_on(table).cloned().collect();
         PlanNode {
             op: PlanOp::Scan { table, algo, predicates, index_column },
             children: Vec::new(),

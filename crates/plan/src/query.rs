@@ -86,18 +86,15 @@ impl Query {
         self.tables.len()
     }
 
-    /// Predicates on table position `t`.
-    pub fn predicates_on(&self, t: usize) -> Vec<&TablePredicate> {
-        self.predicates.iter().filter(|p| p.table == t).collect()
+    /// Predicates on table position `t`, in query order.
+    pub fn predicates_on(&self, t: usize) -> impl Iterator<Item = &TablePredicate> {
+        self.predicates.iter().filter(move |p| p.table == t)
     }
 
     /// Join edges with both endpoints inside `mask` (a bitmask of table
-    /// positions).
-    pub fn edges_within(&self, mask: u64) -> Vec<&JoinEdge> {
-        self.joins
-            .iter()
-            .filter(|e| mask & (1 << e.left) != 0 && mask & (1 << e.right) != 0)
-            .collect()
+    /// positions), in query order.
+    pub fn edges_within(&self, mask: u64) -> impl Iterator<Item = &JoinEdge> {
+        self.joins.iter().filter(move |e| mask & (1 << e.left) != 0 && mask & (1 << e.right) != 0)
     }
 
     /// Join edges connecting `a` to `b` (disjoint masks), in query order.
@@ -307,7 +304,7 @@ mod tests {
         let q = three_way();
         assert_eq!(q.edges_between(0b001, 0b010).len(), 1);
         assert_eq!(q.edges_between(0b001, 0b100).len(), 0);
-        assert_eq!(q.edges_within(0b111).len(), 2);
+        assert_eq!(q.edges_within(0b111).count(), 2);
     }
 
     #[test]

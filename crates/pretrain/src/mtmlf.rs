@@ -96,18 +96,21 @@ impl Mtmlf {
         task: Task,
     ) -> f32 {
         let tree = featurize_plan(db, query, plan, FeatureConfig::statistics_only());
-        let emb = self.shared.encode(&tree);
+        let mut emb = self.shared.encode(&tree);
+        let emb = emb.row_slice_mut(0);
         // Adapters are residual: identity plus a learned correction, so a
-        // freshly created adapter barely perturbs the shared embedding.
-        let adapted = match self.adapters.get(db_id) {
-            Some(a) => {
-                let delta = a.predict(&emb);
-                emb.zip(&delta, |e, d| e + 0.1 * d)
+        // freshly created adapter barely perturbs the shared embedding. An
+        // unseen database gets the shared trunk only (zero-shot).
+        if let Some(a) = self.adapters.get(db_id) {
+            let mut delta = vec![0.0; a.out_dim()];
+            a.predict(emb, &mut delta);
+            for (e, d) in emb.iter_mut().zip(delta) {
+                *e += 0.1 * d;
             }
-            None => emb, // unseen database: shared trunk only (zero-shot)
-        };
-        let head = self.heads.get(&task).expect("task head exists");
-        head.predict(&adapted)[(0, 0)]
+        }
+        let mut y = [0.0];
+        self.heads.get(&task).expect("task head exists").predict(emb, &mut y);
+        y[0]
     }
 
     /// One multi-task training pass. `freeze_shared` trains only adapters

@@ -45,9 +45,9 @@ impl CostRegressor {
 
     /// Predicted latency (µs) for a feature tree.
     pub fn predict_latency(&self, tree: &Tree) -> f64 {
-        let emb = self.encoder.encode(tree);
-        let y = self.head.predict(&emb);
-        target_to_latency(y[(0, 0)])
+        let mut y = [0.0];
+        self.head.predict(self.encoder.encode(tree).row_slice(0), &mut y);
+        target_to_latency(y[0])
     }
 
     /// One SGD pass over the data (shuffled); returns the mean loss.
@@ -141,8 +141,9 @@ impl PairwiseRanker {
 
     /// Plan score (higher = predicted worse).
     pub fn score(&self, tree: &Tree) -> f32 {
-        let emb = self.encoder.encode(tree);
-        self.head.predict(&emb)[(0, 0)]
+        let mut y = [0.0];
+        self.head.predict(self.encoder.encode(tree).row_slice(0), &mut y);
+        y[0]
     }
 
     /// One pass over (better, worse) pairs; returns mean hinge loss.
