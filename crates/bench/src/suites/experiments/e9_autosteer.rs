@@ -24,7 +24,7 @@ pub fn regenerate(rec: &mut Record) {
     let mut plans_covered = 0usize;
     let mut plans_total = 0usize;
     for q in &queries {
-        let d = discover_hint_sets(&env, q, 10.0);
+        let d = discover_hint_sets(&env, q);
         discovered_counts.push(d.arms.len());
         // Coverage: every distinct plan reachable via the hand-crafted Bao
         // arms should be reachable via discovered arms too.

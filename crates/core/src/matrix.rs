@@ -444,8 +444,7 @@ fn oracle_agreement(
     (checked, agreed)
 }
 
-/// Scores one `(scenario, policy)` evaluation into a [`CellReport`] and
-/// emits the `matrix_cell` obs event.
+/// Scores one `(scenario, policy)` evaluation into a [`CellReport`].
 #[allow(clippy::too_many_arguments)]
 fn score_cell(
     spec: &ScenarioSpec,
@@ -479,19 +478,6 @@ fn score_cell(
         && cell.regressions <= budget.max_regressions
         && cell.guard_trips <= budget.max_guard_trips
         && cell.oracle_agreement() >= budget.min_oracle_agreement;
-    obs::emit_with(|| obs::Event::MatrixCell {
-        scenario: cell.scenario,
-        policy: cell.policy,
-        p99_ratio: cell.p99_ratio,
-        total_ratio: cell.total_ratio,
-        regressions: cell.regressions as u64,
-        guard_trips: cell.guard_trips,
-        within_budget: cell.within_budget,
-    });
-    obs::counter_add(
-        if cell.within_budget { "matrix.cells_within_budget" } else { "matrix.cells_over_budget" },
-        1,
-    );
     cell
 }
 
@@ -683,7 +669,7 @@ pub fn run_matrix(cfg: &MatrixConfig) -> MatrixReport {
         cells.push(score_cell(spec, Policy::Bao, &bao_rep, &classical, 0, bchk, bagr));
 
         let auto_planner = |e: &Env, q: &Query| {
-            let d = discover_hint_sets(e, q, auto_steer.cost_cap);
+            let d = discover_hint_sets(e, q);
             Some(auto_steer.bandit.choose_greedy_among(e, q, &d.arms).plan)
         };
         let auto_rep = evaluate(&env, &eval, auto_planner);

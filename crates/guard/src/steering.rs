@@ -80,10 +80,7 @@ impl<P: SteeringPolicy> GuardedSteering<P> {
 
     fn run_guarded_inner(&self, env: &Env, query: &Query) -> f64 {
         let expert_lat = env.expert_latency(query).expect("expert always plans");
-        // The arm the learned plan ran under and the latency it is charged
-        // in the trace — reported after the breaker has recorded the call.
-        let mut arm = None;
-        let charged = self.breaker.guarded_call(
+        self.breaker.guarded_call(
             || expert_lat,
             || self.policy.choose(env, query),
             |hint: HintSet, shadow| {
@@ -97,29 +94,16 @@ impl<P: SteeringPolicy> GuardedSteering<P> {
                 };
                 let budget = self.budget_factor * expert_lat;
                 match env.run_with_timeout(query, &plan, budget) {
-                    Some(lat) => {
-                        arm = Some((hint, lat));
-                        // A probe's cost comes on top of the served expert
-                        // plan.
-                        Judged::Clean(if shadow { expert_lat + lat } else { lat })
-                    }
+                    // A probe's cost comes on top of the served expert plan.
+                    Some(lat) => Judged::Clean(if shadow { expert_lat + lat } else { lat }),
+                    // Abort-and-rerun: the budget was burned, then the
+                    // expert plan served.
                     None => {
-                        // Abort-and-rerun: the budget was burned, then the
-                        // expert plan served. The arm is charged its full
-                        // burned budget in the trace.
-                        arm = Some((hint, budget));
                         Judged::Failed(TripReason::LatencyRegression, Some(budget + expert_lat))
                     }
                 }
             },
-        );
-        if let Some((hint, latency_us)) = arm {
-            ml4db_obs::emit_with(|| ml4db_obs::Event::ArmLatency {
-                hint_bits: u32::from(hint.bits()),
-                latency_us,
-            });
-        }
-        charged
+        )
     }
 
     /// Evaluates the guarded policy over a workload.

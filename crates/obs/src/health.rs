@@ -7,7 +7,7 @@
 //!
 //! # Merge laws
 //!
-//! A snapshot obeys exactly the same algebra as [`MetricsRegistry`]:
+//! A snapshot obeys the same kind of algebra as [`MetricsRegistry`]:
 //! every field is a saturating `u64` counter, a max-wins scalar, or a
 //! fixed-bucket [`Histogram`], so [`HealthSnapshot::merge`] is
 //! **associative and commutative**. Per-shard snapshots folded by
@@ -133,7 +133,7 @@ impl HealthSnapshot {
     }
 
     /// Folds one event into the snapshot. Events that carry no health
-    /// signal (plan choices, operators, WAL barriers, spans, …) are
+    /// signal (plan choices, operators, run flushes, spans, …) are
     /// ignored.
     pub fn observe(&mut self, ev: &Event) {
         match *ev {
@@ -215,8 +215,8 @@ impl HealthSnapshot {
         Self::from_events(tick, trace.all_events())
     }
 
-    /// Folds `other` into `self`. Associative and commutative — the
-    /// per-field laws are exactly [`crate::MetricsRegistry::merge`]'s.
+    /// Folds `other` into `self`. Associative and commutative, field by
+    /// field (see the module docs).
     pub fn merge(&mut self, other: &HealthSnapshot) {
         self.tick = self.tick.max(other.tick);
         merge_counts(&mut self.guard_transitions, &other.guard_transitions);
@@ -449,7 +449,7 @@ mod tests {
             Event::ExecTimeout { budget_us: 500.0 },
             // health-neutral events must be ignored
             Event::SpanStart { name: "evaluate" },
-            Event::WalFsync { segment: 0, bytes: 128 },
+            Event::RunFlush { run_id: 0, entries: 128, index_promoted: true },
         ]
     }
 

@@ -3,7 +3,7 @@
 //! The tutorial's deployment argument is blunt: a learned component you
 //! cannot inspect is a component you cannot ship. This crate is the
 //! inspection substrate for the whole workspace — a [`MetricsRegistry`]
-//! of counters/gauges/histograms whose merge is associative across
+//! of counters and histograms whose merge is associative across
 //! `ml4db-par` worker shards, and a structured per-query [`Trace`] that
 //! records, EXPLAIN-ANALYZE style, everything the planner, executor,
 //! cache, and guards did for each query: plan chosen, per-operator
@@ -239,19 +239,6 @@ pub fn counter_add(name: &'static str, n: u64) {
     }
     if collecting() {
         COLLECTOR.with_metrics(|m| m.counter_add(name, n));
-    } else {
-        NOOP_EVENTS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Records a gauge level (max-wins; see [`MetricsRegistry::gauge_set`]).
-#[inline]
-pub fn gauge_set(name: &'static str, v: f64) {
-    if !active() {
-        return;
-    }
-    if collecting() {
-        COLLECTOR.with_metrics(|m| m.gauge_set(name, v));
     } else {
         NOOP_EVENTS.fetch_add(1, Ordering::Relaxed);
     }

@@ -1,5 +1,5 @@
-//! The metrics half of the observability substrate: counters, gauges,
-//! and fixed-bucket histograms in a [`MetricsRegistry`] whose merge is
+//! The metrics half of the observability substrate: counters and
+//! fixed-bucket histograms in a [`MetricsRegistry`] whose merge is
 //! **associative and commutative**, so per-shard registries accumulated
 //! by `ml4db-par` workers fold into one global registry that cannot
 //! depend on how the work was scheduled.
@@ -10,8 +10,6 @@
 //!
 //! * counters — `u64` saturating addition (associative, commutative,
 //!   no float rounding);
-//! * gauges — `f64` maximum (associative, commutative; a gauge records
-//!   the highest level observed, not the last);
 //! * histograms — per-bucket `u64` counts plus `f64` min/max. There is
 //!   deliberately **no floating-point sum**: `a + (b + c)` and
 //!   `(a + b) + c` differ in f64, which would make merged output depend
@@ -184,7 +182,7 @@ impl Histogram {
     }
 }
 
-/// Counters, gauges, and histograms under string names.
+/// Counters and histograms under string names.
 ///
 /// One registry per worker shard plus [`MetricsRegistry::merge`] gives
 /// scheduling-independent totals; a single shared registry behind a lock
@@ -192,7 +190,6 @@ impl Histogram {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
 }
 
@@ -205,12 +202,12 @@ impl MetricsRegistry {
     /// An empty registry, usable in `static` initializers
     /// (`BTreeMap::new` is const).
     pub const fn const_new() -> Self {
-        Self { counters: BTreeMap::new(), gauges: BTreeMap::new(), histograms: BTreeMap::new() }
+        Self { counters: BTreeMap::new(), histograms: BTreeMap::new() }
     }
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.counters.is_empty() && self.histograms.is_empty()
     }
 
     /// Adds `n` to the counter `name`.
@@ -226,22 +223,6 @@ impl MetricsRegistry {
     /// Current value of a counter (0 when never touched).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Records a gauge level; the registry keeps the **maximum** observed
-    /// (max is what merges associatively — "last write" cannot).
-    pub fn gauge_set(&mut self, name: &str, v: f64) {
-        match self.gauges.get_mut(name) {
-            Some(g) => *g = g.max(v),
-            None => {
-                self.gauges.insert(name.to_string(), v);
-            }
-        }
-    }
-
-    /// Current gauge level, if ever set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
     }
 
     /// Records one observation into the histogram `name`, creating it
@@ -272,9 +253,6 @@ impl MetricsRegistry {
         for (k, v) in &other.counters {
             self.counter_add(k, *v);
         }
-        for (k, v) in &other.gauges {
-            self.gauge_set(k, *v);
-        }
         for (k, h) in &other.histograms {
             match self.histograms.get_mut(k) {
                 Some(mine) => mine.merge(h),
@@ -285,8 +263,8 @@ impl MetricsRegistry {
         }
     }
 
-    /// Deterministic JSON rendering: all three sections with
-    /// `BTreeMap`-sorted keys. Equal registries render byte-identically.
+    /// Deterministic JSON rendering: both sections with `BTreeMap`-sorted
+    /// keys. Equal registries render byte-identically.
     pub fn to_json(&self) -> Value {
         let mut o = BTreeMap::new();
         o.insert(
@@ -294,10 +272,6 @@ impl MetricsRegistry {
             Value::Object(
                 self.counters.iter().map(|(k, &v)| (k.clone(), Value::Number(v as f64))).collect(),
             ),
-        );
-        o.insert(
-            "gauges".to_string(),
-            Value::Object(self.gauges.iter().map(|(k, &v)| (k.clone(), Value::Number(v))).collect()),
         );
         o.insert(
             "histograms".to_string(),
@@ -312,16 +286,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_gauges_histograms_roundtrip() {
+    fn counters_and_histograms_roundtrip() {
         let mut r = MetricsRegistry::new();
         r.counter_add("a", 2);
         r.counter_add("a", 3);
-        r.gauge_set("g", 1.5);
-        r.gauge_set("g", 0.5); // max wins
         r.histogram_observe("h", 7.0, || Histogram::log10(4));
         r.histogram_observe("h", 70.0, || Histogram::log10(4));
         assert_eq!(r.counter("a"), 5);
-        assert_eq!(r.gauge("g"), Some(1.5));
         assert_eq!(r.histogram("h").unwrap().total(), 2);
         let rendered = r.to_json().to_string();
         assert!(rendered.contains("\"counters\""), "{rendered}");
@@ -345,8 +316,6 @@ mod tests {
         a.counter_add("x", 1);
         b.counter_add("x", 2);
         b.counter_add("y", 7);
-        a.gauge_set("g", 3.0);
-        b.gauge_set("g", 9.0);
         a.histogram_observe("h", 0.5, || Histogram::log10(3));
         b.histogram_observe("h", 500.0, || Histogram::log10(3));
 
@@ -357,7 +326,6 @@ mod tests {
         assert_eq!(ab, ba);
         assert_eq!(ab.to_json().to_string(), ba.to_json().to_string());
         assert_eq!(ab.counter("x"), 3);
-        assert_eq!(ab.gauge("g"), Some(9.0));
         assert_eq!(ab.histogram("h").unwrap().total(), 2);
     }
 

@@ -81,13 +81,6 @@ pub enum Event {
         /// Expert latency (µs).
         latency_us: f64,
     },
-    /// Latency attributed to one hint arm (steering probes and sweeps).
-    ArmLatency {
-        /// `HintSet::bits` of the arm.
-        hint_bits: u32,
-        /// Charged latency (µs).
-        latency_us: f64,
-    },
     /// Per-query evaluation summary row (mirrors `EvalReport`).
     QueryReport {
         /// Charged latency (µs).
@@ -185,26 +178,6 @@ pub enum Event {
         /// Queue occupancy observed at decision time.
         queue_depth: u32,
     },
-    /// A write-ahead-log fsync barrier completed (the durability
-    /// acknowledgement point — everything appended before it is
-    /// committed once this event fires).
-    WalFsync {
-        /// Active WAL segment id.
-        segment: u32,
-        /// Durable bytes in the segment after the barrier.
-        bytes: u64,
-    },
-    /// Recovery replayed the write-ahead log into a fresh memtable.
-    WalReplay {
-        /// WAL segments scanned.
-        segments: u32,
-        /// Whole records replayed (committed or buffered).
-        records: u64,
-        /// Whether replay stopped at a torn or corrupt tail.
-        torn_tail: bool,
-        /// Records dropped because their commit frame never made it.
-        uncommitted_dropped: u64,
-    },
     /// A memtable flushed into an immutable sorted run.
     RunFlush {
         /// Run id (dense from 0).
@@ -214,25 +187,6 @@ pub enum Event {
         /// Whether the per-run learned index cleared the lifecycle gate
         /// (false = binary-search fallback serves the run).
         index_promoted: bool,
-    },
-    /// One cell of the standing evaluation matrix was scored (an
-    /// optimizer policy run over a workload-zoo scenario, judged against
-    /// its regression budget — see `ml4db_core::matrix`).
-    MatrixCell {
-        /// Zoo scenario name ("skew_storm", "distribution_edge", ...).
-        scenario: &'static str,
-        /// Optimizer policy name ("classical", "bao", ...).
-        policy: &'static str,
-        /// Cell p99 latency over the classical cell's p99.
-        p99_ratio: f64,
-        /// Cell total latency over the classical cell's total.
-        total_ratio: f64,
-        /// Queries that regressed >2× past the expert plan.
-        regressions: u64,
-        /// Circuit-breaker trips charged to the cell (guarded policies).
-        guard_trips: u64,
-        /// Whether the cell stayed inside its regression budget.
-        within_budget: bool,
     },
     /// A learned-index probe was answered (hit) or fell through to the
     /// classical path (miss) — the controller's index-staleness signal.
@@ -264,7 +218,6 @@ impl Event {
             Event::ExecTimeout { .. } => "exec_timeout",
             Event::Executed { .. } => "executed",
             Event::ExpertLatency { .. } => "expert_latency",
-            Event::ArmLatency { .. } => "arm_latency",
             Event::QueryReport { .. } => "query_report",
             Event::GuardTransition { .. } => "guard_transition",
             Event::GuardFallback { .. } => "guard_fallback",
@@ -274,10 +227,7 @@ impl Event {
             Event::Promotion { .. } => "promotion",
             Event::Rollback { .. } => "rollback",
             Event::ServeVerdict { .. } => "serve_verdict",
-            Event::WalFsync { .. } => "wal_fsync",
-            Event::WalReplay { .. } => "wal_replay",
             Event::RunFlush { .. } => "run_flush",
-            Event::MatrixCell { .. } => "matrix_cell",
             Event::IndexProbe { .. } => "index_probe",
             Event::SpanStart { .. } => "span_start",
             Event::SpanEnd { .. } => "span_end",
@@ -316,10 +266,6 @@ impl Event {
                 o.insert("rows".into(), Value::Number(rows as f64));
             }
             Event::ExpertLatency { latency_us } => {
-                o.insert("latency_us".into(), Value::Number(latency_us));
-            }
-            Event::ArmLatency { hint_bits, latency_us } => {
-                o.insert("hint_bits".into(), Value::Number(f64::from(hint_bits)));
                 o.insert("latency_us".into(), Value::Number(latency_us));
             }
             Event::QueryReport { latency_us, expert_us, regressed } => {
@@ -380,40 +326,10 @@ impl Event {
                 o.insert("verdict".into(), Value::String(verdict.into()));
                 o.insert("queue_depth".into(), Value::Number(f64::from(queue_depth)));
             }
-            Event::WalFsync { segment, bytes } => {
-                o.insert("segment".into(), Value::Number(f64::from(segment)));
-                o.insert("bytes".into(), Value::Number(bytes as f64));
-            }
-            Event::WalReplay { segments, records, torn_tail, uncommitted_dropped } => {
-                o.insert("segments".into(), Value::Number(f64::from(segments)));
-                o.insert("records".into(), Value::Number(records as f64));
-                o.insert("torn_tail".into(), Value::Bool(torn_tail));
-                o.insert(
-                    "uncommitted_dropped".into(),
-                    Value::Number(uncommitted_dropped as f64),
-                );
-            }
             Event::RunFlush { run_id, entries, index_promoted } => {
                 o.insert("run_id".into(), Value::Number(f64::from(run_id)));
                 o.insert("entries".into(), Value::Number(entries as f64));
                 o.insert("index_promoted".into(), Value::Bool(index_promoted));
-            }
-            Event::MatrixCell {
-                scenario,
-                policy,
-                p99_ratio,
-                total_ratio,
-                regressions,
-                guard_trips,
-                within_budget,
-            } => {
-                o.insert("scenario".into(), Value::String(scenario.into()));
-                o.insert("policy".into(), Value::String(policy.into()));
-                o.insert("p99_ratio".into(), Value::Number(p99_ratio));
-                o.insert("total_ratio".into(), Value::Number(total_ratio));
-                o.insert("regressions".into(), Value::Number(regressions as f64));
-                o.insert("guard_trips".into(), Value::Number(guard_trips as f64));
-                o.insert("within_budget".into(), Value::Bool(within_budget));
             }
             Event::IndexProbe { index, hit } => {
                 o.insert("index".into(), Value::String(index.into()));
@@ -444,9 +360,6 @@ impl Event {
                 format!("executed rows={rows} latency={latency_us:.2}µs")
             }
             Event::ExpertLatency { latency_us } => format!("expert baseline {latency_us:.2}µs"),
-            Event::ArmLatency { hint_bits, latency_us } => {
-                format!("arm 0x{hint_bits:02x} charged {latency_us:.2}µs")
-            }
             Event::QueryReport { latency_us, expert_us, regressed } => format!(
                 "report latency={latency_us:.2}µs expert={expert_us:.2}µs{}",
                 if regressed { " REGRESSED" } else { "" }
@@ -484,33 +397,9 @@ impl Event {
             Event::ServeVerdict { tenant, class, verdict, queue_depth } => {
                 format!("serve[t{tenant}/c{class}] {verdict} depth={queue_depth}")
             }
-            Event::WalFsync { segment, bytes } => {
-                format!("wal fsync seg={segment} durable_bytes={bytes}")
-            }
-            Event::WalReplay { segments, records, torn_tail, uncommitted_dropped } => format!(
-                "wal replay segs={segments} records={records}{}{}",
-                if torn_tail { " TORN-TAIL" } else { "" },
-                if uncommitted_dropped > 0 {
-                    format!(" dropped_uncommitted={uncommitted_dropped}")
-                } else {
-                    String::new()
-                }
-            ),
             Event::RunFlush { run_id, entries, index_promoted } => format!(
                 "run flush id={run_id} entries={entries} index={}",
                 if index_promoted { "learned" } else { "binary-search" }
-            ),
-            Event::MatrixCell {
-                scenario,
-                policy,
-                p99_ratio,
-                total_ratio,
-                regressions,
-                guard_trips,
-                within_budget,
-            } => format!(
-                "matrix[{scenario}/{policy}] p99x={p99_ratio:.2} totx={total_ratio:.2} regr={regressions} trips={guard_trips} {}",
-                if within_budget { "OK" } else { "OVER BUDGET" }
             ),
             Event::IndexProbe { index, hit } => {
                 format!("index[{index}] probe {}", if hit { "hit" } else { "miss" })

@@ -37,6 +37,10 @@ fn merge(a: HintSet, b: HintSet) -> HintSet {
     }
 }
 
+/// Accepted arms cost at most this multiple of the default plan's
+/// estimated cost.
+const COST_CAP: f64 = 10.0;
+
 /// Result of one discovery run.
 #[derive(Clone, Debug)]
 pub struct Discovery {
@@ -51,9 +55,9 @@ pub struct Discovery {
 /// Greedy, as in the paper: probe each single toggle; keep the ones that
 /// change the plan and whose predicted cost does not explode; then try
 /// merging pairs of kept toggles, keeping merges that again change the plan.
-/// `cost_cap` bounds accepted candidates at `cost_cap ×` the default plan's
-/// estimated cost (a cheap guard against obviously terrible arms).
-pub fn discover_hint_sets(env: &Env, query: &Query, cost_cap: f64) -> Discovery {
+/// Accepted candidates cost at most [`COST_CAP`] times the default plan's
+/// estimate (a cheap guard against obviously terrible arms).
+pub fn discover_hint_sets(env: &Env, query: &Query) -> Discovery {
     let default_plan = env.expert_plan(query);
     let Some(default_plan) = default_plan else {
         return Discovery { arms: vec![HintSet::all()], effective_toggles: 0 };
@@ -61,7 +65,7 @@ pub fn discover_hint_sets(env: &Env, query: &Query, cost_cap: f64) -> Discovery 
     let base_sig = default_plan.signature();
     let base_cost = default_plan.est_cost.max(1.0);
     let consider = |plan: &PlanNode| -> bool {
-        plan.signature() != base_sig && plan.est_cost <= base_cost * cost_cap
+        plan.signature() != base_sig && plan.est_cost <= base_cost * COST_CAP
     };
     // Probe every single toggle, in toggle order, on the calling thread.
     let mut kept: Vec<HintSet> = Vec::new();
@@ -71,7 +75,7 @@ pub fn discover_hint_sets(env: &Env, query: &Query, cost_cap: f64) -> Discovery 
         if let Some(plan) = plan {
             if plan.signature() != base_sig {
                 effective += 1;
-                if plan.est_cost <= base_cost * cost_cap {
+                if plan.est_cost <= base_cost * COST_CAP {
                     kept.push(h);
                 }
             }
@@ -101,8 +105,6 @@ pub fn discover_hint_sets(env: &Env, query: &Query, cost_cap: f64) -> Discovery 
 
 /// AutoSteer = Bao with per-query discovered arms.
 pub struct AutoSteer {
-    /// Latency cap multiplier for accepted arms.
-    pub cost_cap: f64,
     /// The underlying bandit (shared model across queries).
     pub bandit: crate::bao::Bao,
 }
@@ -110,7 +112,7 @@ pub struct AutoSteer {
 impl AutoSteer {
     /// Creates an AutoSteer instance.
     pub fn new() -> Self {
-        Self { cost_cap: 10.0, bandit: crate::bao::Bao::new(vec![HintSet::all()]) }
+        Self { bandit: crate::bao::Bao::new(vec![HintSet::all()]) }
     }
 
     /// One step: discover arms for this query, select with Thompson
@@ -121,7 +123,7 @@ impl AutoSteer {
         query: &Query,
         rng: &mut R,
     ) -> (HintSet, f64) {
-        let discovery = discover_hint_sets(env, query, self.cost_cap);
+        let discovery = discover_hint_sets(env, query);
         self.bandit.arms = discovery.arms;
         let choice = self.bandit.choose(env, query, rng);
         let arm = self.bandit.arms[choice.arm];
@@ -163,7 +165,7 @@ mod tests {
     fn discovery_finds_alternative_arms() {
         let db = db();
         let env = Env::new(&db);
-        let d = discover_hint_sets(&env, &query(), 10.0);
+        let d = discover_hint_sets(&env, &query());
         assert!(d.arms.len() >= 2, "no alternatives discovered");
         assert_eq!(d.arms[0], HintSet::all(), "default arm always first");
         assert!(d.effective_toggles >= 1);

@@ -12,6 +12,9 @@ use ml4db_repr::{CostRegressor, FeatureConfig, TreeModelKind, NODE_DIM};
 
 use crate::env::Env;
 
+/// Timeout multiplier over the best latency seen for a query template.
+const TIMEOUT_FACTOR: f64 = 4.0;
+
 /// The Balsa optimizer.
 pub struct Balsa {
     /// Value network (TreeCNN, as in Neo; the difference is the training
@@ -19,8 +22,6 @@ pub struct Balsa {
     pub value_net: CostRegressor,
     experience: Vec<(ml4db_nn::Tree, f64)>,
     features: FeatureConfig,
-    /// Timeout multiplier over the best latency seen for a query template.
-    pub timeout_factor: f64,
     /// Count of timed-out exploratory executions (the safety metric).
     pub timeouts: usize,
     /// Best latency seen per query template.
@@ -34,7 +35,6 @@ impl Balsa {
             value_net: CostRegressor::new(TreeModelKind::TreeCnn, NODE_DIM, 24, rng),
             experience: Vec::new(),
             features: FeatureConfig::full(),
-            timeout_factor: 4.0,
             timeouts: 0,
             best_seen: std::collections::HashMap::new(),
         }
@@ -107,7 +107,7 @@ impl Balsa {
     }
 
     /// Phase 2 — safe real-execution fine-tuning: execute chosen plans
-    /// under a timeout of `timeout_factor ×` the best latency seen for the
+    /// under a timeout of [`TIMEOUT_FACTOR`] × the best latency seen for the
     /// template; timed-out plans are recorded *at the timeout value* (a
     /// pessimistic label) instead of stalling.
     pub fn finetune<R: Rng + ?Sized>(
@@ -124,7 +124,7 @@ impl Balsa {
             let budget = self
                 .best_seen
                 .get(&key)
-                .map(|b| b * self.timeout_factor)
+                .map(|b| b * TIMEOUT_FACTOR)
                 .unwrap_or(f64::INFINITY);
             match env.run_with_timeout(q, &plan, budget) {
                 Some(latency) => {
@@ -197,8 +197,13 @@ mod tests {
         let mut balsa = Balsa::new(&mut rng);
         let train = workload(&db, 12, 402);
         balsa.simulate(&env, &train, 3, 10, &mut rng);
-        // Tight timeouts to exercise the safety path.
-        balsa.timeout_factor = 1.05;
+        // Tight timeouts to exercise the safety path: each template's best
+        // latency starts at the expert's over the timeout factor, so a plan
+        // slower than the expert's is aborted.
+        for q in &train {
+            let expert = env.expert_latency(q).expect("expert always plans");
+            balsa.best_seen.insert(q.template_signature(), expert / TIMEOUT_FACTOR);
+        }
         let first = balsa.finetune(&env, &train, 8, &mut rng);
         let second = balsa.finetune(&env, &train, 8, &mut rng);
         let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
@@ -223,7 +228,6 @@ mod tests {
         // Seed best_seen with an absurdly small latency so everything
         // after it times out.
         balsa.best_seen.insert(q.template_signature(), 0.001);
-        balsa.timeout_factor = 1.0;
         balsa.finetune(&env, std::slice::from_ref(&q), 2, &mut rng);
         assert!(balsa.timeouts > 0, "timeout path never exercised");
     }

@@ -28,9 +28,10 @@ pub struct Bao {
     /// than once per greedy decision.
     mean: Vec<f64>,
     window: Vec<Experience>,
-    /// Sliding-window capacity; the model retrains from this window.
-    pub window_size: usize,
 }
+
+/// Sliding-window capacity; the model retrains from this window.
+const WINDOW_SIZE: usize = 200;
 
 /// Outcome of one Bao decision.
 #[derive(Clone, Debug)]
@@ -46,7 +47,7 @@ impl Bao {
     pub fn new(arms: Vec<HintSet>) -> Self {
         assert!(!arms.is_empty(), "Bao needs at least one arm");
         let model = BayesianLinearRegression::new(PLAN_FEATURE_DIM, 1.0, 4.0);
-        Self { arms, mean: model.posterior_mean(), model, window: Vec::new(), window_size: 200 }
+        Self { arms, mean: model.posterior_mean(), model, window: Vec::new() }
     }
 
     /// Plans every arm in order on the calling thread (one DP pass for all
@@ -109,8 +110,8 @@ impl Bao {
             log_latency: ((latency_us + 1.0).log10()) as f32,
         };
         self.window.push(exp);
-        if self.window.len() > self.window_size {
-            let overflow = self.window.len() - self.window_size;
+        if self.window.len() > WINDOW_SIZE {
+            let overflow = self.window.len() - WINDOW_SIZE;
             self.window.drain(..overflow);
         }
         // Exact conjugate refresh from the window (cheap at this scale and
@@ -200,12 +201,11 @@ mod tests {
         let env = Env::new(&db);
         let q = &workload(&db, 1, 13)[0];
         let mut bao = Bao::new(bao_arms());
-        bao.window_size = 5;
         let mut rng = StdRng::seed_from_u64(6);
-        for _ in 0..12 {
+        for _ in 0..WINDOW_SIZE + 7 {
             bao.step(&env, q, &mut rng);
         }
-        assert_eq!(bao.window_len(), 5);
+        assert_eq!(bao.window_len(), WINDOW_SIZE);
     }
 
     #[test]

@@ -14,14 +14,15 @@ use crate::env::Env;
 pub struct Dq {
     /// Q-values over (template ⊕ mask, next-table) pairs.
     pub q: QTable,
-    /// Exploration rate during training.
-    pub epsilon: f32,
 }
+
+/// Exploration rate during training.
+const EPSILON: f32 = 0.2;
 
 impl Dq {
     /// Creates an untrained agent.
     pub fn new() -> Self {
-        Self { q: QTable::new(0.2, 0.95), epsilon: 0.2 }
+        Self { q: QTable::new(0.2, 0.95) }
     }
 
     fn state(query: &Query, mask: u64) -> u64 {
@@ -59,7 +60,7 @@ impl Dq {
                     let state = Self::state(q, mask);
                     let action = self
                         .q
-                        .select(state, &actions, self.epsilon, rng)
+                        .select(state, &actions, EPSILON, rng)
                         .expect("non-empty actions");
                     let next_mask = mask | (1 << action);
                     let inter = env.estimator.estimate(env.db, q, next_mask);

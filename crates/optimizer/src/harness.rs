@@ -62,8 +62,7 @@ pub struct EvalReport {
 
 impl EvalReport {
     /// Builds a report from per-query [`ReportRow`]s — the shared
-    /// accounting used by [`evaluate`], the timeout-fallback variant, and
-    /// external guarded harnesses.
+    /// accounting used by [`evaluate`] and external guarded harnesses.
     ///
     /// Emits one `ml4db_obs` `QueryReport` event per row, attributed to
     /// the row's query id, so every report line is joinable against the
@@ -141,34 +140,6 @@ pub fn evaluate(
             let lat = match planner(env, q) {
                 Some(p) => env.run(q, &p),
                 None => expert_lat, // a planner that abstains falls back
-            };
-            ReportRow { query_id: q.fingerprint(), latency_us: lat, expert_us: expert_lat }
-        })
-    });
-    EvalReport::from_rows(rows)
-}
-
-/// Like [`evaluate`], but every learned plan runs under a latency budget
-/// of `budget_factor ×` the expert's latency. A plan that exceeds its
-/// budget is aborted and charged `budget + expert` (abort, then serve the
-/// expert plan) — so no single query can regress beyond
-/// `(1 + budget_factor) ×` the expert, no matter how adversarial the
-/// planner. Deterministic and in input order like [`evaluate`].
-pub fn evaluate_with_timeout_fallback(
-    env: &Env,
-    queries: &[Query],
-    budget_factor: f64,
-    planner: impl Fn(&Env, &Query) -> Option<ml4db_plan::PlanNode> + Sync,
-) -> EvalReport {
-    assert!(budget_factor > 0.0);
-    let _span = ml4db_obs::span("evaluate_with_timeout_fallback");
-    let rows: Vec<ReportRow> = ml4db_par::par_map(queries, |q| {
-        ml4db_obs::with_query(q.fingerprint(), || {
-            let expert_lat = env.expert_latency(q).expect("expert always plans");
-            let budget = budget_factor * expert_lat;
-            let lat = match planner(env, q) {
-                Some(p) => env.run_with_timeout(q, &p, budget).unwrap_or(budget + expert_lat),
-                None => expert_lat,
             };
             ReportRow { query_id: q.fingerprint(), latency_us: lat, expert_us: expert_lat }
         })
@@ -525,35 +496,6 @@ mod tests {
         .generate_many(&db, 5, &mut rng);
         let report = evaluate(&env, &queries, |_, _| None);
         assert!((report.relative_total - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn timeout_fallback_bounds_every_regression() {
-        let db = db();
-        let env = Env::new(&db);
-        let mut rng = StdRng::seed_from_u64(4);
-        let queries = ml4db_datagen::WorkloadGenerator::new(
-            ml4db_datagen::SchemaGraph::joblite(),
-            Default::default(),
-        )
-        .generate_many(&db, 12, &mut rng);
-        let factor = 1.2;
-        // Adversarial planner: the highest-estimated-cost hint arm.
-        let report = evaluate_with_timeout_fallback(&env, &queries, factor, |env, q| {
-            ml4db_plan::all_hint_sets()
-                .iter()
-                .filter_map(|h| env.plan_with_hint(q, *h))
-                .max_by(|a, b| {
-                    a.est_cost.partial_cmp(&b.est_cost).unwrap_or(std::cmp::Ordering::Equal)
-                })
-        });
-        for (lat, q) in report.latencies.iter().zip(&queries) {
-            let expert = env.expert_latency(q).unwrap();
-            assert!(
-                *lat <= (1.0 + factor) * expert + 1e-6,
-                "latency {lat} exceeds abort bound for expert {expert}"
-            );
-        }
     }
 
     #[test]

@@ -19,14 +19,15 @@ pub struct Leon {
     pub ranker: PairwiseRanker,
     features: FeatureConfig,
     pairs_trained: usize,
-    /// Minimum executed pairs before the model is trusted at all.
-    pub min_pairs: usize,
-    /// Candidate plans considered per query.
-    pub candidates: usize,
-    /// Latency ratio above which two executions of the same query form a
-    /// (better, worse) training pair.
-    pub pair_gap: f64,
 }
+
+/// Minimum executed pairs before the model is trusted at all.
+const MIN_PAIRS: usize = 10;
+/// Candidate plans considered per query.
+const CANDIDATES: usize = 6;
+/// Latency ratio above which two executions of the same query form a
+/// (better, worse) training pair.
+const PAIR_GAP: f64 = 1.3;
 
 impl Leon {
     /// Creates an untrained LEON.
@@ -35,9 +36,6 @@ impl Leon {
             ranker: PairwiseRanker::new(TreeModelKind::TreeCnn, NODE_DIM, 24, rng),
             features: FeatureConfig::full(),
             pairs_trained: 0,
-            min_pairs: 10,
-            candidates: 6,
-            pair_gap: 1.3,
         }
     }
 
@@ -62,7 +60,7 @@ impl Leon {
                 let (qi, pi, li) = &executions[i];
                 let (qj, pj, lj) = &executions[j];
                 // Only compare plans of the same query, with a clear gap.
-                if qi != qj || *li * self.pair_gap >= *lj {
+                if qi != qj || *li * PAIR_GAP >= *lj {
                     continue;
                 }
                 pairs.push((self.tree_of(env, qi, pi), self.tree_of(env, qj, pj)));
@@ -80,7 +78,7 @@ impl Leon {
 
     /// True when the model has seen enough pairs to be trusted.
     pub fn model_ready(&self) -> bool {
-        self.pairs_trained >= self.min_pairs
+        self.pairs_trained >= MIN_PAIRS
     }
 
     /// Plans a query: gather candidate plans (expert + hint-set
@@ -91,7 +89,7 @@ impl Leon {
     pub fn plan(&self, env: &Env, query: &Query) -> Option<(PlanNode, bool)> {
         let mut cands: Vec<PlanNode> = Vec::new();
         let mut hints = ml4db_plan::bao_arms();
-        hints.truncate(self.candidates);
+        hints.truncate(CANDIDATES);
         for p in env.plan_with_hints(query, &hints).into_iter().flatten() {
             if !cands.iter().any(|c| c.signature() == p.signature()) {
                 cands.push(p);

@@ -45,8 +45,8 @@ pub use bao::Bao;
 pub use dq::Dq;
 pub use env::{plan_features, Env, SessionView, PLAN_FEATURE_DIM};
 pub use harness::{
-    dedup_by_fingerprint, evaluate, evaluate_with_timeout_fallback, run_shift_recovery,
-    split_seen_unseen, EvalReport, ReportRow, ShiftRecoveryConfig, ShiftRecoveryReport,
+    dedup_by_fingerprint, evaluate, run_shift_recovery, split_seen_unseen, EvalReport, ReportRow,
+    ShiftRecoveryConfig, ShiftRecoveryReport,
 };
 pub use leon::Leon;
 pub use neo::Neo;

@@ -23,9 +23,10 @@ pub struct Neo {
     pub value_net: CostRegressor,
     experience: Vec<(Tree, f64)>,
     features: FeatureConfig,
-    /// Beam width of the guided search.
-    pub beam: usize,
 }
+
+/// Beam width of the guided search.
+const BEAM: usize = 3;
 
 impl Neo {
     /// Creates an untrained Neo with a TreeCNN value network (as in the
@@ -35,7 +36,6 @@ impl Neo {
             value_net: CostRegressor::new(TreeModelKind::TreeCnn, NODE_DIM, 24, rng),
             experience: Vec::new(),
             features: FeatureConfig::full(),
-            beam: 3,
         }
     }
 
@@ -133,7 +133,7 @@ impl Neo {
             candidates.sort_by(|a, b| {
                 a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal)
             });
-            candidates.truncate(self.beam);
+            candidates.truncate(BEAM);
             beam = candidates.into_iter().map(|(_, s)| s).collect();
         }
         beam.into_iter()

@@ -103,18 +103,6 @@ impl ColumnarResult {
     }
 }
 
-/// Outcome of a timeout-guarded execution.
-#[derive(Clone, Debug)]
-pub enum ExecOutcome {
-    /// Finished within budget.
-    Done(ExecResult),
-    /// Aborted: accumulated simulated latency exceeded the budget.
-    TimedOut {
-        /// The budget that was exhausted (µs).
-        budget_us: f64,
-    },
-}
-
 /// Executes `plan` against `db`, returning heap rows.
 ///
 /// # Errors
@@ -122,23 +110,6 @@ pub enum ExecOutcome {
 /// columns of different types.
 pub fn execute(db: &Database, query: &Query, plan: &PlanNode) -> Result<ExecResult, String> {
     execute_columnar(db, query, plan).map(ColumnarResult::into_rows)
-}
-
-/// Executes with a simulated latency budget in microseconds; aborts once the
-/// accumulated simulated cost exceeds it. Returns heap rows.
-///
-/// # Errors
-/// As [`execute`].
-pub fn execute_with_timeout(
-    db: &Database,
-    query: &Query,
-    plan: &PlanNode,
-    budget_us: f64,
-) -> Result<ExecOutcome, String> {
-    Ok(match execute_columnar_with_timeout(db, query, plan, budget_us)? {
-        Some(r) => ExecOutcome::Done(r.into_rows()),
-        None => ExecOutcome::TimedOut { budget_us },
-    })
 }
 
 /// Executes `plan` against `db`, returning columns.
@@ -221,7 +192,6 @@ fn run<'a>(
         Some((batch, layout)) => Ok(Some((batch, layout, total))),
         None => {
             ml4db_obs::emit_with(|| ml4db_obs::Event::ExecTimeout { budget_us });
-            ml4db_obs::counter_add("executor.timeout", 1);
             Ok(None)
         }
     }
@@ -587,14 +557,9 @@ mod tests {
             PlanNode::scan(&q, 0, ScanAlgo::Seq, None),
             PlanNode::scan(&q, 1, ScanAlgo::Seq, None),
         );
-        match execute_with_timeout(&db, &q, &nl, 1.0).unwrap() {
-            ExecOutcome::TimedOut { budget_us } => assert_eq!(budget_us, 1.0),
-            ExecOutcome::Done(_) => panic!("expected timeout at 1µs"),
-        }
-        match execute_with_timeout(&db, &q, &nl, 1e12).unwrap() {
-            ExecOutcome::Done(_) => {}
-            ExecOutcome::TimedOut { .. } => panic!("generous budget timed out"),
-        }
+        let timed = |budget| execute_columnar_with_timeout(&db, &q, &nl, budget).unwrap();
+        assert!(timed(1.0).is_none(), "expected timeout at 1µs");
+        assert!(timed(1e12).is_some(), "generous budget timed out");
     }
 
     #[test]

@@ -29,8 +29,7 @@ pub use cost::CostModel;
 pub use enumerate::{PlanShape, Planner, MAX_DP_TABLES};
 pub use executor::{
     execute, execute_columnar, execute_columnar_with_timeout, execute_summary,
-    execute_summary_with_timeout, execute_with_timeout, ColumnarResult, ExecOutcome, ExecResult,
-    ExecSummary,
+    execute_summary_with_timeout, ColumnarResult, ExecResult, ExecSummary,
 };
 pub use hints::{all_hint_sets, bao_arms, HintSet};
 pub use plan::{JoinAlgo, PlanNode, PlanOp, ScanAlgo};

@@ -534,7 +534,6 @@ impl<'e, 'db> Server<'e, 'db> {
                     if let Some(sink) = self.lock_journal().as_mut() {
                         if sink.record(id, tenant).is_err() {
                             self.journal_errors.fetch_add(1, Ordering::Relaxed);
-                            ml4db_obs::counter_add("serve.journal_errors", 1);
                         }
                     }
                 }
@@ -562,14 +561,6 @@ impl<'e, 'db> Server<'e, 'db> {
             verdict,
             queue_depth: depth,
         });
-        ml4db_obs::counter_add(
-            match verdict {
-                "admitted" => "serve.admitted",
-                "shed" => "serve.shed",
-                _ => "serve.rejected",
-            },
-            1,
-        );
     }
 
     /// Blocks until the response for `id` arrives, removing it. Exactly
@@ -659,7 +650,6 @@ impl<'e, 'db> Server<'e, 'db> {
                 let (local, dirty) = &mut latency[req.tenant as usize];
                 local.observe(latency_us);
                 *dirty = true;
-                ml4db_obs::histogram_observe("serve.latency_us", latency_us);
                 Outcome::Done { latency_us }
             }
             Ok(None) => {
@@ -706,11 +696,9 @@ impl<'e, 'db> Server<'e, 'db> {
             drop(adm);
             std::thread::yield_now();
         }
-        ml4db_obs::counter_add("serve.shutdowns", 1);
         if let Some(sink) = self.lock_journal().as_mut() {
             sink.sync().inspect_err(|_| {
                 self.journal_errors.fetch_add(1, Ordering::Relaxed);
-                ml4db_obs::counter_add("serve.journal_errors", 1);
             })
         } else {
             Ok(())

@@ -59,7 +59,6 @@ struct InFlight {
     tenant: u32,
     arrived_ns: u64,
     ok: bool,
-    latency_us: f64,
 }
 
 /// Runs the closed loop to exhaustion: every request the population
@@ -103,7 +102,6 @@ pub fn run_closed_loop(env: &Env<'_>, gen: &mut LoadGen, cfg: &SimConfig) -> Ser
                 tenant: req.tenant,
                 arrived_ns,
                 ok,
-                latency_us,
             });
             completions.push(Reverse((finish_ns, seq, w)));
             seq += 1;
@@ -132,7 +130,6 @@ pub fn run_closed_loop(env: &Env<'_>, gen: &mut LoadGen, cfg: &SimConfig) -> Ser
                 if c.ok {
                     tr.completed += 1;
                     hist[c.tenant as usize].observe((t - c.arrived_ns) as f64 / 1_000.0);
-                    ml4db_obs::histogram_observe("serve.latency_us", c.latency_us);
                 } else {
                     tr.failed += 1;
                 }

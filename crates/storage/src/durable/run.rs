@@ -203,7 +203,6 @@ impl Run {
         let keys: Vec<u64> = entries.iter().map(|e| e.key()).collect();
         let index = gate_run_index(&keys);
         let filter = KeyFilter::build(&keys);
-        ml4db_obs::counter_add("run.loads", 1);
         Self { id, keys, entries, index, filter, file_bytes }
     }
 
@@ -357,7 +356,6 @@ pub fn gate_run_index(keys: &[u64]) -> RunIndex {
             None => RunIndex::BinarySearch,
         }
     } else {
-        ml4db_obs::counter_add("run.index_rejections", 1);
         RunIndex::BinarySearch
     }
 }

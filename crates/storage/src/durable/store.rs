@@ -225,7 +225,6 @@ impl<M: StorageMedium> DurableStore<M> {
                     Err(RunError::Io(e @ (IoFault::ShortRead | IoFault::Transient)))
                         if cfg.wal.read_retry || e == IoFault::Transient =>
                     {
-                        ml4db_obs::counter_add("wal.read_errors", 1);
                         if attempts > cfg.wal.retry_limit {
                             return Err(WalError::Transient { attempts });
                         }
@@ -304,21 +303,6 @@ impl<M: StorageMedium> DurableStore<M> {
             wal.append(&mut medium, &WalRecord::Checkpoint { seq, run_id, flushed_through })?;
             wal.sync(&mut medium)?;
         }
-
-        let (segments, records, torn, dropped) = (
-            report.wal_segments,
-            report.wal_records,
-            report.torn_tail,
-            report.uncommitted_dropped,
-        );
-        ml4db_obs::counter_add("wal.replays", 1);
-        ml4db_obs::counter_add("wal.replayed_records", records);
-        ml4db_obs::emit_with(move || ml4db_obs::Event::WalReplay {
-            segments,
-            records,
-            torn_tail: torn,
-            uncommitted_dropped: dropped,
-        });
 
         let store = Self {
             medium,
@@ -420,7 +404,6 @@ impl<M: StorageMedium> DurableStore<M> {
             self.memtable.insert(k, v);
         }
         self.acked_commits += 1;
-        ml4db_obs::counter_add("store.commits", 1);
         if self.memtable.len() >= self.cfg.memtable_limit {
             self.flush()?;
         }

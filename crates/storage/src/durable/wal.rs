@@ -511,7 +511,6 @@ impl Wal {
         self.active_name = name;
         appended?;
         self.active_bytes += frame.len() as u64;
-        ml4db_obs::counter_add("wal.appends", 1);
         Ok(frame.len() as u64)
     }
 
@@ -528,13 +527,11 @@ impl Wal {
                 Ok(()) => {
                     if attempts > 1 {
                         self.retried_appends += 1;
-                        ml4db_obs::counter_add("wal.retried_appends", 1);
                     }
                     return Ok(());
                 }
                 Err(IoFault::Crashed) => return Err(WalError::MediumCrashed),
                 Err(e @ (IoFault::NoSpace | IoFault::Transient)) => {
-                    ml4db_obs::counter_add("wal.append_errors", 1);
                     if attempts > self.cfg.retry_limit {
                         return Err(match e {
                             IoFault::NoSpace => WalError::NoSpace { attempts },
@@ -550,10 +547,9 @@ impl Wal {
         }
     }
 
-    /// The fsync barrier: makes the active segment durable (when
-    /// `fsync_barriers` is on) and emits the `wal_fsync` trace event.
+    /// The fsync barrier: makes the active segment durable when
+    /// `fsync_barriers` is on.
     pub fn sync<M: StorageMedium>(&mut self, medium: &mut M) -> Result<(), WalError> {
-        let seg = self.active_segment();
         if self.cfg.fsync_barriers {
             match medium.sync(&self.active_name) {
                 Ok(()) => {}
@@ -562,9 +558,6 @@ impl Wal {
                 Err(_) => return Err(WalError::Transient { attempts: 1 }),
             }
         }
-        let bytes = self.active_bytes;
-        ml4db_obs::counter_add("wal.fsyncs", 1);
-        ml4db_obs::emit_with(move || ml4db_obs::Event::WalFsync { segment: seg, bytes });
         Ok(())
     }
 
@@ -576,19 +569,11 @@ impl Wal {
     ) -> Result<(), WalError> {
         let active = self.active_segment();
         for id in std::mem::take(&mut self.segments) {
-            if id != active {
-                match medium.delete(&segment_name(id)) {
-                    Ok(()) => {
-                        ml4db_obs::counter_add("wal.segments_gced", 1);
-                    }
-                    Err(IoFault::Crashed) => {
-                        self.segments.push(active);
-                        return Err(WalError::MediumCrashed);
-                    }
-                    // A leftover segment is harmless: replay skips its
-                    // records by sequence number.
-                    Err(_) => {}
-                }
+            // Any other delete failure leaves a harmless segment behind:
+            // replay skips its records by sequence number.
+            if id != active && medium.delete(&segment_name(id)) == Err(IoFault::Crashed) {
+                self.segments.push(active);
+                return Err(WalError::MediumCrashed);
             }
         }
         self.segments.push(active);
@@ -617,7 +602,6 @@ impl Wal {
                 Err(IoFault::Crashed) => return Err(WalError::MediumCrashed),
                 Err(IoFault::NotFound) => return Err(WalError::Corrupt("segment vanished")),
                 Err(_) => {
-                    ml4db_obs::counter_add("wal.read_errors", 1);
                     if attempts > cfg.retry_limit {
                         return Err(WalError::Transient { attempts });
                     }
@@ -632,7 +616,6 @@ impl Wal {
                 Ok(expect) if buf.len() as u64 == expect => return Ok(buf),
                 Err(IoFault::Crashed) => return Err(WalError::MediumCrashed),
                 Ok(_) | Err(_) => {
-                    ml4db_obs::counter_add("wal.short_reads", 1);
                     if attempts > cfg.retry_limit {
                         return Err(WalError::Transient { attempts });
                     }
@@ -661,7 +644,6 @@ impl Wal {
                 Err(IoFault::Crashed) => return Err(WalError::MediumCrashed),
                 Err(IoFault::NotFound) => return Err(WalError::Corrupt("segment vanished")),
                 Err(_) => {
-                    ml4db_obs::counter_add("wal.read_errors", 1);
                     if attempts > cfg.retry_limit {
                         return Err(WalError::Transient { attempts });
                     }

@@ -441,9 +441,6 @@ pub fn index_scan<'a>(
         rows_out: sel.len() as u64,
         ..Default::default()
     };
-    if sidx.is_some() {
-        ml4db_obs::counter_add("exec.index_scan.learned", 1);
-    }
     observe_op("exec.index_scan.calls", stats.rows_out);
     (Batch::of(table, sel), stats)
 }

@@ -57,7 +57,7 @@ fn main() {
 
     // AutoSteer: no hand-crafted arms needed.
     let q = &stream[10];
-    let discovery = discover_hint_sets(&env, q, 10.0);
+    let discovery = discover_hint_sets(&env, q);
     println!("\n== autosteer discovery for one query ==");
     println!("  {} effective single toggles", discovery.effective_toggles);
     for arm in &discovery.arms {

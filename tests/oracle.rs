@@ -22,7 +22,6 @@ use ml4db_oracle::workload::{
 use ml4db_oracle::{assert_no_discrepancies, Discrepancy};
 use ml4db_plan::executor::{
     canonical_multiset, execute, execute_columnar_with_timeout, execute_summary_with_timeout,
-    execute_with_timeout, ExecOutcome,
 };
 use ml4db_plan::hints::all_hint_sets;
 use ml4db_plan::plan::{JoinAlgo, PlanNode, ScanAlgo};
@@ -138,8 +137,8 @@ fn learned_indexes_match_classical_baselines() {
 }
 
 /// Timeout semantics: simulated latency is monotone over operators, so
-/// `execute_with_timeout` must report `TimedOut` exactly when the untimed
-/// latency strictly exceeds the budget.
+/// `execute_columnar_with_timeout` must time out (`None`) exactly when the
+/// untimed latency strictly exceeds the budget.
 #[test]
 fn timeout_fires_exactly_when_latency_exceeds_budget() {
     let db = joblite_db(100, 67);
@@ -152,16 +151,15 @@ fn timeout_fires_exactly_when_latency_exceeds_budget() {
         for p in &plans {
             let untimed = execute(&db, &q, p).expect("plan executes").latency_us;
             for budget in [untimed * 0.3, untimed * 0.999, untimed, untimed * 1.5] {
-                let outcome = execute_with_timeout(&db, &q, p, budget).expect("executes");
-                let timed_out = matches!(outcome, ExecOutcome::TimedOut { .. });
+                let outcome = execute_columnar_with_timeout(&db, &q, p, budget).expect("executes");
                 assert_eq!(
-                    timed_out,
+                    outcome.is_none(),
                     untimed > budget,
                     "budget {budget} vs untimed latency {untimed}: TimedOut must hold \
                      exactly when latency exceeds the budget (plan {})",
                     p.signature()
                 );
-                if let ExecOutcome::Done(r) = outcome {
+                if let Some(r) = outcome {
                     assert_eq!(r.latency_us, untimed, "timed run must reproduce latency");
                 }
             }
@@ -358,8 +356,9 @@ fn executor_digest() -> (u64, usize) {
         for (q, plans) in &planned {
             for p in plans {
                 let r = execute(&db, q, p).expect("plan executes");
-                let half = execute_with_timeout(&db, q, p, r.latency_us / 2.0).expect("executes");
-                let timed_out = matches!(half, ExecOutcome::TimedOut { .. });
+                let timed_out = execute_columnar_with_timeout(&db, q, p, r.latency_us / 2.0)
+                    .expect("executes")
+                    .is_none();
                 h.str(&format!(
                     "{:?}",
                     (&r.rows, &r.stats, &r.layout, r.latency_us.to_bits(), timed_out)

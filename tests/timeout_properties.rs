@@ -1,10 +1,10 @@
 //! Timeout semantics under every plan shape the hint sets can produce —
 //! the executor-level contract the steering guardrail relies on:
 //!
-//! * `Done(res)` implies `res.latency_us <= budget` — a completed plan
-//!   never overspends its budget;
-//! * `TimedOut` implies the plan's full latency genuinely exceeds the
-//!   budget — no spurious aborts;
+//! * a completed run (`Some(res)`) has `res.latency_us <= budget` — a
+//!   completed plan never overspends its budget;
+//! * a timeout (`None`) implies the plan's full latency genuinely exceeds
+//!   the budget — no spurious aborts;
 //! * `Env::run_with_timeout` agrees with the raw executor call;
 //! * the abort-and-rerun fallback (serve the expert plan when the
 //!   steered plan times out) returns results multiset-equal to the
@@ -15,7 +15,7 @@ use std::sync::OnceLock;
 use ml4db_core::optimizer::Env;
 use ml4db_oracle::workload::{joblite_db, sample_query, JOBLITE_EDGES};
 use ml4db_plan::executor::{
-    canonical_multiset, execute, execute_with_timeout, naive_execute, ExecOutcome,
+    canonical_multiset, execute, execute_columnar_with_timeout, naive_execute,
 };
 use ml4db_plan::{all_hint_sets, Query};
 use ml4db_storage::Database;
@@ -60,8 +60,9 @@ proptest! {
             let Some(plan) = env.plan_with_hint(&q, hint) else { continue };
             let full = execute(db, &q, &plan).expect("plan executes");
             let budget = budget_frac * full.latency_us;
-            match execute_with_timeout(db, &q, &plan, budget).expect("valid plan") {
-                ExecOutcome::Done(res) => {
+            match execute_columnar_with_timeout(db, &q, &plan, budget).expect("valid plan") {
+                Some(res) => {
+                    let res = res.into_rows();
                     prop_assert!(
                         res.latency_us <= budget + 1e-9,
                         "Done but overspent: latency {} vs budget {budget}",
@@ -79,13 +80,12 @@ proptest! {
                         "Env::run_with_timeout disagrees with the executor"
                     );
                 }
-                ExecOutcome::TimedOut { budget_us } => {
+                None => {
                     prop_assert!(
                         full.latency_us > budget,
                         "aborted a plan that fits: latency {} vs budget {budget}",
                         full.latency_us
                     );
-                    prop_assert_eq!(budget_us.to_bits(), budget.to_bits());
                     prop_assert!(
                         env.run_with_timeout(&q, &plan, budget).is_none(),
                         "Env::run_with_timeout disagrees with the executor"
@@ -118,9 +118,9 @@ fn timeout_fallback_serves_reference_equal_results() {
             })
             .expect("non-empty hint space");
         let budget = 1.2 * expert_lat;
-        let served = match execute_with_timeout(db, &q, &worst, budget).expect("valid plan") {
-            ExecOutcome::Done(res) => res,
-            ExecOutcome::TimedOut { .. } => {
+        let served = match execute_columnar_with_timeout(db, &q, &worst, budget).expect("valid plan") {
+            Some(res) => res.into_rows(),
+            None => {
                 timeouts += 1;
                 execute(db, &q, &expert).expect("expert executes")
             }

@@ -99,7 +99,7 @@ fn serial_arm_sweeps_keep_trace_attribution_at_any_thread_count() {
             for q in &queries {
                 obs::with_query(q.fingerprint(), || {
                     bao.choose_greedy(&env, q);
-                    discover_hint_sets(&env, q, 10.0);
+                    discover_hint_sets(&env, q);
                 });
             }
         });
