@@ -127,20 +127,15 @@ pub fn check_join_cost(left: &Table, right: &Table, algo: JoinAlgo) -> Vec<Discr
     let model = CostModel::new(w);
     let (lb, rb) = (exec::seq_scan(left, &[]).0, exec::seq_scan(right, &[]).0);
     let key = ColRef { slot: 0, column: 0 };
-    let joined = match algo {
-        JoinAlgo::NestedLoop => exec::nested_loop_join(&lb, &rb, key, key),
-        JoinAlgo::Hash => exec::hash_join(&lb, &rb, key, key),
-        JoinAlgo::SortMerge => exec::sort_merge_join(&lb, &rb, key, key),
-    };
-    let (out, stats) = match joined {
+    let (matches, stats) = match exec::join(algo, &lb, &rb, key, key) {
         Ok(r) => r,
         Err(e) => return vec![Discrepancy::new("cost-vs-exec", e)],
     };
     let latency = stats.latency_us(&w);
     let (l, r) = (left.num_rows() as f64, right.num_rows() as f64);
-    let cost = model.join_cost(algo, l, r, out.num_rows() as f64);
+    let cost = model.join_cost(algo, l, r, matches.len() as f64);
     let mut found = Vec::new();
-    let ctx = || format!("{algo:?} join l={l} r={r} out={}", out.num_rows());
+    let ctx = || format!("{algo:?} join l={l} r={r} out={}", matches.len());
     match algo {
         JoinAlgo::NestedLoop | JoinAlgo::Hash => {
             if (cost - latency).abs() > EXACT_EPS {

@@ -4,9 +4,10 @@
 //!
 //! There is one executor: a private run over [`Batch`]es of row ids whose
 //! final batch *is* the answer, and two result boundaries on top of it.
-//! [`execute_summary`] reads only that batch's length, the work counters
-//! and the simulated latency — no value is copied — and is what the
-//! serving path, cardinality labels and latency labels use.
+//! [`execute_summary`] reads only the answer's length, the work counters
+//! and the simulated latency — no value is copied, and a root join without
+//! residual conditions is counted from its matches, not gathered — and is
+//! what the serving path, cardinality labels and latency labels use.
 //! [`execute_columnar`] is the same run followed by one column-wise copy
 //! of the values, and [`execute`] that copy converted to heap rows, for
 //! callers that compare answers. Stats, latency and timeout verdicts are a
@@ -136,12 +137,15 @@ pub fn execute_columnar_with_timeout(
     plan: &PlanNode,
     budget_us: f64,
 ) -> Result<Option<ColumnarResult>, String> {
-    Ok(run(db, query, plan, budget_us)?.map(|(batch, layout, stats)| ColumnarResult {
-        columns: batch.columns(),
-        num_rows: batch.num_rows(),
-        stats,
-        latency_us: stats.latency_us(&TRUE_WEIGHTS),
-        layout,
+    Ok(run(db, query, plan, budget_us, true)?.map(|(out, stats)| {
+        let (batch, layout) = out.into_rows();
+        ColumnarResult {
+            columns: batch.columns(),
+            num_rows: batch.num_rows(),
+            stats,
+            latency_us: stats.latency_us(&TRUE_WEIGHTS),
+            layout,
+        }
     }))
 }
 
@@ -171,25 +175,52 @@ pub fn execute_summary_with_timeout(
     plan: &PlanNode,
     budget_us: f64,
 ) -> Result<Option<ExecSummary>, String> {
-    Ok(run(db, query, plan, budget_us)?.map(|(batch, _, stats)| ExecSummary {
-        num_rows: batch.num_rows(),
+    Ok(run(db, query, plan, budget_us, false)?.map(|(out, stats)| ExecSummary {
+        num_rows: out.num_rows(),
         stats,
         latency_us: stats.latency_us(&TRUE_WEIGHTS),
     }))
 }
 
-/// The one run both result boundaries share: the final batch of row ids,
-/// its layout and the accumulated work counters, or `None` on timeout
-/// (reported to the observability sink here, once per run).
+/// What a run ends in.
+enum Output<'a> {
+    /// The rows as a batch of row ids, and the query tables of its slots.
+    Rows(Batch<'a>, Vec<usize>),
+    /// Only the row count: a join nothing reads, counted from its matches.
+    Counted(usize),
+}
+
+impl<'a> Output<'a> {
+    fn num_rows(&self) -> usize {
+        match self {
+            Output::Rows(batch, _) => batch.num_rows(),
+            Output::Counted(n) => *n,
+        }
+    }
+
+    /// The batch and layout of a run that gathers its rows.
+    fn into_rows(self) -> (Batch<'a>, Vec<usize>) {
+        match self {
+            Output::Rows(batch, layout) => (batch, layout),
+            Output::Counted(_) => unreachable!("only a run that does not gather is counted"),
+        }
+    }
+}
+
+/// The one run both result boundaries share: its output — gathered, or for
+/// a summary (`gather` false) whose root is a join without residual
+/// conditions only counted — and the accumulated work counters, or `None`
+/// on timeout (reported to the observability sink here, once per run).
 fn run<'a>(
     db: &'a Database,
     query: &Query,
     plan: &PlanNode,
     budget_us: f64,
-) -> Result<Option<(Batch<'a>, Vec<usize>, ExecStats)>, String> {
+    gather: bool,
+) -> Result<Option<(Output<'a>, ExecStats)>, String> {
     let mut total = ExecStats::default();
-    match run_node(db, query, plan, &mut total, budget_us)? {
-        Some((batch, layout)) => Ok(Some((batch, layout, total))),
+    match run_node(db, query, plan, &mut total, budget_us, gather)? {
+        Some(out) => Ok(Some((out, total))),
         None => {
             ml4db_obs::emit_with(|| ml4db_obs::Event::ExecTimeout { budget_us });
             Ok(None)
@@ -224,15 +255,18 @@ fn col_ref(batch: &Batch, layout: &[usize], table: usize, col: &str) -> Result<C
     Ok(ColRef { slot, column })
 }
 
-/// Runs the subtree at `node`; the batch's slots hold the query tables of
-/// the returned layout. Returns `None` on timeout.
+/// Runs the subtree at `node`; a batch's slots hold the query tables of
+/// its layout. A join whose rows are not read (`gather` false) and that has
+/// no residual condition is counted instead of gathered. Returns `None` on
+/// timeout.
 fn run_node<'a>(
     db: &'a Database,
     query: &Query,
     node: &PlanNode,
     total: &mut ExecStats,
     budget_us: f64,
-) -> Result<Option<(Batch<'a>, Vec<usize>)>, String> {
+    gather: bool,
+) -> Result<Option<Output<'a>>, String> {
     match &node.op {
         PlanOp::Scan { table, algo, predicates, index_column } => {
             let tref = &query.tables[*table];
@@ -294,17 +328,17 @@ fn run_node<'a>(
             if total.latency_us(&TRUE_WEIGHTS) > budget_us {
                 return Ok(None);
             }
-            Ok(Some((batch, vec![*table])))
+            Ok(Some(Output::Rows(batch, vec![*table])))
         }
         PlanOp::Join { algo, conditions } => {
-            let Some((left, left_layout)) =
-                run_node(db, query, &node.children[0], total, budget_us)?
-            else {
+            let mut input = |child| {
+                let out = run_node(db, query, child, total, budget_us, true)?;
+                Ok::<_, String>(out.map(Output::into_rows))
+            };
+            let Some((left, left_layout)) = input(&node.children[0])? else {
                 return Ok(None);
             };
-            let Some((right, right_layout)) =
-                run_node(db, query, &node.children[1], total, budget_us)?
-            else {
+            let Some((right, right_layout)) = input(&node.children[1])? else {
                 return Ok(None);
             };
             let first = conditions.first().ok_or("join without condition")?;
@@ -314,20 +348,23 @@ fn run_node<'a>(
             // post-filters below — kept apart from `total` (which already
             // holds the children) so the per-operator trace line can
             // attribute latency to just this operator.
-            let (mut batch, mut own) = match algo {
-                JoinAlgo::NestedLoop => exec::nested_loop_join(&left, &right, lkey, rkey),
-                JoinAlgo::Hash => exec::hash_join(&left, &right, lkey, rkey),
-                JoinAlgo::SortMerge => exec::sort_merge_join(&left, &right, lkey, rkey),
-            }?;
-            // Residual join conditions apply as post-filters over the
-            // combined layout.
-            let mut layout = left_layout;
-            layout.extend_from_slice(&right_layout);
-            for cond in &conditions[1..] {
-                let l = col_ref(&batch, &layout, cond.0, &cond.1)?;
-                let r = col_ref(&batch, &layout, cond.2, &cond.3)?;
-                own.merge(&batch.retain_equal(l, r)?);
-            }
+            let (matches, mut own) = exec::join(*algo, &left, &right, lkey, rkey)?;
+            let residual = &conditions[1..];
+            let out = if !gather && residual.is_empty() {
+                Output::Counted(matches.len())
+            } else {
+                // Residual join conditions apply as post-filters over the
+                // combined layout.
+                let mut batch = Batch::joined(&left, &right, &matches);
+                let mut layout = left_layout;
+                layout.extend_from_slice(&right_layout);
+                for cond in residual {
+                    let l = col_ref(&batch, &layout, cond.0, &cond.1)?;
+                    let r = col_ref(&batch, &layout, cond.2, &cond.3)?;
+                    own.merge(&batch.retain_equal(l, r)?);
+                }
+                Output::Rows(batch, layout)
+            };
             let op_name = match algo {
                 JoinAlgo::NestedLoop => "nested_loop_join",
                 JoinAlgo::Hash => "hash_join",
@@ -338,7 +375,7 @@ fn run_node<'a>(
             if total.latency_us(&TRUE_WEIGHTS) > budget_us {
                 return Ok(None);
             }
-            Ok(Some((batch, layout)))
+            Ok(Some(out))
         }
     }
 }

@@ -15,16 +15,8 @@ pub enum ScanAlgo {
     Index,
 }
 
-/// Physical join algorithm.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum JoinAlgo {
-    /// Nested-loop join.
-    NestedLoop,
-    /// Hash join (build on the right input).
-    Hash,
-    /// Sort-merge join.
-    SortMerge,
-}
+/// Physical join algorithm: the executor's own enum.
+pub use ml4db_storage::exec::JoinAlgo;
 
 /// A node of a physical plan.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]

@@ -2,8 +2,9 @@
 //! deterministic simulated-latency model.
 //!
 //! Operators hold tuples **by reference**: a scan produces a selection
-//! vector of row ids, a join a pair of them, and a [`Batch`] is one row-id
-//! column per base table joined so far. Values are read in place from the
+//! vector of row ids, a join [`Matches`] — runs of matched positions — and
+//! a [`Batch`] is one row-id column per base table joined so far, gathered
+//! from those runs ([`Batch::joined`]). Values are read in place from the
 //! typed [`ColumnData`] and copied once, at the result boundary
 //! ([`Batch::columns`]). [`ExecStats`] count cardinalities — rows in, rows
 //! out, pairs compared — never anything about the representation, so the
@@ -221,13 +222,6 @@ struct Slot<'a> {
     ids: Vec<u32>,
 }
 
-impl<'a> Slot<'a> {
-    /// The slot's rows at positions `sel`, in that order.
-    fn take(&self, sel: &[u32]) -> Slot<'a> {
-        Slot { table: self.table, ids: sel.iter().map(|&i| self.ids[i as usize]).collect() }
-    }
-}
-
 /// A column of a [`Batch`]: column `column` of the table in slot `slot`.
 /// Operators index with it and panic if it names no such column.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -290,16 +284,25 @@ impl<'a> Batch<'a> {
         Batch { slots: vec![Slot { table, ids }] }
     }
 
-    /// The join output for matched pairs `(lsel[k], rsel[k])` of row
-    /// positions: left slots then right slots, gathered through the pairs.
-    fn joined(left: &Batch<'a>, lsel: &[u32], right: &Batch<'a>, rsel: &[u32]) -> Self {
-        let slots = left
-            .slots
-            .iter()
-            .map(|s| s.take(lsel))
-            .chain(right.slots.iter().map(|s| s.take(rsel)))
-            .collect();
-        Batch { slots }
+    /// The rows of a join of `left` and `right`: left slots then right
+    /// slots, each gathered once from `matches` at exactly its length.
+    pub fn joined(left: &Batch<'a>, right: &Batch<'a>, matches: &Matches) -> Self {
+        let lefts = left.slots.iter().map(|s| {
+            let mut ids = Vec::with_capacity(matches.len);
+            for &(l, start, end) in &matches.runs {
+                ids.resize(ids.len() + (end - start) as usize, s.ids[l as usize]);
+            }
+            Slot { table: s.table, ids }
+        });
+        let rights = right.slots.iter().map(|s| {
+            let mut ids = Vec::with_capacity(matches.len);
+            for &(_, start, end) in &matches.runs {
+                let run = &matches.right[start as usize..end as usize];
+                ids.extend(run.iter().map(|&j| s.ids[j as usize]));
+            }
+            Slot { table: s.table, ids }
+        });
+        Batch { slots: lefts.chain(rights).collect() }
     }
 
     fn column(&self, c: ColRef) -> (&'a ColumnData, &[u32]) {
@@ -350,14 +353,6 @@ fn hash_key_pair(
 ) -> Result<(Vec<u64>, Vec<u64>), String> {
     same_key_type(left, l, right, r)?;
     Ok((left.hash_keys(l), right.hash_keys(r)))
-}
-
-/// Empty selection vectors for a join's matched pairs. A foreign-key join
-/// emits about as many rows as its larger input, so starting at that
-/// capacity leaves only the doublings of a many-to-many result.
-fn pair_vectors(left_rows: usize, right_rows: usize) -> (Vec<u32>, Vec<u32>) {
-    let cap = left_rows.max(right_rows);
-    (Vec::with_capacity(cap), Vec::with_capacity(cap))
 }
 
 /// All row ids of `table`, ascending.
@@ -445,98 +440,138 @@ pub fn index_scan<'a>(
     (Batch::of(table, sel), stats)
 }
 
-/// Nested-loop equi-join: compares every pair. Output is left-major, each
-/// left row's matches in ascending right order.
-///
-/// # Errors
-/// Returns a message if the key columns differ in type.
-pub fn nested_loop_join<'a>(
-    left: &Batch<'a>,
-    right: &Batch<'a>,
-    left_key: ColRef,
-    right_key: ColRef,
-) -> Result<(Batch<'a>, ExecStats), String> {
-    let (lk, rk) = hash_key_pair(left, left_key, right, right_key)?;
-    let (mut lsel, mut rsel) = pair_vectors(lk.len(), rk.len());
-    for (i, l) in lk.iter().enumerate() {
-        for (j, r) in rk.iter().enumerate() {
-            if l == r {
-                lsel.push(i as u32);
-                rsel.push(j as u32);
-            }
-        }
-    }
-    let stats = ExecStats {
-        comparisons: (lk.len() * rk.len()) as u64,
-        tuples: (lk.len() + rk.len() + lsel.len()) as u64,
-        rows_out: lsel.len() as u64,
-        ..Default::default()
-    };
-    observe_op("exec.nested_loop_join.calls", stats.rows_out);
-    Ok((Batch::joined(left, &lsel, right, &rsel), stats))
+/// Physical join algorithm.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum JoinAlgo {
+    /// Nested-loop join.
+    NestedLoop,
+    /// Hash join (build on the right input).
+    Hash,
+    /// Sort-merge join.
+    SortMerge,
 }
 
-/// Hash equi-join: builds on the right input, probes with the left. Output
-/// order is the nested loop's.
-///
-/// # Errors
-/// Returns a message if the key columns differ in type.
-pub fn hash_join<'a>(
-    left: &Batch<'a>,
-    right: &Batch<'a>,
-    left_key: ColRef,
-    right_key: ColRef,
-) -> Result<(Batch<'a>, ExecStats), String> {
-    const NIL: u32 = u32::MAX;
-    let (lk, rk) = hash_key_pair(left, left_key, right, right_key)?;
-    // Chained table in two flat arrays: `head[b]` is the first right row of
-    // bucket `b`, `next[j]` the row after `j` in its bucket. Inserting in
-    // reverse makes every chain read in ascending right order, which is the
-    // output order. At least two buckets keeps `shift` below 64.
-    let buckets = (rk.len() * 2).next_power_of_two().max(2);
-    let shift = 64 - buckets.trailing_zeros();
-    let bucket = |key: u64| (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
-    let mut head = vec![NIL; buckets];
-    let mut next = vec![NIL; rk.len()];
-    for (j, &key) in rk.iter().enumerate().rev() {
-        let b = bucket(key);
-        next[j] = head[b];
-        head[b] = j as u32;
+/// A join's output by position, before any row id is gathered: per matched
+/// left row, one run of the right rows it pairs with. [`Batch::joined`]
+/// gathers it; a caller that needs only the row count reads [`Matches::len`].
+#[derive(Debug)]
+pub struct Matches {
+    /// Right row positions; every run is a slice of it.
+    right: Vec<u32>,
+    /// `(left position, start, end)`: that left row pairs with the right
+    /// rows at `right[start..end]`. Runs and their slices are in output order.
+    runs: Vec<(u32, u32, u32)>,
+    /// Output rows: the runs' total length.
+    len: usize,
+}
+
+impl Matches {
+    /// Output rows.
+    pub fn len(&self) -> usize {
+        self.len
     }
-    let (mut lsel, mut rsel) = pair_vectors(lk.len(), rk.len());
+
+    /// True when no pair matched.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+/// The right input of a hash or nested-loop join grouped by key: open
+/// addressing over the distinct keys, then a stable counting sort of the
+/// right positions by group, so each key's rows are one ascending slice of
+/// `order`.
+struct Grouped {
+    /// `(key, group id)` per hash slot, the id [`Grouped::FREE`] when the
+    /// slot is; a power of two long, at most half full.
+    slots: Vec<(u64, u32)>,
+    /// `64 - log2(slots.len())`: a key's home slot is the top bits of its
+    /// Fibonacci hash.
+    shift: u32,
+    /// Group `g` is `order[bounds[g]..bounds[g + 1]]`.
+    bounds: Vec<u32>,
+    /// Right positions, grouped.
+    order: Vec<u32>,
+}
+
+impl Grouped {
+    const FREE: u32 = u32::MAX;
+
+    fn build(rk: &[u64]) -> Self {
+        // At least two slots keeps `shift` below 64.
+        let n_slots = (rk.len() * 2).next_power_of_two().max(2);
+        let mut g = Grouped {
+            slots: vec![(0, Self::FREE); n_slots],
+            shift: 64 - n_slots.trailing_zeros(),
+            bounds: Vec::with_capacity(rk.len() + 1),
+            order: vec![0; rk.len()],
+        };
+        // Group ids in first-seen order; `bounds` counts each group's rows.
+        let mut group_of = Vec::with_capacity(rk.len());
+        for &key in rk {
+            let s = g.slot(key);
+            if g.slots[s].1 == Self::FREE {
+                g.slots[s] = (key, g.bounds.len() as u32);
+                g.bounds.push(0);
+            }
+            let id = g.slots[s].1;
+            g.bounds[id as usize] += 1;
+            group_of.push(id);
+        }
+        // Counts become group ends; placing positions back to front then
+        // leaves each group ascending and moves its bound to its start.
+        let mut end = 0;
+        for b in &mut g.bounds {
+            end += *b;
+            *b = end;
+        }
+        g.bounds.push(end);
+        for (j, &id) in group_of.iter().enumerate().rev() {
+            let b = &mut g.bounds[id as usize];
+            *b -= 1;
+            g.order[*b as usize] = j as u32;
+        }
+        g
+    }
+
+    /// The slot holding `key`, or the free slot where it would go.
+    fn slot(&self, key: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut s = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+        while self.slots[s].1 != Self::FREE && self.slots[s].0 != key {
+            s = (s + 1) & mask;
+        }
+        s
+    }
+}
+
+/// Every `(i, j)` with `lk[i] == rk[j]`, left-major and each left row's
+/// matches in ascending right order: the nested loop's output, from one
+/// grouped build of `rk` and one lookup per left key.
+fn grouped_matches(lk: &[u64], rk: &[u64]) -> Matches {
+    let grouped = Grouped::build(rk);
+    let mut runs = Vec::with_capacity(lk.len());
+    let mut len = 0;
     for (i, &key) in lk.iter().enumerate() {
-        let mut j = head[bucket(key)];
-        while j != NIL {
-            if rk[j as usize] == key {
-                lsel.push(i as u32);
-                rsel.push(j);
-            }
-            j = next[j as usize];
+        let id = grouped.slots[grouped.slot(key)].1;
+        if id != Grouped::FREE {
+            let (start, end) = (grouped.bounds[id as usize], grouped.bounds[id as usize + 1]);
+            runs.push((i as u32, start, end));
+            len += (end - start) as usize;
         }
     }
-    let stats = ExecStats {
-        hash_builds: rk.len() as u64,
-        hash_probes: lk.len() as u64,
-        tuples: (lk.len() + rk.len() + lsel.len()) as u64,
-        rows_out: lsel.len() as u64,
-        ..Default::default()
-    };
-    observe_op("exec.hash_join.calls", stats.rows_out);
-    Ok((Batch::joined(left, &lsel, right, &rsel), stats))
+    Matches { right: grouped.order, runs, len }
 }
 
-/// Sort-merge equi-join: both inputs stably sorted by key, equal runs
-/// emitted as their cross product, left-major.
-///
-/// # Errors
-/// Returns a message if the key columns differ in type.
-pub fn sort_merge_join<'a>(
-    left: &Batch<'a>,
-    right: &Batch<'a>,
+/// Sort-merge matching: both inputs stably sorted by key, each left row of
+/// an equal-key run paired with the whole right run, left-major. Returns the
+/// matches and the sort and merge counters.
+fn sort_merge_matches(
+    left: &Batch,
     left_key: ColRef,
+    right: &Batch,
     right_key: ColRef,
-) -> Result<(Batch<'a>, ExecStats), String> {
-    same_key_type(left, left_key, right, right_key)?;
+) -> (Matches, ExecStats) {
     let nlogn = |n: usize| -> u64 {
         if n <= 1 {
             n as u64
@@ -544,20 +579,24 @@ pub fn sort_merge_join<'a>(
             (n as f64 * (n as f64).log2()).ceil() as u64
         }
     };
-    // Row positions in stable key order, and the keys in that order.
+    // Row positions in stable key order, and the keys in that order. Ties
+    // broken by position make the in-place unstable sort a stable one.
     let sorted = |keys: Vec<f64>| -> (Vec<u32>, Vec<f64>) {
         let mut order: Vec<u32> = (0..keys.len() as u32).collect();
-        order.sort_by(|&a, &b| {
+        order.sort_unstable_by(|&a, &b| {
             keys[a as usize]
                 .partial_cmp(&keys[b as usize])
                 .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(&b))
         });
         let keys = order.iter().map(|&i| keys[i as usize]).collect();
         (order, keys)
     };
     let (l_order, lk) = sorted(left.f64_keys(left_key));
     let (r_order, rk) = sorted(right.f64_keys(right_key));
-    let (mut lsel, mut rsel) = pair_vectors(lk.len(), rk.len());
+    // At most one run per left row.
+    let mut runs = Vec::with_capacity(lk.len());
+    let mut len = 0;
     let mut comparisons = 0u64;
     let (mut i, mut j) = (0usize, 0usize);
     while i < lk.len() && j < rk.len() {
@@ -568,16 +607,13 @@ pub fn sort_merge_join<'a>(
         } else if key > rk[j] {
             j += 1;
         } else {
-            // Emit the cross product of the equal runs.
             let mut j_end = j;
             while j_end < rk.len() && rk[j_end] == key {
                 j_end += 1;
             }
             while i < lk.len() && lk[i] == key {
-                for &r in &r_order[j..j_end] {
-                    lsel.push(l_order[i]);
-                    rsel.push(r);
-                }
+                runs.push((l_order[i], j as u32, j_end as u32));
+                len += j_end - j;
                 i += 1;
             }
             j = j_end;
@@ -586,12 +622,53 @@ pub fn sort_merge_join<'a>(
     let stats = ExecStats {
         sort_ops: nlogn(lk.len()) + nlogn(rk.len()),
         comparisons,
-        tuples: (lk.len() + rk.len() + lsel.len()) as u64,
-        rows_out: lsel.len() as u64,
         ..Default::default()
     };
-    observe_op("exec.sort_merge_join.calls", stats.rows_out);
-    Ok((Batch::joined(left, &lsel, right, &rsel), stats))
+    (Matches { right: r_order, runs, len }, stats)
+}
+
+/// Equi-join of `left` and `right` on `left_key = right_key` under `algo`:
+/// the matches and the algorithm's work counters. [`Batch::joined`] gathers
+/// the output rows, left slots then right slots.
+///
+/// Nested loop and hash join share one kernel — a grouped build of the right
+/// keys — and so return the same matches under `hash_key` equality, left-
+/// major, each left row's matches in ascending right order. Only their
+/// counters differ: the nested loop is charged every pair compared, the hash
+/// join one build per right row and one probe per left row. Sort-merge
+/// matches under `as_f64` equality in key order.
+///
+/// # Errors
+/// Returns a message if the key columns differ in type.
+pub fn join(
+    algo: JoinAlgo,
+    left: &Batch,
+    right: &Batch,
+    left_key: ColRef,
+    right_key: ColRef,
+) -> Result<(Matches, ExecStats), String> {
+    let (l, r) = (left.num_rows() as u64, right.num_rows() as u64);
+    let (matches, mut stats, op) = match algo {
+        JoinAlgo::NestedLoop => {
+            let (lk, rk) = hash_key_pair(left, left_key, right, right_key)?;
+            let stats = ExecStats { comparisons: l * r, ..Default::default() };
+            (grouped_matches(&lk, &rk), stats, "exec.nested_loop_join.calls")
+        }
+        JoinAlgo::Hash => {
+            let (lk, rk) = hash_key_pair(left, left_key, right, right_key)?;
+            let stats = ExecStats { hash_builds: r, hash_probes: l, ..Default::default() };
+            (grouped_matches(&lk, &rk), stats, "exec.hash_join.calls")
+        }
+        JoinAlgo::SortMerge => {
+            same_key_type(left, left_key, right, right_key)?;
+            let (matches, stats) = sort_merge_matches(left, left_key, right, right_key);
+            (matches, stats, "exec.sort_merge_join.calls")
+        }
+    };
+    stats.rows_out = matches.len() as u64;
+    stats.tuples = l + r + stats.rows_out;
+    observe_op(op, stats.rows_out);
+    Ok((matches, stats))
 }
 
 #[cfg(test)]
@@ -623,14 +700,20 @@ mod tests {
 
     const KEY: ColRef = ColRef { slot: 0, column: 0 };
 
-    /// Every join algorithm's output over two whole tables joined on their
-    /// first columns, as `[nested loop, hash, sort-merge]`.
-    fn all_joins(left: &Table, right: &Table) -> [(Vec<Row>, ExecStats); 3] {
+    const ALGOS: [JoinAlgo; 3] = [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::SortMerge];
+
+    /// `algo`'s output over two whole tables joined on their first columns.
+    fn join_tables(algo: JoinAlgo, left: &Table, right: &Table) -> (Vec<Row>, ExecStats) {
         let (l, r) = (seq_scan(left, &[]).0, seq_scan(right, &[]).0);
-        [nested_loop_join, hash_join, sort_merge_join].map(|join| {
-            let (out, stats) = join(&l, &r, KEY, KEY).unwrap();
-            (rows_of(&out.columns()), stats)
-        })
+        let (matches, stats) = join(algo, &l, &r, KEY, KEY).unwrap();
+        let out = Batch::joined(&l, &r, &matches);
+        assert_eq!(matches.len(), out.num_rows(), "{algo:?}: matches and gather disagree");
+        (rows_of(&out.columns()), stats)
+    }
+
+    /// Every join algorithm's output, as `[nested loop, hash, sort-merge]`.
+    fn all_joins(left: &Table, right: &Table) -> [(Vec<Row>, ExecStats); 3] {
+        ALGOS.map(|algo| join_tables(algo, left, right))
     }
 
     #[test]
@@ -759,7 +842,8 @@ mod tests {
         let left = keyed(vec![1, 2, 3], 10);
         let right = keyed(vec![3, 1, 2], 12);
         let (l, r) = (seq_scan(&left, &[]).0, seq_scan(&right, &[]).0);
-        let (mut out, _) = hash_join(&l, &r, KEY, KEY).unwrap();
+        let (matches, _) = join(JoinAlgo::Hash, &l, &r, KEY, KEY).unwrap();
+        let mut out = Batch::joined(&l, &r, &matches);
         // Keys 1, 2, 3 pair tags (10, 13), (11, 14), (12, 12).
         let tag = |slot| ColRef { slot, column: 1 };
         let stats = out.retain_equal(tag(0), tag(1)).unwrap();
@@ -776,8 +860,8 @@ mod tests {
             vec![ColumnData::Float(vec![2.0, 3.0, 4.5])],
         );
         let (l, r) = (seq_scan(&ints, &[]).0, seq_scan(&floats, &[]).0);
-        for join in [nested_loop_join, hash_join, sort_merge_join] {
-            let err = join(&l, &r, KEY, KEY).unwrap_err();
+        for algo in ALGOS {
+            let err = join(algo, &l, &r, KEY, KEY).unwrap_err();
             assert!(err.contains("join key types differ"), "{err}");
         }
     }
@@ -809,6 +893,45 @@ mod tests {
             smj.sort_by_key(sort_key);
             prop_assert_eq!(&nl, &hj);
             prop_assert_eq!(&nl, &smj);
+        }
+
+        /// Over duplicate-heavy keys — a small domain, or Zipf-like repeats
+        /// of a few hot keys — and empty sides: nested loop and hash join
+        /// emit, in order, what a plain nested loop over the rows emits;
+        /// every algorithm's counters are the closed forms the cost model
+        /// charges; and the match count is the gathered row count (checked
+        /// in `join_tables`).
+        #[test]
+        fn join_kernels_match_a_reference_nested_loop(
+            lkeys in proptest::collection::vec(0i64..6, 0..80),
+            rkeys in proptest::collection::vec(0i64..6, 0..80),
+            skew in proptest::collection::vec((0u32..64, 0i64..40), 0..80),
+        ) {
+            // Half the rows take key 0, a quarter key 1, the rest one of 40.
+            let zipf: Vec<i64> = skew
+                .iter()
+                .map(|&(u, k)| if u < 32 { 0 } else if u < 48 { 1 } else { k })
+                .collect();
+            let sides = [(&lkeys, &rkeys), (&zipf, &rkeys), (&lkeys, &zipf), (&zipf, &zipf)];
+            for (lkeys, rkeys) in sides {
+                let (left, right) = (keyed(lkeys.clone(), 0), keyed(rkeys.clone(), 1000));
+                let reference: Vec<Row> = (0..left.num_rows())
+                    .flat_map(|i| (0..right.num_rows()).map(move |j| (i, j)))
+                    .filter(|&(i, j)| lkeys[i] == rkeys[j])
+                    .map(|(i, j)| [left.row(i), right.row(j)].concat())
+                    .collect();
+                let (l, r, out) = (lkeys.len() as u64, rkeys.len() as u64, reference.len() as u64);
+                let [(nl, nl_stats), (hj, hj_stats), (smj, smj_stats)] = all_joins(&left, &right);
+                prop_assert_eq!(&nl, &reference);
+                prop_assert_eq!(&hj, &reference);
+                prop_assert_eq!(smj.len(), reference.len());
+                let common = ExecStats { rows_out: out, tuples: l + r + out, ..Default::default() };
+                prop_assert_eq!(nl_stats, ExecStats { comparisons: l * r, ..common });
+                prop_assert_eq!(hj_stats, ExecStats { hash_builds: r, hash_probes: l, ..common });
+                let (sort_ops, comparisons) = (smj_stats.sort_ops, smj_stats.comparisons);
+                prop_assert_eq!(smj_stats, ExecStats { sort_ops, comparisons, ..common });
+                prop_assert!(comparisons <= l + r);
+            }
         }
     }
 }

@@ -58,10 +58,10 @@ fn allocations_of_one_run_do_not_scale_with_rows() {
             );
             if let Some((fewer, fewer_rows)) = previous {
                 assert!(result.num_rows > fewer_rows, "doubling base_rows must grow the result");
-                assert!(
-                    allocations <= fewer + 16,
+                assert_eq!(
+                    allocations, fewer,
                     "{algo:?}: {fewer} allocations at half the rows, {allocations} at \
-                     base_rows {base_rows} — only Vec doublings may be added"
+                     base_rows {base_rows} — every vector of a run is sized before it is filled"
                 );
             }
             previous = Some((allocations, result.num_rows));

@@ -28,7 +28,7 @@ use ml4db_plan::plan::{JoinAlgo, PlanNode, ScanAlgo};
 use ml4db_plan::{
     CardEstimator, ClassicEstimator, CostModel, PlanShape, Planner, Query, TrueCardinality,
 };
-use ml4db_storage::exec::{hash_join, nested_loop_join, seq_scan, sort_merge_join, ColRef};
+use ml4db_storage::exec::{join, seq_scan, Batch, ColRef};
 use ml4db_storage::{
     rows_of, Catalog, ColumnData, DataType, Database, Row, Schema, Table, TRUE_WEIGHTS,
 };
@@ -222,12 +222,11 @@ proptest! {
             multiset(&reference_join(&rows_of(&left.columns), &rows_of(&right.columns), 0, 0));
         let (l, r) = (seq_scan(&left, &[]).0, seq_scan(&right, &[]).0);
         let key = ColRef { slot: 0, column: 0 };
-        let (nl, _) = nested_loop_join(&l, &r, key, key).expect("same key type");
-        let (hj, _) = hash_join(&l, &r, key, key).expect("same key type");
-        let (smj, _) = sort_merge_join(&l, &r, key, key).expect("same key type");
-        prop_assert_eq!(&multiset(&rows_of(&nl.columns())), &want, "nested loop vs reference");
-        prop_assert_eq!(&multiset(&rows_of(&hj.columns())), &want, "hash join vs reference");
-        prop_assert_eq!(&multiset(&rows_of(&smj.columns())), &want, "sort-merge join vs reference");
+        for algo in [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::SortMerge] {
+            let (matches, _) = join(algo, &l, &r, key, key).expect("same key type");
+            let got = rows_of(&Batch::joined(&l, &r, &matches).columns());
+            prop_assert_eq!(&multiset(&got), &want, "{:?} vs reference", algo);
+        }
     }
 
     /// `Histogram::cdf` equals the pure-f64 reference interpolation and
@@ -408,6 +407,53 @@ fn summary_boundary_agrees_with_the_columnar_one() {
                         summary.map(|s| (s.num_rows, s.stats, s.latency_us.to_bits())),
                         columnar.map(|c| (c.num_rows, c.stats, c.latency_us.to_bits())),
                         "budget {budget}: the boundaries disagree on {p:?}"
+                    );
+                    compared += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(compared, 2 * 608, "the plan population itself moved");
+}
+
+/// A summary counts a root join without residual conditions instead of
+/// gathering it; the operator trace cannot tell. Over the pinned population,
+/// at an unbounded budget and at half the plan's latency, the summary and
+/// the columnar run emit the same `Operator` and `ExecTimeout` events —
+/// `actual_rows` of the counted root included — in the same order.
+#[test]
+fn summary_and_columnar_runs_emit_the_same_operator_trace() {
+    use ml4db_core::obs;
+    let _serial = obs::serial();
+    let mut compared = 0u64;
+    for (db, planned) in executor_population() {
+        for (q, plans) in &planned {
+            for p in plans {
+                let full = execute_columnar_with_timeout(&db, q, p, f64::INFINITY)
+                    .expect("plan executes")
+                    .expect("infinite budget cannot time out");
+                for budget in [f64::INFINITY, full.latency_us / 2.0] {
+                    // The collector is process-wide: file this test's
+                    // events under ids no concurrently running test uses.
+                    let (summary_id, columnar_id) =
+                        (0x5_0AA0_0000 + compared, 0xC_0AA0_0000 + compared);
+                    let _collect = obs::ModeGuard::collect();
+                    obs::with_query(summary_id, || {
+                        execute_summary_with_timeout(&db, q, p, budget).expect("executes")
+                    });
+                    obs::with_query(columnar_id, || {
+                        execute_columnar_with_timeout(&db, q, p, budget).expect("executes")
+                    });
+                    let trace = obs::take_trace();
+                    let summary = trace.events_for(summary_id);
+                    assert!(
+                        summary.iter().any(|e| e.kind() == "operator"),
+                        "budget {budget}: no operator event for {p:?}"
+                    );
+                    assert_eq!(
+                        summary,
+                        trace.events_for(columnar_id),
+                        "budget {budget}: the boundaries trace {p:?} differently"
                     );
                     compared += 1;
                 }
